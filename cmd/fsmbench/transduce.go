@@ -15,11 +15,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"dpfsm/internal/core"
-	"dpfsm/internal/fsm"
 	"dpfsm/internal/htmltok"
 	"dpfsm/internal/speculative"
 	"dpfsm/internal/telemetry"
@@ -101,22 +99,11 @@ func runTransduceBench(opt *options) (*sustainedReport, error) {
 			return spans, err
 		}},
 		{"speculative", func() ([]core.Span, error) {
-			// Phase 3 replay through the speculative fold: the callback
-			// fires exactly once per chunk with the verified start state,
-			// so the chunk-local spans stitch into the sequential list.
-			var mu sync.Mutex
-			var parts [][]core.Span
-			_, _, err := spec.RunChunkedCtx(context.Background(), input, start,
-				func(off int, chunk []byte, st fsm.State) fsm.State {
-					spans, q := core.ScanSpans(tr, off, chunk, st)
-					if len(spans) > 0 {
-						mu.Lock()
-						parts = append(parts, spans)
-						mu.Unlock()
-					}
-					return q
-				})
-			return core.StitchSpans(parts), err
+			// The guess as phase 1 of the multicore schedule: misses are
+			// replayed from the verified state, so the spans stay exact.
+			scan := core.NewSpanScan(tr)
+			_, _, err := multi.Drive(context.Background(), input, start, spec.Source(), scan.Chunk)
+			return scan.Spans(), err
 		}},
 	}
 

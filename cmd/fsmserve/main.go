@@ -903,8 +903,9 @@ func writeEngineError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, err.Error())
-	case errors.Is(err, context.Canceled):
-		// Client went away; nothing useful to write.
+	case errors.Is(err, context.Canceled), errors.Is(err, engine.ErrClosed):
+		// Client went away, or the engine is shutting down: either way
+		// the service cannot answer this request.
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())

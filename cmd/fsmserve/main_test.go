@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dpfsm/internal/core"
+	"dpfsm/internal/engine"
 	"dpfsm/internal/serverapi"
 	"dpfsm/internal/telemetry"
 )
@@ -497,5 +498,28 @@ func TestLoadPatternsFile(t *testing.T) {
 
 	if _, err := loadPatternsFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// A closed engine answers every job route with 503, not 500: the
+// service is going away, the request was fine.
+func TestEngineClosedAnswers503(t *testing.T) {
+	srv, ts := testServer(t)
+	srv.registerBuiltinTransducers()
+	srv.engine.Close()
+	for _, route := range []string{"/v1/run?machine=sqli", "/v1/transduce?machine=htmltok"} {
+		resp, err := http.Post(ts.URL+route, "application/octet-stream", strings.NewReader("<p>x</p>"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e serverapi.Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(e.Error, engine.ErrClosed.Error()) {
+			t.Errorf("%s after Close: status %d body %+v, want 503 with ErrClosed", route, resp.StatusCode, e)
+		}
 	}
 }

@@ -121,6 +121,7 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 		Multicore:       res.Multicore,
 		Strategy:        res.Strategy,
 		SelectionReason: res.Reason,
+		Degraded:        res.Degraded,
 		DurationNs:      int64(res.Duration),
 	}
 	if res.Duration > 0 {

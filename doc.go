@@ -31,8 +31,11 @@
 // timeouts, and an adaptive dispatch policy: small inputs run
 // single-core — the batch itself is the parallelism — while inputs
 // past WithLargeInput take the paper's Figure 5 multicore phase
-// split. Register machines once, then RunBatch (ordered results) or
-// Submit (streaming completion order).
+// split. Every lane — single-core, multicore, speculative, cluster —
+// and both job kinds (Run, Transduce) go through one dispatch and one
+// Figure 5 schedule, so they share cancellation, tracing, and exactness.
+// Register machines once, then RunBatch (ordered results) or Submit
+// (streaming completion order).
 //
 //	e := dpfsm.NewEngine()
 //	defer e.Close()

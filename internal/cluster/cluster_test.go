@@ -5,34 +5,48 @@ import (
 	"math/rand"
 	"testing"
 
+	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 )
 
+// compile is CompilePlan failing the test on error.
+func compile(t *testing.T, d *fsm.DFA) *core.Plan {
+	t.Helper()
+	p, err := core.CompilePlan(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// The distributed answer equals the sequential one for any peer count,
+// and the traffic accounting is exact: every input byte ships once and
+// one 2-byte-per-state vector returns per chunk.
 func TestClusterMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(240))
+	clusters := map[int]*testCluster{}
+	for _, peers := range []int{1, 3, 8} {
+		clusters[peers] = newTestCluster(t, peers, Config{ChunkBytes: 4096})
+	}
 	for iter := 0; iter < 10; iter++ {
 		d := fsm.RandomConverging(rng, 2+rng.Intn(60), 6, 6, 0.3)
+		p := compile(t, d)
 		in := d.RandomInput(rng, 1+rng.Intn(100_000))
-		for _, workers := range []int{1, 3, 8} {
-			c, err := New(d, SimConfig{Workers: workers, ChunkBytes: 4096})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, peers := range []int{1, 3, 8} {
 			st := fsm.State(rng.Intn(d.NumStates()))
-			got, stats := c.Final(in, st)
-			c.Close()
+			got, stats := clusters[peers].exec(p, in, st)
 			if want := d.Run(in, st); got != want {
-				t.Fatalf("iter %d workers %d: %d want %d", iter, workers, got, want)
+				t.Fatalf("iter %d peers %d: %d want %d", iter, peers, got, want)
 			}
-			wantTasks := (len(in) + 4095) / 4096
-			if stats.Tasks != wantTasks {
-				t.Fatalf("tasks %d want %d", stats.Tasks, wantTasks)
+			wantChunks := (len(in) + 4095) / 4096
+			if stats.Chunks != wantChunks || stats.RemoteChunks != wantChunks {
+				t.Fatalf("chunks %+v, want %d remote", stats, wantChunks)
 			}
-			if stats.BytesToWorkers != len(in) {
-				t.Fatalf("shipped %d bytes, want %d", stats.BytesToWorkers, len(in))
+			if stats.BytesToPeers != len(in) {
+				t.Fatalf("shipped %d bytes, want %d", stats.BytesToPeers, len(in))
 			}
-			if stats.BytesToCoordinator != wantTasks*d.NumStates()*2 {
-				t.Fatalf("returned %d bytes, want %d", stats.BytesToCoordinator, wantTasks*d.NumStates()*2)
+			if stats.VectorBytes != wantChunks*d.NumStates()*2 {
+				t.Fatalf("returned %d bytes, want %d", stats.VectorBytes, wantChunks*d.NumStates()*2)
 			}
 		}
 	}
@@ -43,44 +57,27 @@ func TestClusterCommunicationShrinksWithChunkSize(t *testing.T) {
 	// less communication for the same input.
 	rng := rand.New(rand.NewSource(241))
 	d := fsm.RandomConverging(rng, 30, 4, 5, 0.3)
+	p := compile(t, d)
 	in := d.RandomInput(rng, 1<<20)
 
-	small, err := New(d, SimConfig{Workers: 2, ChunkBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
+	_, sSmall := newTestCluster(t, 2, Config{ChunkBytes: 4 << 10}).exec(p, in, d.Start())
+	_, sBig := newTestCluster(t, 2, Config{ChunkBytes: 256 << 10}).exec(p, in, d.Start())
+	if sBig.VectorBytes >= sSmall.VectorBytes {
+		t.Fatalf("bigger chunks should return less: %d vs %d", sBig.VectorBytes, sSmall.VectorBytes)
 	}
-	_, sSmall := small.Final(in, d.Start())
-	small.Close()
-
-	big, err := New(d, SimConfig{Workers: 2, ChunkBytes: 256 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sBig := big.Final(in, d.Start())
-	big.Close()
-
-	if sBig.BytesToCoordinator >= sSmall.BytesToCoordinator {
-		t.Fatalf("bigger chunks should return less: %d vs %d",
-			sBig.BytesToCoordinator, sSmall.BytesToCoordinator)
-	}
-	if sSmall.BytesToCoordinator/sBig.BytesToCoordinator < 32 {
-		t.Errorf("64× chunk growth should shrink traffic ~64×: %d vs %d",
-			sSmall.BytesToCoordinator, sBig.BytesToCoordinator)
+	if sSmall.VectorBytes/sBig.VectorBytes < 32 {
+		t.Errorf("64× chunk growth should shrink traffic ~64×: %d vs %d", sSmall.VectorBytes, sBig.VectorBytes)
 	}
 }
 
 func TestClusterAccepts(t *testing.T) {
 	rng := rand.New(rand.NewSource(242))
 	d := fsm.RandomConverging(rng, 20, 4, 4, 0.5)
-	c, err := New(d, SimConfig{Workers: 2, ChunkBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := compile(t, d)
+	tc := newTestCluster(t, 2, Config{ChunkBytes: 512})
 	for trial := 0; trial < 10; trial++ {
 		in := d.RandomInput(rng, 5000)
-		got, _ := c.Accepts(d, in)
-		if got != d.Accepts(in) {
+		if got, _ := tc.exec(p, in, d.Start()); d.Accepting(got) != d.Accepts(in) {
 			t.Fatal("acceptance mismatch")
 		}
 	}
@@ -89,51 +86,49 @@ func TestClusterAccepts(t *testing.T) {
 func TestClusterEmptyInput(t *testing.T) {
 	d := fsm.MustNew(3, 2)
 	d.SetStart(2)
-	c, err := New(d, SimConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	tc := newTestCluster(t, 2, Config{})
+	st, stats := tc.exec(compile(t, d), nil, 2)
+	if st != 2 || stats.Chunks != 0 || stats.BytesToPeers != 0 {
+		t.Fatalf("empty input: state %d stats %+v", st, stats)
 	}
-	defer c.Close()
-	st, stats := c.Final(nil, 2)
-	if st != 2 || stats.Tasks != 0 {
-		t.Fatalf("empty input: state %d tasks %d", st, stats.Tasks)
-	}
-	if stats.BootstrapBytes == 0 {
-		t.Error("bootstrap bytes should account the shipped machine")
+	if tc.tel.ClusterPlanShips.Load() != 0 {
+		t.Error("an empty job should not ship the plan")
 	}
 }
 
+// A peer list that dedupes to nothing is a configuration error, and
+// non-positive tuning knobs fall back to the package defaults.
 func TestClusterConfigErrors(t *testing.T) {
-	d := fsm.MustNew(2, 2)
-	_, err := New(d, SimConfig{Workers: 0})
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Errorf("zero workers: got %v, want ErrNoWorkers", err)
+	if _, err := NewCoordinator(Config{Peers: []string{"", ""}}); !errors.Is(err, ErrNoPeers) {
+		t.Errorf("blank peers: got %v, want ErrNoPeers", err)
 	}
-}
-
-func TestClusterCloseIdempotent(t *testing.T) {
-	d := fsm.MustNew(2, 2)
-	c, err := New(d, SimConfig{Workers: 1})
+	c, err := NewCoordinator(Config{Peers: []string{"a", "a"}, ChunkBytes: -1, TaskTimeout: -1, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
-	c.Close() // must not panic
+	if got := c.Peers(); len(got) != 1 || got[0] != "a" {
+		t.Errorf("peers %v, want [a]", got)
+	}
+	if c.ChunkBytes() != DefaultChunkBytes || c.taskTimeout != DefaultTaskTimeout || c.maxRetries != 0 {
+		t.Errorf("chunk %d timeout %v retries %d, want defaults with retries disabled",
+			c.ChunkBytes(), c.taskTimeout, c.maxRetries)
+	}
 }
 
 func TestClusterReusableAcrossJobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(243))
 	d := fsm.RandomConverging(rng, 25, 4, 5, 0.3)
-	c, err := New(d, SimConfig{Workers: 3, ChunkBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := compile(t, d)
+	tc := newTestCluster(t, 3, Config{ChunkBytes: 1024})
 	for job := 0; job < 5; job++ {
 		in := d.RandomInput(rng, 20_000)
-		got, _ := c.Final(in, d.Start())
+		got, _ := tc.exec(p, in, d.Start())
 		if want := d.Run(in, d.Start()); got != want {
 			t.Fatalf("job %d: %d want %d", job, got, want)
 		}
+	}
+	// One ship per peer, however many jobs and chunks followed.
+	if ships := tc.tel.ClusterPlanShips.Load(); ships != 3 {
+		t.Errorf("plan shipped %d times to 3 peers", ships)
 	}
 }

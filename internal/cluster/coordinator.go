@@ -1,3 +1,16 @@
+// Package cluster executes the Figure 5 decomposition across networked
+// peers, after the paper's concluding claim that the approach "is
+// suitable for any modern data parallel architecture … to large
+// clusters running MapReduce like frameworks". A Coordinator is a
+// phase-1 source for core's schedule: each chunk's composition vector
+// comes from the peer that owns it on the placement ring, and the
+// schedule's phase 2 walks the vectors in chunk order (associativity of ⊗
+// again, now across a network boundary). The wire-traffic profile is
+// the point the paper makes against naive designs: one n-entry vector
+// per *chunk*, independent of chunk length, so communication shrinks
+// relative to compute as chunks grow — "designed to minimize
+// communication when the number of processors is much smaller than the
+// amount of parallelism available" (§3.4).
 package cluster
 
 import (
@@ -7,11 +20,11 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
-	"dpfsm/internal/gather"
 	"dpfsm/internal/plan"
 	"dpfsm/internal/telemetry"
 	"dpfsm/internal/trace"
@@ -19,9 +32,8 @@ import (
 
 // Span names the coordinator emits on traced distributed jobs.
 const (
-	SpanExec   = "cluster.exec"   // one distributed job
-	SpanTask   = "cluster.task"   // one chunk's remote (or fallback) execution
-	SpanReduce = "cluster.reduce" // the in-order vector fold
+	SpanExec = "cluster.exec" // one distributed job
+	SpanTask = "cluster.task" // one chunk's remote (or fallback) execution
 
 	AttrPeer     = "peer"
 	AttrChunk    = "chunk"
@@ -89,9 +101,10 @@ const (
 	BreakerHalfOpen = "half-open"
 )
 
-// Coordinator fans a large input's chunks out over the peer set and
-// reduces the returned composition vectors locally in chunk order —
-// the paper's §3.4 MapReduce decomposition over an actual network.
+// Coordinator fans a large input's chunks out over the peer set, and
+// core's schedule folds the returned composition vectors locally in chunk
+// order — the paper's §3.4 MapReduce decomposition over an actual
+// network.
 // Every failure mode degrades to local re-execution of the affected
 // chunks: a coordinator with every peer down still answers correctly,
 // just at scalar speed. Exec never returns a wrong answer because a
@@ -221,90 +234,110 @@ type ExecStats struct {
 }
 
 // Exec runs input through p's machine from start, fanning chunks out
-// over the peer set and reducing the returned composition vectors in
+// over the peer set and walking the returned composition vectors in
 // chunk order. The only error it returns is the context's: every
 // network failure degrades to local re-execution instead.
 func (c *Coordinator) Exec(ctx context.Context, p *core.Plan, input []byte, start fsm.State) (fsm.State, ExecStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	nChunks := (len(input) + c.chunkBytes - 1) / c.chunkBytes
-	stats := ExecStats{Chunks: nChunks}
-	if nChunks == 0 {
-		return start, stats, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return start, stats, err
+	job := c.NewJob(p, len(input))
+	if len(job.tasks) == 0 {
+		return start, ExecStats{}, nil
 	}
 	ctx, sp := trace.Start(ctx, SpanExec)
 	defer sp.End()
 	if sp != nil {
 		sp.SetAttrs(
 			trace.Str("fingerprint", p.Fingerprint()),
-			trace.Int(AttrChunks, int64(nChunks)),
+			trace.Int(AttrChunks, int64(len(job.tasks))),
 			trace.Int("bytes", int64(len(input))),
 		)
 	}
-
-	prefs := c.ring.Prefs(p.Fingerprint())
-	vecs := make([][]fsm.State, nChunks)
-	chunkStats := make([]taskStats, nChunks)
-	var wg sync.WaitGroup
-	for i := 0; i < nChunks; i++ {
-		lo := i * c.chunkBytes
-		hi := min(lo+c.chunkBytes, len(input))
-		task := &plan.ClusterTask{
-			Fingerprint: p.Fingerprint(),
-			ChunkIndex:  uint32(i),
-			TotalChunks: uint32(nChunks),
-			Input:       input[lo:hi],
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vecs[i], chunkStats[i] = c.execChunk(ctx, p, task, prefs)
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	final, _, err := c.localRunner(p).Drive(ctx, input, start, job, nil)
+	stats := job.Stats()
+	if err != nil {
 		return start, stats, err
 	}
+	if stats.Degraded && sp != nil {
+		sp.SetAttrs(trace.Bool(AttrDegraded, true))
+	}
+	return final, stats, nil
+}
 
-	for i, ts := range chunkStats {
+// Job is one distributed run's phase-1 source for core's schedule
+// (core.Source): chunks of ChunkBytes, each chunk's composition vector
+// from its ring-assigned peer, with retry, breaker and local fallback.
+// Build one per run with NewJob; read its accounting with Stats once
+// the run is over.
+type Job struct {
+	c        *Coordinator
+	p        *core.Plan
+	prefs    []string
+	tasks    []taskStats
+	degraded atomic.Bool
+}
+
+// NewJob prepares a distributed run of p over an n-byte input.
+func (c *Coordinator) NewJob(p *core.Plan, n int) *Job {
+	return &Job{
+		c:     c,
+		p:     p,
+		prefs: c.ring.Prefs(p.Fingerprint()),
+		tasks: make([]taskStats, (n+c.chunkBytes-1)/c.chunkBytes),
+	}
+}
+
+// ChunkBytes fixes the schedule's chunking at the coordinator's fan-out
+// granularity.
+func (j *Job) ChunkBytes() int { return j.c.chunkBytes }
+
+// Compose resolves one chunk's composition vector remotely, or locally
+// when its peer cannot answer.
+func (j *Job) Compose(ctx context.Context, ch core.Chunk) core.Comp {
+	task := &plan.ClusterTask{
+		Fingerprint: j.p.Fingerprint(),
+		ChunkIndex:  uint32(ch.Index),
+		TotalChunks: uint32(len(j.tasks)),
+		Input:       ch.Input,
+	}
+	vec, ts := j.c.execChunk(ctx, j.p, task, j.prefs)
+	ts.bytes = len(ch.Input)
+	j.tasks[ch.Index] = ts
+	if !ts.remote && ctx.Err() == nil && j.degraded.CompareAndSwap(false, true) {
+		if tm := j.c.tel; tm != nil {
+			tm.ClusterDegraded.Inc()
+		}
+	}
+	return core.Comp{Vec: vec}
+}
+
+// Stats accounts the chunks the job composed; chunks the schedule
+// replayed locally instead (chunk 0 of a run with a phase 3) are
+// neither remote nor fallbacks.
+func (j *Job) Stats() ExecStats {
+	stats := ExecStats{Chunks: len(j.tasks)}
+	for _, ts := range j.tasks {
 		stats.Retries += ts.retries
-		if ts.remote {
+		switch {
+		case ts.remote:
 			stats.RemoteChunks++
-			stats.BytesToPeers += len(input[i*c.chunkBytes:min((i+1)*c.chunkBytes, len(input))])
-			stats.VectorBytes += 2 * p.States()
-		} else {
+			stats.BytesToPeers += ts.bytes
+			stats.VectorBytes += 2 * j.p.States()
+		case ts.bytes > 0:
 			stats.LocalChunks++
 			stats.Degraded = true
 		}
 	}
-	if stats.Degraded {
-		if tm := c.tel; tm != nil {
-			tm.ClusterDegraded.Inc()
-		}
-		if sp != nil {
-			sp.SetAttrs(trace.Bool(AttrDegraded, true))
-		}
-	}
-
-	// Reduce: fold the per-chunk compositions left to right —
-	// associativity of ⊗ again, now across a network boundary.
-	rsp := childSpan(sp, SpanReduce)
-	acc := gather.Identity[fsm.State](p.States())
-	for _, vec := range vecs {
-		gather.Into(acc, acc, vec)
-	}
-	rsp.End()
-	return acc[start], stats, nil
+	return stats
 }
 
-// taskStats is one chunk's outcome.
+// taskStats is one chunk's outcome; bytes is zero for chunks the job
+// never composed.
 type taskStats struct {
 	remote  bool
 	retries int
+	bytes   int
 }
 
 // execChunk resolves one chunk's composition vector: remote with
@@ -567,12 +600,4 @@ func (c *Coordinator) Health() []PeerHealth {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
-}
-
-// childSpan is sp.Child nil-safe.
-func childSpan(sp *trace.Span, name string) *trace.Span {
-	if sp == nil {
-		return nil
-	}
-	return sp.Child(name)
 }

@@ -34,6 +34,9 @@ type checker struct {
 	// hold on both — mispredicts may only cost time, never answers.
 	spec    *speculative.Runner
 	specBad *speculative.Runner
+	// specDrv drives the speculative sources at the harness's procs and
+	// minimum chunk, as the engine's multicore runner drives its lane.
+	specDrv *core.Runner
 
 	// trans are the derived Moore/Mealy transducer probes with their
 	// transducing runner matrix (transduce.go).
@@ -84,6 +87,14 @@ func newChecker(d *fsm.DFA, label string, cfg Config) (*checker, *Divergence) {
 	}
 	c.spec = speculative.New(d, cfg.Procs, nil)
 	c.specBad = speculative.New(d, cfg.Procs, nil)
+	specDrv, err := core.New(d, core.WithStrategy(core.Sequential),
+		core.WithProcs(cfg.Procs), core.WithMinChunk(cfg.MinChunk))
+	if err != nil {
+		c.Close()
+		return nil, &Divergence{Check: "compile", Strategy: core.Sequential.String(),
+			Machine: d, MachineLabel: label, Detail: err.Error()}
+	}
+	c.specDrv = specDrv
 	if d.NumStates() > 1 {
 		// Any fixed wrong-ish guess does: on most machines it forces
 		// mispredict cascades, and on all machines the answer must
@@ -227,27 +238,28 @@ func (c *checker) checkSpeculative(input []byte, start, want fsm.State) *Diverge
 		{"speculative-final", c.spec},
 		{"speculative-mispredict", c.specBad},
 	} {
-		got, stats := probe.r.Final(input, start)
+		// A cancelable context takes the block-polled path, as the
+		// engine lane does.
+		ctx, cancel := context.WithCancel(context.Background())
+		got, stats, err := c.specDrv.Drive(ctx, input, start, probe.r.Source(), nil)
+		cancel()
+		if err != nil {
+			return c.divergence(probe.name, "", input, start, want, got,
+				"unexpected ctx error: "+err.Error())
+		}
 		if got != want {
 			return c.divergence(probe.name, "", input, start, want, got,
 				fmt.Sprintf("guess=%d procs=%d chunks=%d misspeculated=%d",
-					probe.r.Guess(), c.cfg.Procs, stats.Chunks, stats.Misspeculated))
+					probe.r.Guess(), c.cfg.Procs, stats.Chunks, stats.Misses))
 		}
-		if stats.Misspeculated > stats.Chunks-1 || (stats.Misspeculated == 0 && stats.ReRunBytes != 0) {
+		if stats.Misses > stats.Chunks-1 || (stats.Misses == 0 && stats.ReplayBytes != 0) {
 			return c.divergence(probe.name, "", input, start, want, got,
 				fmt.Sprintf("impossible stats %+v", stats))
 		}
 	}
-	// The context path must agree too (the engine lane runs through it).
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	got, _, err := c.spec.FinalCtx(ctx, input, start)
-	if err != nil {
-		return c.divergence("speculative-final", "", input, start, want, got,
-			"unexpected ctx error: "+err.Error())
-	}
-	if got != want {
-		return c.divergence("speculative-final", "", input, start, want, got, "ctx path")
+	// The standalone baseline (fsmbench, perfbench) must agree too.
+	if got, _ := c.spec.Final(input, start); got != want {
+		return c.divergence("speculative-final", "", input, start, want, got, "Final")
 	}
 	return nil
 }

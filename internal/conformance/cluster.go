@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dpfsm/internal/cluster"
+	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 )
 
@@ -17,7 +18,8 @@ import (
 // across a network — the composition vectors a peer returns must
 // reduce to the oracle's final state no matter how the input was
 // chunked, and a fan-out that loses every peer must still answer
-// exactly (degraded, never wrong).
+// exactly (degraded, never wrong). Transducer probes take the same
+// lane with a local span-scan phase 3, and must be span-exact.
 
 // clusterCoarseChunk and clusterFineChunk are the two fan-out
 // granularities compared per input: coarse keeps most soak inputs in
@@ -87,6 +89,9 @@ func (c *checker) checkCluster(inputs [][]byte) *Divergence {
 				return fail("cluster-final", in, start, want, got,
 					fmt.Sprintf("chunk=%d degraded with healthy peers: %+v", chunk, stats))
 			}
+			if dv := c.checkClusterTransduce(co, in, start, false); dv != nil {
+				return dv
+			}
 		}
 	}
 
@@ -108,6 +113,48 @@ func (c *checker) checkCluster(inputs [][]byte) *Divergence {
 	if len(in) > 0 && (!stats.Degraded || stats.RemoteChunks != 0 || stats.LocalChunks != stats.Chunks) {
 		return fail("cluster-degraded", in, start, want, got,
 			fmt.Sprintf("dead peers not surfaced as degraded: stats=%+v", stats))
+	}
+	return c.checkClusterTransduce(coords[clusterFineChunk], in, start, true)
+}
+
+// checkClusterTransduce drives every transducer probe through co as
+// phase 1 with a span-scan phase 3, against OracleTransduce. dead says
+// the peers are down: a multi-chunk run must then report degradation.
+func (c *checker) checkClusterTransduce(co *cluster.Coordinator, in []byte, start fsm.State, dead bool) *Divergence {
+	for _, probe := range c.trans {
+		check := "cluster-transduce"
+		if dead {
+			check = "cluster-transduce-degraded"
+		}
+		kind := probe.kind.String()
+		wantTape, wantFinal := OracleTransduce(probe.t, in, start)
+		job := co.NewJob(probe.single.PlanRef(), len(in))
+		scan := core.NewSpanScan(probe.t)
+		got, _, err := probe.single.Drive(context.Background(), in, start, job, scan.Chunk)
+		stats := job.Stats()
+		if err != nil {
+			return c.divergence(check, kind, in, start, wantFinal, got, "error: "+err.Error())
+		}
+		if got != wantFinal {
+			return c.divergence(check, kind, in, start, wantFinal, got, fmt.Sprintf("final state, stats=%+v", stats))
+		}
+		spans, wantSpans := scan.Spans(), oracleSpans(wantTape)
+		if len(spans) != len(wantSpans) {
+			return c.divergence(check, kind, in, start, wantFinal, got,
+				fmt.Sprintf("%d spans, oracle folds %d (chunk=%d)", len(spans), len(wantSpans), co.ChunkBytes()))
+		}
+		for i := range spans {
+			if spans[i] != wantSpans[i] {
+				return c.divergence(check, kind, in, start, wantFinal, got,
+					fmt.Sprintf("span %d = %+v, oracle %+v (chunk=%d)", i, spans[i], wantSpans[i], co.ChunkBytes()))
+			}
+		}
+		// Chunk 0 replays locally, so only runs of two or more chunks
+		// compose anything over the network.
+		if multi := stats.Chunks > 1; stats.Degraded != (dead && multi) {
+			return c.divergence(check, kind, in, start, wantFinal, got,
+				fmt.Sprintf("degraded=%v with dead=%v: stats=%+v", stats.Degraded, dead, stats))
+		}
 	}
 	return nil
 }

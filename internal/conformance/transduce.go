@@ -225,7 +225,7 @@ func (c *checker) checkSpecTransduce(probe *transProbe, input []byte, start fsm.
 	d := probe.t.DFA()
 	for _, sr := range []*speculative.Runner{c.spec, c.specBad} {
 		tape := make([]fsm.Output, len(input))
-		final, stats, err := sr.RunChunkedCtx(context.Background(), input, start,
+		final, stats, err := probe.multi.Drive(context.Background(), input, start, sr.Source(),
 			func(off int, chunk []byte, st fsm.State) fsm.State {
 				q := st
 				for i, b := range chunk {
@@ -240,12 +240,12 @@ func (c *checker) checkSpecTransduce(probe *transProbe, input []byte, start fsm.
 		}
 		if final != wantFinal {
 			return c.divergence("transduce-speculative", kind, input, start, wantFinal, final,
-				fmt.Sprintf("guess=%d chunks=%d misspeculated=%d", sr.Guess(), stats.Chunks, stats.Misspeculated))
+				fmt.Sprintf("guess=%d chunks=%d misspeculated=%d", sr.Guess(), stats.Chunks, stats.Misses))
 		}
 		if i := tapesEqual(tape, wantTape); i >= 0 {
 			return c.divergence("transduce-speculative", kind, input, start, wantFinal, final,
 				fmt.Sprintf("output tape diverges at %d: got %d want %d (guess=%d misspeculated=%d)",
-					i, tape[i], wantTape[i], sr.Guess(), stats.Misspeculated))
+					i, tape[i], wantTape[i], sr.Guess(), stats.Misses))
 		}
 	}
 	return nil

@@ -31,6 +31,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -398,14 +399,8 @@ func (r *Runner) Procs() int { return r.procs }
 
 // Final returns the state reached from start after consuming input.
 func (r *Runner) Final(input []byte, start fsm.State) fsm.State {
-	r.noteEntry(len(input))
-	if r.strategy == Sequential {
-		return r.d.RunUnrolled(input, start)
-	}
-	if r.useMulticore(len(input)) {
-		return r.finalMulticore(input, start)
-	}
-	return r.finalSingle(input, start, nil)
+	st, _, _ := r.Drive(context.Background(), input, start, nil, nil)
+	return st
 }
 
 // Accepts reports whether the machine accepts input from its start
@@ -423,14 +418,9 @@ func (r *Runner) Run(input []byte, start fsm.State, phi fsm.Phi) fsm.State {
 	if phi == nil {
 		return r.Final(input, start)
 	}
-	r.noteEntry(len(input))
-	if r.strategy == Sequential {
-		return r.d.RunMealy(input, start, phi)
-	}
-	if r.useMulticore(len(input)) {
-		return r.runMulticore(input, start, phi)
-	}
-	return r.runSingle(input, 0, start, phi)
+	return r.RunChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
+		return r.runSingle(chunk, off, st, phi)
+	})
 }
 
 // CompositionVector returns the composed transition function of the
@@ -508,6 +498,13 @@ func (r *Runner) compVecSingle(input []byte, rs *runStats) []fsm.State {
 // input[0].
 func (r *Runner) runSingle(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
 	switch r.strategy {
+	case Sequential:
+		q := start
+		for i, a := range input {
+			q = r.d.Next(q, a)
+			phi(off+i, a, q)
+		}
+		return q
 	case RangeCoalesced, RangeConvergence:
 		// φ needs a per-step state for one start entry; the plain
 		// coalesced loop provides it (convergence on the name vector

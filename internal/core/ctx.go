@@ -2,32 +2,27 @@ package core
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"dpfsm/internal/fsm"
-	"dpfsm/internal/gather"
 	"dpfsm/internal/trace"
 )
 
 // Cooperative cancellation. The enumerative strategies are pure
 // compute loops with no blocking points, so cancellation is
-// cooperative and chunked: the *Ctx entry points fold the input
-// through the runner in blocks of ctxCheckBytes and poll ctx.Err()
-// between blocks, and the multicore phases additionally poll before
-// every chunk they pick up. A context that can never be canceled
-// (context.Background, context.TODO) and carries no trace routes to
-// the uninstrumented fast paths, so the Ctx variants cost nothing
-// when neither cancellation nor tracing is in play.
+// cooperative: the schedule (schedule.go) folds every chunk through the
+// runner in blocks of ctxCheckBytes and polls ctx.Err() between blocks,
+// in phase 1 and phase 3 alike. A context that can never be canceled
+// (context.Background, context.TODO) and carries no trace gets
+// whole-chunk blocks, so the Ctx variants cost nothing when neither
+// cancellation nor tracing is in play.
 //
 // Folding is exact, not approximate: transition-function composition
-// is associative, so running block-by-block from the carried state
-// (Final) or gather-merging per-block composition vectors (phase 1)
-// produces bit-identical results to the one-shot loops. The only
-// cost is that the convergence strategies restart from the n-wide
-// identity at each block boundary; with 64 KiB blocks and machines
-// that converge within a few hundred symbols (§5.2) the re-widening
-// overhead is well under a percent.
+// is associative, so running block-by-block from the carried state or
+// gather-merging per-block composition vectors produces bit-identical
+// results to the one-shot loops. The only cost is that the convergence
+// strategies restart from the n-wide identity at each block boundary;
+// with 64 KiB blocks and machines that converge within a few hundred
+// symbols (§5.2) the re-widening overhead is well under a percent.
 const ctxCheckBytes = 64 << 10
 
 // ctxIsPlain reports whether ctx carries neither a cancellation
@@ -41,23 +36,13 @@ func ctxIsPlain(ctx context.Context) bool {
 }
 
 // FinalCtx is Final with deadline/cancellation support: it returns
-// early with ctx.Err() when ctx is canceled, checking between input
-// blocks (single core) and chunks (multicore). On error the returned
-// state is the state reached at the last completed block boundary.
-// If ctx carries a trace (trace.NewContext), per-phase spans with the
-// run's convergence and shuffle accounting are attached to it.
+// ctx.Err() when ctx is canceled before the run completes, polling
+// between input blocks. If ctx carries a trace (trace.NewContext),
+// per-phase spans with the run's convergence and shuffle accounting are
+// attached to it.
 func (r *Runner) FinalCtx(ctx context.Context, input []byte, start fsm.State) (fsm.State, error) {
-	if ctxIsPlain(ctx) {
-		return r.Final(input, start), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return start, err
-	}
-	r.noteEntry(len(input))
-	if r.strategy != Sequential && r.useMulticore(len(input)) {
-		return r.finalMulticoreCtx(ctx, input, start)
-	}
-	return r.finalSingleCtx(ctx, input, start)
+	st, _, err := r.Drive(ctx, input, start, nil, nil)
+	return st, err
 }
 
 // AcceptsCtx is Accepts with cancellation; ok is meaningless when err
@@ -70,283 +55,13 @@ func (r *Runner) AcceptsCtx(ctx context.Context, input []byte) (bool, error) {
 	return r.d.Accepting(final), nil
 }
 
-// finalSingleCtx folds the input block-by-block through the
-// single-core strategy, carrying the reached state across blocks.
-func (r *Runner) finalSingleCtx(ctx context.Context, input []byte, start fsm.State) (fsm.State, error) {
-	_, sp := trace.Start(ctx, SpanSingle)
-	var rs *runStats
-	if sp != nil {
-		rs = newRunStats()
-		sp.SetAttrs(
-			trace.Str(AttrStrategy, r.strategy.String()),
-			trace.Int(AttrBytes, int64(len(input))),
-		)
-	}
-	q := start
-	for off := 0; off < len(input); off += ctxCheckBytes {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			return q, err
-		}
-		hi := off + ctxCheckBytes
-		if hi > len(input) {
-			hi = len(input)
-		}
-		if r.strategy == Sequential {
-			q = r.d.RunUnrolled(input[off:hi], q)
-		} else if rs == nil {
-			q = r.finalSingle(input[off:hi], q, nil)
-		} else {
-			brs := newRunStats()
-			q = r.finalSingle(input[off:hi], q, brs)
-			rs.merge(brs, off)
-		}
-	}
-	if sp != nil {
-		sp.SetAttrs(rs.attrs()...)
-		sp.End()
-	}
-	return q, nil
-}
-
-// compVecCtx computes the composition vector of input with ctx polls
-// between sub-blocks, gather-merging the per-block vectors. stop is a
-// shared early-exit flag so sibling phase-1 goroutines bail as soon
-// as any of them observes cancellation; the return is nil on abort.
-// rs, when non-nil, accumulates the chunk's accounting (block-merge
-// gathers included) with positions relative to the chunk start.
-func (r *Runner) compVecCtx(ctx context.Context, input []byte, stop *atomic.Bool, rs *runStats) []fsm.State {
-	var total []fsm.State
-	for off := 0; off < len(input); off += ctxCheckBytes {
-		if stop.Load() {
-			return nil
-		}
-		if ctx.Err() != nil {
-			stop.Store(true)
-			return nil
-		}
-		hi := off + ctxCheckBytes
-		if hi > len(input) {
-			hi = len(input)
-		}
-		var v []fsm.State
-		if rs == nil {
-			v = r.compVecSingle(input[off:hi], nil)
-		} else {
-			brs := newRunStats()
-			v = r.compVecSingle(input[off:hi], brs)
-			rs.merge(brs, off)
-		}
-		if total == nil {
-			total = v
-		} else {
-			gather.Into(total, total, v)
-			if rs != nil {
-				rs.gathers++
-			}
-			if t := r.tel; t != nil {
-				t.Gathers.Inc()
-			}
-		}
-	}
-	return total
-}
-
-// phase1ChunkSpan opens the per-chunk phase-1 span under parent, or
-// returns (nil, nil) when untraced.
-func phase1ChunkSpan(parent *trace.Span, p, lo, hi int) (*trace.Span, *runStats) {
-	if parent == nil {
-		return nil, nil
-	}
-	sp := parent.Child(SpanPhase1Chunk)
-	sp.SetAttrs(
-		trace.Int(AttrChunk, int64(p)),
-		trace.Int(AttrOffset, int64(lo)),
-		trace.Int(AttrBytes, int64(hi-lo)),
-	)
-	return sp, newRunStats()
-}
-
-// endChunkSpan closes a per-chunk span, attaching its stats.
-func endChunkSpan(sp *trace.Span, rs *runStats) {
-	if sp == nil {
-		return
-	}
-	if rs != nil {
-		sp.SetAttrs(rs.attrs()...)
-	}
-	sp.End()
-}
-
-// finalMulticoreCtx is finalMulticore with cancellable phase 1 and
-// per-chunk tracing.
-func (r *Runner) finalMulticoreCtx(ctx context.Context, input []byte, start fsm.State) (fsm.State, error) {
-	chunks := r.splitChunks(len(input))
-	r.noteMulticore(chunks)
-	_, sp := trace.Start(ctx, SpanMulticore)
-	if sp != nil {
-		sp.SetAttrs(
-			trace.Str(AttrStrategy, r.strategy.String()),
-			trace.Int(AttrBytes, int64(len(input))),
-			trace.Int(AttrChunks, int64(len(chunks))),
-		)
-		defer sp.End()
-	}
-	tel := r.tel
-	vecs := make([][]fsm.State, len(chunks))
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for p, ch := range chunks {
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			if tel != nil {
-				defer tel.Phase1Time.Start().Stop()
-			}
-			csp, crs := phase1ChunkSpan(sp, p, lo, hi)
-			vecs[p] = r.compVecCtx(ctx, input[lo:hi], &stop, crs)
-			endChunkSpan(csp, crs)
-		}(p, ch[0], ch[1])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return start, err
-	}
-	var p2 *trace.Span
-	if sp != nil {
-		p2 = sp.Child(SpanPhase2)
-	}
-	st := start
-	for _, vec := range vecs {
-		st = vec[st]
-	}
-	p2.End()
-	if tel != nil {
-		tel.Phase3Skips.Inc()
-	}
-	return st, nil
-}
-
-// RunChunkedCtx is RunChunked with deadline/cancellation: phase-1
-// workers poll ctx between sub-blocks and phase-3 workers poll before
-// each chunk. On cancellation some chunks may already have run f (in
-// particular chunk 0, whose phase 3 overlaps phase 1), so callers
-// must treat f's side effects as partial when err is non-nil; the
-// returned state is then unspecified. A trace on ctx receives the
-// full Figure 5 span decomposition: chunk 0's overlapped phase 3,
-// per-chunk phase-1 spans, the sequential phase-2 scan, and the
-// phase-3 re-runs.
+// RunChunkedCtx is RunChunked with deadline/cancellation: every block of
+// phases 1 and 3 polls ctx. On cancellation some chunks may already
+// have run f (in particular chunk 0, whose phase 3 overlaps phase 1),
+// so callers must treat f's side effects as partial when err is
+// non-nil; the returned state is then unspecified. A trace on ctx
+// receives the full Figure 5 span decomposition.
 func (r *Runner) RunChunkedCtx(ctx context.Context, input []byte, start fsm.State, f ChunkFunc) (fsm.State, error) {
-	if ctxIsPlain(ctx) {
-		return r.RunChunked(input, start, f), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return start, err
-	}
-	r.noteEntry(len(input))
-	if len(input) == 0 {
-		return start, nil
-	}
-	if !r.useMulticore(len(input)) {
-		_, sp := trace.Start(ctx, SpanChunked)
-		if sp != nil {
-			sp.SetAttrs(
-				trace.Str(AttrStrategy, r.strategy.String()),
-				trace.Int(AttrBytes, int64(len(input))),
-				trace.Int(AttrChunks, 1),
-			)
-			defer sp.End()
-		}
-		return f(0, input, start), nil
-	}
-	chunks := r.splitChunks(len(input))
-	r.noteMulticore(chunks)
-	tel := r.tel
-	_, sp := trace.Start(ctx, SpanChunked)
-	if sp != nil {
-		sp.SetAttrs(
-			trace.Str(AttrStrategy, r.strategy.String()),
-			trace.Int(AttrBytes, int64(len(input))),
-			trace.Int(AttrChunks, int64(len(chunks))),
-		)
-		defer sp.End()
-	}
-
-	// Same overlap as runChunked: chunk 0's phase 3 runs alongside the
-	// enumerative phase 1 of the rest.
-	var stop atomic.Bool
-	var c0Final fsm.State
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if tel != nil {
-			defer tel.Phase3Time.Start().Stop()
-		}
-		var c0sp *trace.Span
-		if sp != nil {
-			c0sp = sp.Child(SpanPhase3Chunk0)
-			c0sp.SetAttrs(
-				trace.Int(AttrChunk, 0),
-				trace.Int(AttrOffset, 0),
-				trace.Int(AttrBytes, int64(chunks[0][1]-chunks[0][0])),
-			)
-		}
-		c0Final = f(0, input[chunks[0][0]:chunks[0][1]], start)
-		c0sp.End()
-	}()
-	vecs := make([][]fsm.State, len(chunks))
-	for p := 1; p < len(chunks); p++ {
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			if tel != nil {
-				defer tel.Phase1Time.Start().Stop()
-			}
-			csp, crs := phase1ChunkSpan(sp, p, lo, hi)
-			vecs[p] = r.compVecCtx(ctx, input[lo:hi], &stop, crs)
-			endChunkSpan(csp, crs)
-		}(p, chunks[p][0], chunks[p][1])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return start, err
-	}
-
-	var p2 *trace.Span
-	if sp != nil {
-		p2 = sp.Child(SpanPhase2)
-	}
-	st := c0Final
-	starts := make([]fsm.State, len(chunks))
-	for p := 1; p < len(chunks); p++ {
-		starts[p] = st
-		st = vecs[p][st]
-	}
-	p2.End()
-	for p := 1; p < len(chunks); p++ {
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			if tel != nil {
-				defer tel.Phase3Time.Start().Stop()
-			}
-			var p3 *trace.Span
-			if sp != nil {
-				p3 = sp.Child(SpanPhase3Chunk)
-				p3.SetAttrs(
-					trace.Int(AttrChunk, int64(p)),
-					trace.Int(AttrOffset, int64(lo)),
-					trace.Int(AttrBytes, int64(hi-lo)),
-				)
-			}
-			f(lo, input[lo:hi], starts[p])
-			p3.End()
-		}(p, chunks[p][0], chunks[p][1])
-	}
-	wg.Wait()
-	return st, ctx.Err()
+	st, _, err := r.Drive(ctx, input, start, nil, f)
+	return st, err
 }

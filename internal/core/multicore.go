@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"sync"
-	"time"
 
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/gather"
@@ -18,6 +18,8 @@ import (
 // start state to invoke φ; accept-only queries skip it entirely, since
 // the answer is already determined by the phase-1 vectors — which is
 // why the paper calls the first two phases "extremely fast" (§3.4).
+// The schedule itself lives in schedule.go; this file holds the chunking
+// and the entry points that are thin wrappers over it.
 
 // splitChunks divides n input bytes into p ranges no smaller than
 // minChunk, reducing p if necessary. Every caller's invariants hold
@@ -69,73 +71,24 @@ func (r *Runner) noteMulticore(chunks [][2]int) {
 	}
 }
 
-// phase1 computes the composition vector of every chunk in parallel.
-func (r *Runner) phase1(input []byte, chunks [][2]int) [][]fsm.State {
-	vecs := make([][]fsm.State, len(chunks))
-	tel := r.tel
-	var wg sync.WaitGroup
-	for p, ch := range chunks {
-		wg.Add(1)
-		go func(p int, lo, hi int) {
-			defer wg.Done()
-			if tel != nil {
-				defer tel.Phase1Time.Start().Stop()
-			}
-			vecs[p] = r.compVecSingle(input[lo:hi], nil)
-		}(p, ch[0], ch[1])
-	}
-	wg.Wait()
-	return vecs
-}
-
-// phase2 propagates the start state through the chunk vectors,
-// returning the start state of every chunk.
-func phase2(vecs [][]fsm.State, start fsm.State) []fsm.State {
-	starts := make([]fsm.State, len(vecs))
-	st := start
-	for p, vec := range vecs {
-		starts[p] = st
-		st = vec[st]
-	}
-	return starts
-}
-
-func (r *Runner) finalMulticore(input []byte, start fsm.State) fsm.State {
-	chunks := r.splitChunks(len(input))
-	r.noteMulticore(chunks)
-	vecs := r.phase1(input, chunks)
-	// Phase 2; a final-state query needs no phase 3 at all (§3.4).
-	var sp telemetry.Span
-	if t := r.tel; t != nil {
-		sp = t.Phase2Time.Start()
-	}
-	st := start
-	for _, vec := range vecs {
-		st = vec[st]
-	}
-	sp.Stop()
-	if t := r.tel; t != nil {
-		t.Phase3Skips.Inc()
-	}
-	return st
-}
-
+// compVecMulticore is CompositionVector over chunks: the schedule's
+// phase 1 with no known start, and a vector merge in place of phase 2;
+// phase 3 is never needed.
 func (r *Runner) compVecMulticore(input []byte) []fsm.State {
 	chunks := r.splitChunks(len(input))
 	r.noteMulticore(chunks)
-	vecs := r.phase1(input, chunks)
-	// The vector merge plays phase 2's role; phase 3 is never needed.
+	comps := r.phase1(context.Background(), nil, len(input), input, chunks, 0, nil, nil, false)
 	var sp telemetry.Span
 	if t := r.tel; t != nil {
 		sp = t.Phase2Time.Start()
 	}
-	total := vecs[0]
-	for _, vec := range vecs[1:] {
-		gather.Into(total, total, vec)
+	total := comps[0].Vec
+	for _, c := range comps[1:] {
+		gather.Into(total, total, c.Vec)
 	}
 	sp.Stop()
 	if t := r.tel; t != nil {
-		t.Gathers.Add(int64(len(vecs) - 1))
+		t.Gathers.Add(int64(len(comps) - 1))
 		t.Phase3Skips.Inc()
 	}
 	return total
@@ -157,77 +110,7 @@ type ChunkFunc func(off int, chunk []byte, start fsm.State) fsm.State
 // decoder per chunk once the start state is known. Returns the final
 // state.
 func (r *Runner) RunChunked(input []byte, start fsm.State, f ChunkFunc) fsm.State {
-	r.noteEntry(len(input))
-	return r.runChunked(input, start, f)
-}
-
-// runChunked is RunChunked without the entry-point accounting, for
-// internal callers (Run, FirstAccepting) that already counted the run.
-func (r *Runner) runChunked(input []byte, start fsm.State, f ChunkFunc) fsm.State {
-	if len(input) == 0 {
-		return start
-	}
-	if !r.useMulticore(len(input)) {
-		return f(0, input, start)
-	}
-	chunks := r.splitChunks(len(input))
-	r.noteMulticore(chunks)
-	tel := r.tel
-
-	// Chunk 0 never needs phase 1 — its start state is already known —
-	// so its phase 3 runs concurrently with the enumerative phase 1 of
-	// chunks 1..P-1. This shaves 1/P of the enumerative work and is
-	// what makes the two-pass structure profitable even at low core
-	// counts.
-	var c0Final fsm.State
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if tel != nil {
-			defer tel.Phase3Time.Start().Stop()
-		}
-		c0Final = f(0, input[chunks[0][0]:chunks[0][1]], start)
-	}()
-	vecs := make([][]fsm.State, len(chunks))
-	for p := 1; p < len(chunks); p++ {
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			if tel != nil {
-				defer tel.Phase1Time.Start().Stop()
-			}
-			vecs[p] = r.compVecSingle(input[lo:hi], nil)
-		}(p, chunks[p][0], chunks[p][1])
-	}
-	wg.Wait()
-
-	// Phase 2 from chunk 0's actual final state, then phase 3 for the
-	// remaining chunks.
-	var phase2Start time.Time
-	if tel != nil {
-		phase2Start = time.Now()
-	}
-	st := c0Final
-	starts := make([]fsm.State, len(chunks))
-	for p := 1; p < len(chunks); p++ {
-		starts[p] = st
-		st = vecs[p][st]
-	}
-	if tel != nil {
-		tel.Phase2Time.ObserveSince(phase2Start)
-	}
-	for p := 1; p < len(chunks); p++ {
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			if tel != nil {
-				defer tel.Phase3Time.Start().Stop()
-			}
-			f(lo, input[lo:hi], starts[p])
-		}(p, chunks[p][0], chunks[p][1])
-	}
-	wg.Wait()
+	st, _, _ := r.Drive(context.Background(), input, start, nil, f)
 	return st
 }
 
@@ -239,13 +122,13 @@ func (r *Runner) runChunked(input []byte, start fsm.State, f ChunkFunc) fsm.Stat
 // start states enumeratively and scan chunks concurrently; the
 // earliest hit wins.
 func (r *Runner) FirstAccepting(input []byte, start fsm.State) int {
-	r.noteEntry(len(input))
-	if !r.useMulticore(len(input)) {
+	if r.strategy == Sequential || !r.useMulticore(len(input)) {
+		r.noteEntry(len(input))
 		return r.firstAcceptingSeq(input, 0, start)
 	}
 	var mu sync.Mutex
 	best := -1
-	r.runChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
+	r.RunChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
 		// Skip the scan if a hit earlier than this chunk is known.
 		mu.Lock()
 		skip := best >= 0 && best < off
@@ -285,14 +168,4 @@ func (r *Runner) firstAcceptingSeq(input []byte, off int, start fsm.State) int {
 		}
 	}
 	return -1
-}
-
-// runMulticore is the φ-bearing Figure 5 run: phase 3 re-runs chunks
-// concurrently, so φ sees globally correct positions but may be called
-// out of order across chunks (§2.1). It reuses the RunChunked schedule
-// (chunk 0 skips phase 1).
-func (r *Runner) runMulticore(input []byte, start fsm.State, phi fsm.Phi) fsm.State {
-	return r.runChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
-		return r.runSingle(chunk, off, st, phi)
-	})
 }

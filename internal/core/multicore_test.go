@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -128,18 +129,47 @@ func TestSplitChunksCoverInput(t *testing.T) {
 	}
 }
 
+// vecSource is a hand-built phase-1 source: one byte per chunk, whose
+// answers come from a fixed table.
+type vecSource []Comp
+
+func (vecSource) ChunkBytes() int { return 1 }
+
+func (s vecSource) Compose(_ context.Context, ch Chunk) Comp { return s[ch.Index] }
+
 func TestPhase2Propagation(t *testing.T) {
-	// Hand-built: two chunk vectors over 3 states.
-	vecs := [][]fsm.State{
-		{1, 2, 0},
-		{2, 2, 1},
+	// Two chunk vectors over 3 states, then a width-one entry that hits
+	// and one that misses and is replayed from the carried state.
+	d := fsm.MustNew(3, 2)
+	d.SetColumn(0, []fsm.State{1, 2, 0})
+	d.SetColumn(1, []fsm.State{2, 2, 1})
+	r := newRunner(t, d, Base)
+	src := vecSource{
+		{Vec: []fsm.State{1, 2, 0}},
+		{Vec: []fsm.State{2, 2, 1}},
+		{From: 2, To: 0}, // hit: the carried state is vecs[1][vecs[0][0]] = 2
+		{From: 1, To: 2}, // miss: carried 0, replayed through symbol 0 → 1
 	}
-	starts := phase2(vecs, 0)
-	if starts[0] != 0 {
-		t.Errorf("starts[0] = %d", starts[0])
+	var mu sync.Mutex
+	starts := map[int]fsm.State{}
+	got, stats, err := r.Drive(context.Background(), []byte{0, 1, 0, 0}, 0, src,
+		func(off int, chunk []byte, st fsm.State) fsm.State {
+			mu.Lock()
+			starts[off] = st
+			mu.Unlock()
+			return d.Run(chunk, st)
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if starts[1] != 1 { // vecs[0][0] = 1
-		t.Errorf("starts[1] = %d, want 1", starts[1])
+	want := map[int]fsm.State{0: 0, 1: 1, 2: 2, 3: 0}
+	for off, st := range want {
+		if starts[off] != st {
+			t.Errorf("chunk %d started in %d, want %d", off, starts[off], st)
+		}
+	}
+	if got != 1 || stats.Chunks != 4 || stats.Misses != 1 || stats.ReplayBytes != 1 {
+		t.Errorf("final %d stats %+v, want final 1 with one 1-byte miss over 4 chunks", got, stats)
 	}
 }
 

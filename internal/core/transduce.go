@@ -1,12 +1,11 @@
 package core
 
 // Transduction over the Figure 5 decomposition. A transducer plan
-// (CompileTransducer) carries a λ table alongside δ; these runners
-// replay it chunk-parallel using the same two-phase structure as
-// RunChunked: phase 1 is the unchanged enumerative composition fold,
-// which resolves every chunk's true start state, and phase 2 (the
-// paper's phase 3) re-runs each chunk scalar from that start emitting
-// one output per input byte. Because the emission at position i is a
+// (CompileTransducer) carries a λ table alongside δ; transduction is
+// the schedule (schedule.go) with an output-emitting phase 3: phases 1–2
+// resolve every chunk's true start state, whichever Source answered
+// phase 1, and phase 3 re-runs each chunk scalar from that start
+// emitting one output per input byte. Because the emission at position i is a
 // pure function of (state before i, symbol at i) — Transducer.OutputAt
 // — and the fold delivers exactly those states, the parallel replay is
 // exact by construction: every lane (single-core, multicore,
@@ -50,9 +49,8 @@ func (r *Runner) TransduceOutputs(input []byte, start fsm.State) ([]fsm.Output, 
 	if err != nil {
 		return nil, 0, err
 	}
-	r.noteEntry(len(input))
 	tape := make([]fsm.Output, len(input))
-	final := r.runChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
+	final := r.RunChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
 		q := st
 		dst := tape[off : off+len(chunk)]
 		for i, b := range chunk {
@@ -77,30 +75,43 @@ func (r *Runner) TransduceSpans(input []byte, start fsm.State) ([]Span, fsm.Stat
 	if err != nil {
 		return nil, 0, err
 	}
-	r.noteEntry(len(input))
-	var (
-		mu    sync.Mutex
-		parts [][]Span
-	)
-	final := r.runChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
-		spans, q := ScanSpans(t, off, chunk, st)
-		if len(spans) > 0 {
-			mu.Lock()
-			parts = append(parts, spans)
-			mu.Unlock()
-		}
-		return q
-	})
-	return StitchSpans(parts), final, nil
+	scan := NewSpanScan(t)
+	final := r.RunChunked(input, start, scan.Chunk)
+	return scan.Spans(), final, nil
 }
 
-// ScanSpans is the scalar per-chunk replay: it advances the machine
+// SpanScan is the span-scan phase-3 consumer: Chunk folds each replayed
+// block's outputs into maximal spans, collected concurrently; Spans
+// stitches them into the sequential span list once the run is over.
+type SpanScan struct {
+	t     *fsm.Transducer
+	mu    sync.Mutex
+	parts [][]Span
+}
+
+// NewSpanScan returns an empty span scan over t.
+func NewSpanScan(t *fsm.Transducer) *SpanScan { return &SpanScan{t: t} }
+
+// Chunk is the ChunkFunc: it scans chunk from st and returns the state
+// after it.
+func (s *SpanScan) Chunk(off int, chunk []byte, st fsm.State) fsm.State {
+	spans, q := scanSpans(s.t, off, chunk, st)
+	if len(spans) > 0 {
+		s.mu.Lock()
+		s.parts = append(s.parts, spans)
+		s.mu.Unlock()
+	}
+	return q
+}
+
+// Spans returns the stitched span list.
+func (s *SpanScan) Spans() []Span { return stitchSpans(s.parts) }
+
+// scanSpans is the scalar per-chunk replay: it advances the machine
 // over chunk from st, folding the emitted outputs into maximal runs on
 // the fly (no intermediate tape), and returns the chunk-local spans in
-// global coordinates plus the state after the chunk. Exported for
-// phase-3 callbacks outside this package (the engine's speculative
-// transduce lane replays chunks through it); pair with StitchSpans.
-func ScanSpans(t *fsm.Transducer, off int, chunk []byte, st fsm.State) ([]Span, fsm.State) {
+// global coordinates plus the state after the chunk.
+func scanSpans(t *fsm.Transducer, off int, chunk []byte, st fsm.State) ([]Span, fsm.State) {
 	var spans []Span
 	d := t.DFA()
 	q := st
@@ -123,12 +134,12 @@ func ScanSpans(t *fsm.Transducer, off int, chunk []byte, st fsm.State) ([]Span, 
 	return spans, q
 }
 
-// StitchSpans orders the concurrently collected chunk-local span lists
+// stitchSpans orders the concurrently collected chunk-local span lists
 // and glues runs that a chunk boundary split: the previous span ends
 // exactly where the next starts and both carry the same output.
 // Within a part spans are already ordered and maximal, so ordering
 // parts by their first span's start is enough.
-func StitchSpans(parts [][]Span) []Span {
+func stitchSpans(parts [][]Span) []Span {
 	if len(parts) == 0 {
 		return nil
 	}

@@ -76,6 +76,25 @@ func TestEngineClusterLane(t *testing.T) {
 		t.Fatalf("telemetry: EngineCluster=%d ClusterTasks=%d", tel.EngineCluster.Load(), tel.ClusterTasks.Load())
 	}
 
+	// Transduction takes the same lane: peers answer phase 1, phase 3
+	// replays locally, and the spans are the sequential ones.
+	tr := testTransducer(t, d)
+	if _, err := e.RegisterTransducer("tok", tr); err != nil {
+		t.Fatal(err)
+	}
+	tres := e.Transduce(context.Background(), Job{Machine: "tok", Input: big})
+	if tres.Err != nil {
+		t.Fatal(tres.Err)
+	}
+	want, wantFinal := scalarSpans(tr, big, d.Start())
+	if tres.Lane != LaneCluster || tres.Degraded {
+		t.Fatalf("transduce: lane %q degraded %v, want a clean cluster job", tres.Lane, tres.Degraded)
+	}
+	if tres.Final != wantFinal || !spansEqual(tres.Spans, want) {
+		t.Fatalf("cluster transduce diverges: final %d want %d, %d spans want %d",
+			tres.Final, wantFinal, len(tres.Spans), len(want))
+	}
+
 	// Below the cluster threshold the job stays local even with a
 	// coordinator attached.
 	small := d.RandomInput(rng, 100)
@@ -116,6 +135,22 @@ func TestEngineClusterLaneDegrades(t *testing.T) {
 	}
 	if tel.ClusterDegraded.Load() == 0 || tel.ClusterLocalFallbacks.Load() == 0 {
 		t.Fatal("telemetry missed the degradation")
+	}
+
+	// A transduction degrades the same way and stays span-exact.
+	tr := testTransducer(t, d)
+	if _, err := e.RegisterTransducer("tok", tr); err != nil {
+		t.Fatal(err)
+	}
+	tres := e.Transduce(context.Background(), Job{Machine: "tok", Input: input})
+	if tres.Err != nil {
+		t.Fatal(tres.Err)
+	}
+	if tres.Lane != LaneCluster || !tres.Degraded {
+		t.Fatalf("dead peers: transduce lane %q degraded %v, want degraded cluster job", tres.Lane, tres.Degraded)
+	}
+	if want, wantFinal := scalarSpans(tr, input, d.Start()); tres.Final != wantFinal || !spansEqual(tres.Spans, want) {
+		t.Fatalf("degraded transduce diverges: final %d want %d", tres.Final, wantFinal)
 	}
 
 	// Detach the coordinator: the same input now takes a local lane.

@@ -18,10 +18,11 @@
 //     multicore jobs cannot oversubscribe the pool.
 //
 // Jobs carry per-job deadlines, batches carry a context, and both are
-// honored cooperatively by the core runtime (core.FinalCtx polls
-// between input blocks and multicore chunks). Backpressure is a
-// bounded queue: Submit blocks when the pool is saturated, so an
-// upstream accept loop slows down instead of buffering unboundedly.
+// honored cooperatively by the core runtime (core's Figure 5 schedule
+// polls between 64 KiB input blocks, in every phase and on every
+// lane). Backpressure is a bounded queue: Submit blocks when the pool
+// is saturated, so an upstream accept loop slows down instead of
+// buffering unboundedly.
 // Scratch state vectors and convergence buffers are recycled across
 // jobs by the Runner's sync.Pool (core's scratch layer), so steady-
 // state batch execution does not allocate per job.
@@ -217,12 +218,10 @@ type Machine struct {
 	// per-job strategy overrides can build alternate runners lazily.
 	opts []core.Option
 
-	// altMu guards alt and altTrans, the lazily compiled single-core
-	// runners for per-job strategy overrides (Job.Strategy != plan
-	// strategy). altTrans carries the output table; alt does not.
-	altMu    sync.Mutex
-	alt      map[core.Strategy]*core.Runner
-	altTrans map[core.Strategy]*core.Runner
+	// altMu guards alt, the lazily compiled single-core runners for
+	// per-job strategy overrides (Job.Strategy != plan strategy).
+	altMu sync.Mutex
+	alt   map[core.Strategy]*core.Runner
 }
 
 // Name returns the registration name.
@@ -313,14 +312,22 @@ func (m *Machine) adaptiveInputs() adaptive.Inputs {
 // altRunner returns (building lazily on first use) the single-core
 // runner for an explicit per-job strategy override. The override's
 // plan goes through the engine's plan cache, so repeated overrides of
-// the same machine+strategy compile once.
+// the same machine+strategy compile once; a transducer's override plan
+// carries its output table (keyed over λ), so it serves both job kinds.
 func (m *Machine) altRunner(s core.Strategy) (*core.Runner, error) {
 	m.altMu.Lock()
 	defer m.altMu.Unlock()
 	if r, ok := m.alt[s]; ok {
 		return r, nil
 	}
-	p, _, err := m.eng.planCache.GetOrCompile(m.dfa, append(m.opts, core.WithStrategy(s))...)
+	opts := append(m.opts, core.WithStrategy(s))
+	var p *core.Plan
+	var err error
+	if t := m.Transducer(); t != nil {
+		p, _, err = m.eng.planCache.GetOrCompileTransducer(t, opts...)
+	} else {
+		p, _, err = m.eng.planCache.GetOrCompile(m.dfa, opts...)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -359,15 +366,15 @@ type Job struct {
 // dispatch decision the job actually ran under; Multicore is kept as
 // the legacy boolean view of Lane.
 type Result struct {
-	Index     int           `json:"index"`
-	Machine   string        `json:"machine"`
-	Final     fsm.State     `json:"final_state"`
-	Accepts   bool          `json:"accepts"`
-	Bytes     int           `json:"bytes"`
-	Multicore bool          `json:"multicore"`
-	Lane      string        `json:"lane,omitempty"`
-	Strategy  string        `json:"strategy,omitempty"`
-	Reason    string        `json:"reason,omitempty"`
+	Index     int       `json:"index"`
+	Machine   string    `json:"machine"`
+	Final     fsm.State `json:"final_state"`
+	Accepts   bool      `json:"accepts"`
+	Bytes     int       `json:"bytes"`
+	Multicore bool      `json:"multicore"`
+	Lane      string    `json:"lane,omitempty"`
+	Strategy  string    `json:"strategy,omitempty"`
+	Reason    string    `json:"reason,omitempty"`
 	// Degraded is set by the cluster lane when one or more chunks fell
 	// back to local execution (peer down, breaker open, retries
 	// exhausted). The answer is still exact; the job just did not get
@@ -624,13 +631,9 @@ func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, hit bool, o
 	m := &Machine{name: name, eng: e, dfa: d, plan: p, single: single, multi: multi,
 		planHit: hit, rec: rec, opts: opts[:len(opts):len(opts)]}
 	if e.procs > 1 {
-		// The speculative lane fans out like the multicore one; its
-		// chunk floor keeps fan-out worthwhile for exactly the inputs
-		// the dispatch policy sends it (>= largeInput).
+		// The speculative lane fans out like the multicore one: its
+		// guesses feed the multicore runner's schedule as phase 1.
 		m.spec = speculative.New(d, e.procs, nil)
-		if minChunk := e.largeInput / (2 * e.procs); minChunk > 1 {
-			m.spec.SetMinChunk(minChunk)
-		}
 		if st, ok := rec.HotState(); ok && d.ValidState(fsm.State(st)) {
 			// A persisted baseline already knows the dominant final
 			// state: seed the guess before the first job.
@@ -707,10 +710,8 @@ func (e *Engine) Machines() []string {
 // may never be answered.
 func (e *Engine) Submit(ctx context.Context, job Job, idx int, out chan<- Result) error {
 	t := task{ctx: ctx, job: job, idx: idx, out: out}
-	select {
-	case <-e.drain:
+	if e.closed() {
 		return ErrClosed
-	default:
 	}
 	if ctx != nil {
 		if tr := trace.FromContext(ctx); tr != nil {
@@ -744,10 +745,8 @@ func (e *Engine) Submit(ctx context.Context, job Job, idx int, out chan<- Result
 // pool's backpressure.
 func (e *Engine) TrySubmit(ctx context.Context, job Job, idx int, out chan<- Result) error {
 	t := task{ctx: ctx, job: job, idx: idx, out: out}
-	select {
-	case <-e.drain:
+	if e.closed() {
 		return ErrClosed
-	default:
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -775,11 +774,25 @@ func (e *Engine) TrySubmit(ctx context.Context, job Job, idx int, out chan<- Res
 	}
 }
 
+// closed reports whether Close or Shutdown has begun.
+func (e *Engine) closed() bool {
+	select {
+	case <-e.drain:
+		return true
+	default:
+		return false
+	}
+}
+
 // Run executes one job synchronously on the calling goroutine,
 // bypassing the queue; the /v1/run HTTP path uses this so single
-// requests never wait behind a batch.
+// requests never wait behind a batch. After Close or Shutdown it fails
+// with ErrClosed, as Submit does.
 func (e *Engine) Run(ctx context.Context, job Job) Result {
-	return e.exec(ctx, 0, job)
+	if e.closed() {
+		return Result{Machine: job.Machine, Bytes: len(job.Input), Err: ErrClosed}
+	}
+	return e.dispatch(ctx, 0, job, 0, false).Result
 }
 
 // RunBatch submits every job and waits for all results, returned in
@@ -798,7 +811,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Result, BatchStats
 	for i, job := range jobs {
 		if err := e.Submit(ctx, job, i, out); err != nil {
 			results[i] = Result{Index: i, Machine: job.Machine, Bytes: len(job.Input), Err: err}
-			e.noteResult(&results[i])
+			e.noteResult(&TransduceResult{Result: results[i]}, false)
 			continue
 		}
 		submitted++
@@ -910,7 +923,7 @@ func (e *Engine) worker() {
 			return
 		case t := <-e.queue:
 			wait := e.dequeue(t)
-			t.out <- e.execWait(t.ctx, t.idx, t.job, wait)
+			t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, false).Result
 		case <-e.drain:
 			// Graceful drain: finish whatever is queued, then exit.
 			// done still preempts, so Close during a drain stops the
@@ -924,7 +937,7 @@ func (e *Engine) worker() {
 				select {
 				case t := <-e.queue:
 					wait := e.dequeue(t)
-					t.out <- e.execWait(t.ctx, t.idx, t.job, wait)
+					t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, false).Result
 				default:
 					return
 				}
@@ -933,23 +946,25 @@ func (e *Engine) worker() {
 	}
 }
 
-// exec runs one job to a Result. All failure modes land in Result.Err.
-func (e *Engine) exec(ctx context.Context, idx int, job Job) Result {
-	return e.execWait(ctx, idx, job, 0)
-}
-
-// execWait is exec with the job's measured queue wait, attributed to
-// the machine's perf profile alongside the execution time.
-func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.Duration) (res Result) {
-	res = Result{Index: idx, Machine: job.Machine, Bytes: len(job.Input)}
+// dispatch runs one job to a result — the engine's one dispatch, for
+// Run, Transduce, and the worker path alike. transduce selects the
+// span-scan phase 3; queueWait is attributed to the machine's perf
+// profile alongside the execution time. All failure modes land in
+// Result.Err.
+func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.Duration, transduce bool) (res TransduceResult) {
+	res.Result = Result{Index: idx, Machine: job.Machine, Bytes: len(job.Input)}
 	var rec *perfprofile.MachineRecorder
 	defer func() {
-		e.noteResult(&res)
+		e.noteResult(&res, transduce)
 		rec.ObserveJob(res.Lane, res.Bytes, res.Duration, queueWait, res.Err != nil)
 	}()
 
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	spanName := SpanExec
+	if transduce {
+		spanName = SpanTransduce
 	}
 	// An inbound trace (HTTP layer) wins; otherwise, with a sink
 	// configured, the engine owns a fresh per-job trace and records it
@@ -957,7 +972,11 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 	tr := trace.FromContext(ctx)
 	if tr == nil && e.sink != nil {
 		tr = trace.New()
-		tr.SetName("engine.job")
+		if transduce {
+			tr.SetName(SpanTransduce)
+		} else {
+			tr.SetName("engine.job")
+		}
 		ctx = trace.NewContext(ctx, tr)
 		owned := tr
 		defer func() {
@@ -967,7 +986,7 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 			e.sink.Record(owned)
 		}()
 	}
-	ctx, sp := trace.Start(ctx, SpanExec)
+	ctx, sp := trace.Start(ctx, spanName)
 	defer sp.End()
 
 	e.mu.RLock()
@@ -989,6 +1008,15 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 	}
 	res.Machine = name
 	rec = m.rec
+	var scan *core.SpanScan
+	if transduce {
+		t := m.Transducer()
+		if t == nil {
+			res.Err = fmt.Errorf("%w: %q", ErrNotTransducer, name)
+			return res
+		}
+		scan = core.NewSpanScan(t)
+	}
 
 	start := m.dfa.Start()
 	if job.HasStart {
@@ -1009,7 +1037,7 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 		defer cancel()
 	}
 
-	// Dispatch. Four tiers:
+	// Lane selection. Four tiers:
 	//
 	//   1. an explicit per-job strategy override pins the job to the
 	//      single-core lane under that strategy;
@@ -1051,10 +1079,11 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 		reason = "multicore lane disabled (procs=1)"
 	}
 
-	// Parallel lanes fan out procs goroutines, so both acquire a
-	// fan-out slot: at most workers/procs such jobs run at once.
-	switch res.Lane {
-	case LaneMulticore, LaneSpeculative:
+	// Lanes that fan out over local cores acquire a fan-out slot, so at
+	// most workers/procs such jobs run at once. The cluster lane is
+	// network-bound in phase 1, but a transduction replays its chunks
+	// locally in phase 3.
+	if res.Lane == LaneMulticore || res.Lane == LaneSpeculative || (res.Lane == LaneCluster && transduce) {
 		var gsp *trace.Span
 		if sp != nil {
 			gsp = sp.Child(SpanGate)
@@ -1068,10 +1097,25 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 			res.Err = ctx.Err()
 			return res
 		}
-		if res.Lane == LaneMulticore {
-			r = m.multi
-			res.Multicore = true
-		}
+	}
+	// Every lane is core's schedule; they differ in the runner (chunking
+	// and strategy) and the phase-1 source.
+	var src core.Source
+	var cjob *cluster.Job
+	switch res.Lane {
+	case LaneMulticore:
+		r = m.multi
+		res.Multicore = true
+	case LaneSpeculative:
+		r = m.multi
+		src = m.spec.Source()
+	case LaneCluster:
+		cjob = co.NewJob(m.plan, len(job.Input))
+		src = cjob
+	}
+	var f core.ChunkFunc
+	if scan != nil {
+		f = scan.Chunk
 	}
 	res.Reason = reason
 	if sp != nil {
@@ -1088,29 +1132,15 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 	// bespoke experiment. Labels ride the goroutine, so the parallel
 	// lanes' phase workers inherit them too.
 	var final fsm.State
+	var ds core.DriveStats
 	var err error
-	var specStats speculative.Stats
 	t0 := time.Now()
 	pprof.Do(ctx, pprof.Labels(
 		AttrMachine, name,
 		"strategy", res.Strategy,
 		AttrLane, res.Lane,
 	), func(ctx context.Context) {
-		switch res.Lane {
-		case LaneCluster:
-			// The cluster lane is network-bound, not core-bound, so it
-			// bypasses the multicore fan-out gate.
-			var cstats cluster.ExecStats
-			final, cstats, err = co.Exec(ctx, m.plan, job.Input, start)
-			res.Degraded = cstats.Degraded
-			if cstats.Degraded && sp != nil {
-				sp.SetAttrs(trace.Bool(cluster.AttrDegraded, true))
-			}
-		case LaneSpeculative:
-			final, specStats, err = m.spec.FinalCtx(ctx, job.Input, start)
-		default:
-			final, err = r.FinalCtx(ctx, job.Input, start)
-		}
+		final, ds, err = r.Drive(ctx, job.Input, start, src, f)
 	})
 	res.Duration = time.Since(t0)
 	// Exemplar: link this job's latency bucket to its trace, so the
@@ -1119,14 +1149,20 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 	if tm := e.tel; tm != nil && tr != nil {
 		tm.EngineJobExemplars.Observe(int64(res.Duration), tr.ID(), time.Now().UnixNano())
 	}
-	if res.Lane == LaneSpeculative && specStats.Chunks > 0 {
-		m.rec.ObserveSpeculation(int64(specStats.Chunks), int64(specStats.Misspeculated), int64(specStats.ReRunBytes))
-		if tm := e.tel; tm != nil {
-			tm.SpecChunks.Add(int64(specStats.Chunks))
-			tm.SpecMispredicts.Add(int64(specStats.Misspeculated))
-			tm.SpecReRunBytes.Add(int64(specStats.ReRunBytes))
+	if cjob != nil && cjob.Stats().Degraded {
+		res.Degraded = true
+		if sp != nil {
+			sp.SetAttrs(trace.Bool(cluster.AttrDegraded, true))
 		}
-		if specStats.Misspeculated > 0 && sp != nil {
+	}
+	if res.Lane == LaneSpeculative && ds.Chunks > 0 {
+		m.rec.ObserveSpeculation(int64(ds.Chunks), int64(ds.Misses), int64(ds.ReplayBytes))
+		if tm := e.tel; tm != nil {
+			tm.SpecChunks.Add(int64(ds.Chunks))
+			tm.SpecMispredicts.Add(int64(ds.Misses))
+			tm.SpecReRunBytes.Add(int64(ds.ReplayBytes))
+		}
+		if ds.Misses > 0 && sp != nil {
 			sp.SetAttrs(trace.Bool(AttrMispredict, true))
 		}
 	}
@@ -1136,6 +1172,12 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 	}
 	res.Final = final
 	res.Accepts = m.dfa.Accepting(final)
+	if scan != nil {
+		res.Spans = scan.Spans()
+		for _, s := range res.Spans {
+			res.OutputBytes += int64(s.End - s.Start)
+		}
+	}
 	m.rec.ObserveFinal(int(final))
 	// Large jobs advance the selection clock; every EvalEvery of them
 	// re-evaluates the lane choice against the updated profile.
@@ -1147,13 +1189,18 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 	return res
 }
 
-// noteResult flushes one job's accounting into the shared sink.
-func (e *Engine) noteResult(res *Result) {
+// noteResult flushes one job's accounting into the shared sink: the
+// job/lane series every job feeds, plus the transduction throughput
+// counters for transduce jobs.
+func (e *Engine) noteResult(res *TransduceResult, transduce bool) {
 	tm := e.tel
 	if tm == nil {
 		return
 	}
 	tm.EngineJobs.Inc()
+	if transduce {
+		tm.EngineTransduce.Inc()
+	}
 	tm.EngineJobBytes.Observe(int64(res.Bytes))
 	if res.Duration > 0 {
 		// Jobs that failed validation before running carry no duration
@@ -1167,6 +1214,10 @@ func (e *Engine) noteResult(res *Result) {
 			tm.EngineCanceled.Inc()
 		}
 		return
+	}
+	if transduce {
+		tm.TransduceSpans.Add(int64(len(res.Spans)))
+		tm.TransduceOutputBytes.Add(res.OutputBytes)
 	}
 	switch res.Lane {
 	case LaneMulticore:

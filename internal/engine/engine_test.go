@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -156,25 +157,49 @@ func TestBatchCancellation(t *testing.T) {
 func TestJobTimeout(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	d := fsm.RandomConverging(rng, 40, 8, 6, 0.2)
-	e := New(WithWorkers(1), WithProcs(1))
-	defer e.Close()
-	if _, err := e.Register("m", d); err != nil {
-		t.Fatal(err)
-	}
+	tr := testTransducer(t, d)
 	big := d.RandomInput(rng, 64<<20)
-	jobs := []Job{
-		{Machine: "m", Input: big, Timeout: time.Microsecond},
-		{Machine: "m", Input: d.RandomInput(rng, 128)},
-	}
-	results, stats := e.RunBatch(context.Background(), jobs)
-	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
-		t.Errorf("timed-out job err = %v", results[0].Err)
-	}
-	if results[1].Err != nil {
-		t.Errorf("sibling job err = %v", results[1].Err)
-	}
-	if stats.Canceled != 1 || stats.OK != 1 {
-		t.Errorf("stats %+v", stats)
+	small := d.RandomInput(rng, 128)
+	for _, procs := range []int{1, 2} {
+		e := New(WithWorkers(2), WithProcs(procs))
+		defer e.Close()
+		// A transducer serves both job kinds.
+		if _, err := e.RegisterTransducer("m", tr); err != nil {
+			t.Fatal(err)
+		}
+		kinds := []struct {
+			name string
+			run  func(Job) Result
+		}{
+			{"run", func(j Job) Result { return e.Run(context.Background(), j) }},
+			{"transduce", func(j Job) Result { return e.Transduce(context.Background(), j).Result }},
+		}
+		for _, k := range kinds {
+			t.Run(fmt.Sprintf("%s/procs=%d", k.name, procs), func(t *testing.T) {
+				res := k.run(Job{Machine: "m", Input: big, Timeout: time.Microsecond})
+				if !errors.Is(res.Err, context.DeadlineExceeded) {
+					t.Errorf("timed-out job: lane %s err = %v", res.Lane, res.Err)
+				}
+				if res := k.run(Job{Machine: "m", Input: small}); res.Err != nil {
+					t.Errorf("untimed job err = %v", res.Err)
+				}
+			})
+		}
+
+		// The worker path: a timed-out job fails alone in its batch.
+		results, stats := e.RunBatch(context.Background(), []Job{
+			{Machine: "m", Input: big, Timeout: time.Microsecond},
+			{Machine: "m", Input: small},
+		})
+		if !errors.Is(results[0].Err, context.DeadlineExceeded) {
+			t.Errorf("procs=%d: timed-out batch job err = %v", procs, results[0].Err)
+		}
+		if results[1].Err != nil {
+			t.Errorf("procs=%d: sibling job err = %v", procs, results[1].Err)
+		}
+		if stats.Canceled != 1 || stats.OK != 1 {
+			t.Errorf("procs=%d: stats %+v", procs, stats)
+		}
 	}
 }
 
@@ -219,14 +244,28 @@ func TestJobValidation(t *testing.T) {
 func TestClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	d := fsm.RandomConverging(rng, 10, 4, 3, 0.3)
-	e := New(WithWorkers(1), WithProcs(1))
-	if _, err := e.Register("m", d); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	e.Close() // idempotent
-	out := make(chan Result, 1)
-	if err := e.Submit(context.Background(), Job{Machine: "m"}, 0, out); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after Close: %v", err)
+	for _, stop := range []string{"close", "shutdown"} {
+		e := New(WithWorkers(1), WithProcs(1))
+		if _, err := e.RegisterTransducer("m", testTransducer(t, d)); err != nil {
+			t.Fatal(err)
+		}
+		if stop == "close" {
+			e.Close()
+			e.Close() // idempotent
+		} else if err := e.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		out := make(chan Result, 1)
+		if err := e.Submit(context.Background(), Job{Machine: "m"}, 0, out); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: Submit: %v", stop, err)
+		}
+		job := Job{Machine: "m", Input: []byte("abc")}
+		if res := e.Run(context.Background(), job); !errors.Is(res.Err, ErrClosed) {
+			t.Errorf("%s: Run: %v", stop, res.Err)
+		}
+		if res := e.Transduce(context.Background(), job); !errors.Is(res.Err, ErrClosed) {
+			t.Errorf("%s: Transduce: %v", stop, res.Err)
+		}
+		e.Close()
 	}
 }

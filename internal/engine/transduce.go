@@ -2,25 +2,19 @@ package engine
 
 // Transduction through the engine: output-bearing machines register
 // like acceptors (same plan cache, same lane runners, same perf
-// profile) and Transduce dispatches over the same three-tier policy as
-// execWait — explicit strategy override, small-input single-core, and
-// large-input adaptive/static lane selection including the speculative
-// chunk-guessing lane. Every lane produces the exact sequential span
-// list: the parallel lanes replay chunks from fold- or
-// verification-resolved start states (see internal/core/transduce.go).
+// profile) and Transduce goes through the same dispatch as Run, with
+// core's span scan as the schedule's phase 3. Every lane — single-core,
+// multicore, speculative, cluster — produces the exact sequential span
+// list: phase 3 replays chunks from start states the schedule resolved
+// and verified (see internal/core/schedule.go).
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
-	"sync"
-	"time"
 
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
-	"dpfsm/internal/speculative"
-	"dpfsm/internal/trace"
 )
 
 // ErrNotTransducer reports a Transduce call on a machine registered
@@ -32,35 +26,6 @@ func (m *Machine) Transducer() *fsm.Transducer { return m.plan.Outputs() }
 
 // Kind classifies the machine: acceptor, moore, or mealy.
 func (m *Machine) Kind() fsm.Kind { return m.plan.Kind() }
-
-// altTransRunner is altRunner for the transduce path: the override
-// plan must carry the output table, so it compiles through
-// GetOrCompileTransducer (keyed over λ) rather than GetOrCompile.
-func (m *Machine) altTransRunner(s core.Strategy) (*core.Runner, error) {
-	t := m.Transducer()
-	if t == nil {
-		return nil, ErrNotTransducer
-	}
-	m.altMu.Lock()
-	defer m.altMu.Unlock()
-	if r, ok := m.altTrans[s]; ok {
-		return r, nil
-	}
-	p, _, err := m.eng.planCache.GetOrCompileTransducer(t, append(m.opts, core.WithStrategy(s))...)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.NewFromPlan(p, append(m.opts, core.WithStrategy(s),
-		core.WithProcs(1), core.WithTelemetry(m.eng.tel), core.WithAuxTelemetry(m.rec.Telemetry()))...)
-	if err != nil {
-		return nil, err
-	}
-	if m.altTrans == nil {
-		m.altTrans = make(map[core.Strategy]*core.Runner, 2)
-	}
-	m.altTrans[s] = r
-	return r, nil
-}
 
 // RegisterTransducer registers an output-bearing machine under name.
 // The compiled plan carries the λ table (its cache key covers λ, so
@@ -91,278 +56,20 @@ func (e *Engine) RegisterTransducer(name string, t *fsm.Transducer, opts ...core
 // record of a Result plus the emitted spans. OutputBytes is the input
 // bytes the spans cover — the "useful work" companion to Bytes.
 type TransduceResult struct {
-	Index       int           `json:"index"`
-	Machine     string        `json:"machine"`
-	Final       fsm.State     `json:"final_state"`
-	Accepts     bool          `json:"accepts"`
-	Bytes       int           `json:"bytes"`
-	Spans       []core.Span   `json:"spans"`
-	OutputBytes int64         `json:"output_bytes"`
-	Multicore   bool          `json:"multicore"`
-	Lane        string        `json:"lane,omitempty"`
-	Strategy    string        `json:"strategy,omitempty"`
-	Reason      string        `json:"reason,omitempty"`
-	Duration    time.Duration `json:"duration_ns"`
-	Err         error         `json:"-"`
+	Result
+	Spans       []core.Span `json:"spans"`
+	OutputBytes int64       `json:"output_bytes"`
 }
 
 // Transduce runs job through its machine's output table and returns
 // the span list a sequential replay would produce, exactly, whichever
 // lane the dispatch policy picks. It executes on the caller's
-// goroutine (transduction is a streaming surface, not a batch one) but
-// honors the same fan-out gate as queued jobs, so parallel-lane
-// transduce cannot oversubscribe the engine.
-func (e *Engine) Transduce(ctx context.Context, job Job) (res TransduceResult) {
-	res = TransduceResult{Index: 0, Machine: job.Machine, Bytes: len(job.Input)}
-	select {
-	case <-e.drain:
-		res.Err = ErrClosed
-		return res
-	default:
+// goroutine (transduction is a streaming surface, not a batch one)
+// through the same dispatch as Run: same lanes, same fan-out gate,
+// same cancellation. After Close or Shutdown it fails with ErrClosed.
+func (e *Engine) Transduce(ctx context.Context, job Job) TransduceResult {
+	if e.closed() {
+		return TransduceResult{Result: Result{Machine: job.Machine, Bytes: len(job.Input), Err: ErrClosed}}
 	}
-	var rec *machineRecorderRef
-	defer func() {
-		e.noteTransduce(&res)
-		rec.observe(&res)
-	}()
-
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := trace.FromContext(ctx)
-	if tr == nil && e.sink != nil {
-		tr = trace.New()
-		tr.SetName("engine.transduce")
-		ctx = trace.NewContext(ctx, tr)
-		owned := tr
-		defer func() {
-			if res.Err != nil {
-				owned.SetError(res.Err.Error())
-			}
-			e.sink.Record(owned)
-		}()
-	}
-	ctx, sp := trace.Start(ctx, SpanTransduce)
-	defer sp.End()
-
-	e.mu.RLock()
-	name := job.Machine
-	if name == "" && len(e.order) > 0 {
-		name = e.order[0]
-	}
-	m := e.machines[name]
-	e.mu.RUnlock()
-	if sp != nil {
-		sp.SetAttrs(
-			trace.Str(AttrMachine, name),
-			trace.Int(AttrBytes, int64(len(job.Input))),
-		)
-	}
-	if m == nil {
-		res.Err = fmt.Errorf("%w: %q", ErrUnknownMachine, job.Machine)
-		return res
-	}
-	res.Machine = name
-	rec = &machineRecorderRef{m: m}
-	t := m.Transducer()
-	if t == nil {
-		res.Err = fmt.Errorf("%w: %q", ErrNotTransducer, name)
-		return res
-	}
-
-	start := m.dfa.Start()
-	if job.HasStart {
-		if !m.dfa.ValidState(job.Start) {
-			res.Err = fmt.Errorf("%w: %d (machine %q has %d states)",
-				ErrBadStart, job.Start, name, m.dfa.NumStates())
-			return res
-		}
-		start = job.Start
-	}
-	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
-	}
-	if job.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.Timeout)
-		defer cancel()
-	}
-
-	// Same three dispatch tiers as execWait; the chosen runner already
-	// carries the output table because the machine's plan does.
-	r := m.single
-	res.Lane = LaneSingle
-	res.Strategy = m.plan.Strategy().String()
-	reason := fmt.Sprintf("input %d B < large-input threshold %d B", len(job.Input), e.largeInput)
-
-	if job.Strategy != core.Auto && job.Strategy != m.plan.Strategy() {
-		alt, err := m.altTransRunner(job.Strategy)
-		if err != nil {
-			res.Err = fmt.Errorf("engine: machine %q: strategy override %v: %w", name, job.Strategy, err)
-			return res
-		}
-		r = alt
-		res.Strategy = job.Strategy.String()
-		reason = fmt.Sprintf("explicit strategy override (%v); single-core lane", job.Strategy)
-	} else if len(job.Input) >= e.largeInput && e.procs > 1 {
-		if m.sel != nil {
-			res.Lane, reason = m.sel.LaneFor()
-		} else if m.multi != nil {
-			res.Lane = LaneMulticore
-			reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
-		}
-	} else if m.multi == nil {
-		reason = "multicore lane disabled (procs=1)"
-	}
-
-	switch res.Lane {
-	case LaneMulticore, LaneSpeculative:
-		var gsp *trace.Span
-		if sp != nil {
-			gsp = sp.Child(SpanGate)
-		}
-		select {
-		case e.multiGate <- struct{}{}:
-			gsp.End()
-			defer func() { <-e.multiGate }()
-		case <-ctx.Done():
-			gsp.End()
-			res.Err = ctx.Err()
-			return res
-		}
-		if res.Lane == LaneMulticore {
-			r = m.multi
-			res.Multicore = true
-		}
-	}
-	res.Reason = reason
-	if sp != nil {
-		sp.SetAttrs(
-			trace.Str(AttrLane, res.Lane),
-			trace.Str(AttrLaneReason, reason),
-			trace.Str(AttrStrategy, res.Strategy),
-		)
-	}
-
-	var spans []core.Span
-	var final fsm.State
-	var err error
-	var specStats speculative.Stats
-	t0 := time.Now()
-	pprof.Do(ctx, pprof.Labels(
-		AttrMachine, name,
-		"strategy", res.Strategy,
-		AttrLane, res.Lane,
-	), func(ctx context.Context) {
-		if res.Lane == LaneSpeculative {
-			spans, final, specStats, err = specTransduce(ctx, m.spec, t, job.Input, start)
-		} else {
-			spans, final, err = r.TransduceSpans(job.Input, start)
-		}
-	})
-	res.Duration = time.Since(t0)
-	if tm := e.tel; tm != nil && tr != nil {
-		tm.EngineJobExemplars.Observe(int64(res.Duration), tr.ID(), time.Now().UnixNano())
-	}
-	if res.Lane == LaneSpeculative && specStats.Chunks > 0 {
-		m.rec.ObserveSpeculation(int64(specStats.Chunks), int64(specStats.Misspeculated), int64(specStats.ReRunBytes))
-		if tm := e.tel; tm != nil {
-			tm.SpecChunks.Add(int64(specStats.Chunks))
-			tm.SpecMispredicts.Add(int64(specStats.Misspeculated))
-			tm.SpecReRunBytes.Add(int64(specStats.ReRunBytes))
-		}
-		if specStats.Misspeculated > 0 && sp != nil {
-			sp.SetAttrs(trace.Bool(AttrMispredict, true))
-		}
-	}
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Final = final
-	res.Accepts = m.dfa.Accepting(final)
-	res.Spans = spans
-	for _, s := range spans {
-		res.OutputBytes += int64(s.End - s.Start)
-	}
-	m.rec.ObserveFinal(int(final))
-	if m.sel != nil && len(job.Input) >= e.largeInput {
-		if m.sel.NoteJob() {
-			m.Reselect()
-		}
-	}
-	return res
-}
-
-// specTransduce drives the speculative chunked decomposition with a
-// span-scanning replay: every chunk's phase-3 (or phase-2, for
-// mispredicted chunks) callback runs core.ScanSpans from its verified
-// start state, so the stitched result is the exact sequential span
-// list no matter how many guesses were wrong.
-func specTransduce(ctx context.Context, sr *speculative.Runner, t *fsm.Transducer, input []byte, start fsm.State) ([]core.Span, fsm.State, speculative.Stats, error) {
-	var (
-		mu    sync.Mutex
-		parts [][]core.Span
-	)
-	final, stats, err := sr.RunChunkedCtx(ctx, input, start,
-		func(off int, chunk []byte, st fsm.State) fsm.State {
-			spans, q := core.ScanSpans(t, off, chunk, st)
-			if len(spans) > 0 {
-				mu.Lock()
-				parts = append(parts, spans)
-				mu.Unlock()
-			}
-			return q
-		})
-	if err != nil {
-		return nil, final, stats, err
-	}
-	return core.StitchSpans(parts), final, stats, nil
-}
-
-// machineRecorderRef defers the perf-profile observation until the
-// machine lookup has resolved (mirrors execWait's deferred
-// rec.ObserveJob; nil-safe before resolution).
-type machineRecorderRef struct{ m *Machine }
-
-func (r *machineRecorderRef) observe(res *TransduceResult) {
-	if r == nil || r.m == nil {
-		return
-	}
-	r.m.rec.ObserveJob(res.Lane, res.Bytes, res.Duration, 0, res.Err != nil)
-}
-
-// noteTransduce flushes one transduce job's accounting into the shared
-// sink: the same job/lane series as acceptor jobs plus the
-// transduction throughput counters.
-func (e *Engine) noteTransduce(res *TransduceResult) {
-	tm := e.tel
-	if tm == nil {
-		return
-	}
-	tm.EngineJobs.Inc()
-	tm.EngineTransduce.Inc()
-	tm.EngineJobBytes.Observe(int64(res.Bytes))
-	if res.Duration > 0 {
-		tm.EngineJobTime.Observe(int64(res.Duration))
-		tm.EngineJobLatency.Observe(int64(res.Duration))
-	}
-	if res.Err != nil {
-		tm.EngineJobErrors.Inc()
-		if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
-			tm.EngineCanceled.Inc()
-		}
-		return
-	}
-	tm.TransduceSpans.Add(int64(len(res.Spans)))
-	tm.TransduceOutputBytes.Add(res.OutputBytes)
-	switch res.Lane {
-	case LaneMulticore:
-		tm.EngineMulticore.Inc()
-	case LaneSpeculative:
-		tm.EngineSpeculative.Inc()
-	default:
-		tm.EngineSingleCore.Inc()
-	}
+	return e.dispatch(ctx, 0, job, 0, true)
 }

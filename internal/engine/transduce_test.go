@@ -87,7 +87,7 @@ func TestEngineTransduceAllLanes(t *testing.T) {
 		{Machine: "tok", Input: d.RandomInput(rng, 100)},                      // single lane
 		{Machine: "tok", Input: d.RandomInput(rng, 64<<10)},                   // multicore lane
 		{Machine: "tok", Input: d.RandomInput(rng, 200), Strategy: core.Base}, // override
-		{Machine: "tok", Input: nil}, // empty input
+		{Machine: "tok", Input: nil},                                          // empty input
 	}
 	for i, job := range jobs {
 		want, wantFinal := scalarSpans(tr, job.Input, d.Start())
@@ -119,9 +119,9 @@ func TestEngineTransduceAllLanes(t *testing.T) {
 	}
 }
 
-// TestEngineTransduceSpeculativeLane drives the speculative chunked
-// replay directly (bypassing adaptive selection) via a machine whose
-// profile store is absent, by checking the spec path helper.
+// TestEngineTransduceSpeculativeLane drives the speculative lane's
+// pieces directly (bypassing adaptive selection): the machine's guess
+// source as phase 1 of its multicore runner, span scan as phase 3.
 func TestEngineTransduceSpeculativeLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	d := fsm.RandomConverging(rng, 60, 8, 6, 0.3)
@@ -139,7 +139,9 @@ func TestEngineTransduceSpeculativeLane(t *testing.T) {
 	for _, n := range []int{0, 100, 8 << 10, 64 << 10} {
 		input := d.RandomInput(rng, n)
 		want, wantFinal := scalarSpans(tr, input, d.Start())
-		spans, final, _, err := specTransduce(context.Background(), m.spec, tr, input, d.Start())
+		scan := core.NewSpanScan(tr)
+		final, _, err := m.multi.Drive(context.Background(), input, d.Start(), m.spec.Source(), scan.Chunk)
+		spans := scan.Spans()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ const (
 	CodeTooLarge         = "too_large"          // body exceeded -maxbody
 	CodeQueueFull        = "queue_full"         // engine shed the job (back off and retry)
 	CodeTimeout          = "timeout"            // the job's deadline expired
-	CodeCanceled         = "canceled"           // the client went away mid-run
+	CodeCanceled         = "canceled"           // the client went away mid-run, or the engine is shutting down
 	CodeInternal         = "internal"           // anything else
 )
 
@@ -280,12 +280,15 @@ type TransduceSummary struct {
 	Accepts     bool      `json:"accepts"`
 	// Lane/Strategy/SelectionReason record the dispatch decision, as on
 	// /v1/run; Multicore is the legacy boolean view of Lane.
-	Lane            string  `json:"lane,omitempty"`
-	Multicore       bool    `json:"multicore"`
-	Strategy        string  `json:"strategy,omitempty"`
-	SelectionReason string  `json:"selection_reason,omitempty"`
-	DurationNs      int64   `json:"duration_ns"`
-	MBPerS          float64 `json:"mb_per_s"`
+	Lane            string `json:"lane,omitempty"`
+	Multicore       bool   `json:"multicore"`
+	Strategy        string `json:"strategy,omitempty"`
+	SelectionReason string `json:"selection_reason,omitempty"`
+	// Degraded is set when the cluster lane fell back to local
+	// execution for some chunks; the spans are still exact.
+	Degraded   bool    `json:"degraded,omitempty"`
+	DurationNs int64   `json:"duration_ns"`
+	MBPerS     float64 `json:"mb_per_s"`
 	// TraceID is set when the request was traced (?trace=1 or an
 	// inbound traceparent header).
 	TraceID string `json:"trace_id,omitempty"`

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 )
 
@@ -117,47 +118,40 @@ func TestSetGuessRetargetsSpeculation(t *testing.T) {
 	}
 }
 
-func TestSetMinChunkForcesSequential(t *testing.T) {
-	d := fsm.MustNew(4, 2)
-	d.SetColumn(0, []fsm.State{1, 2, 3, 3})
-	d.SetColumn(1, []fsm.State{3, 3, 3, 3})
-	rng := rand.New(rand.NewSource(194))
-	in := d.RandomInput(rng, 1000)
-	r := New(d, 8, nil)
-	r.SetMinChunk(4096) // 1000 B / 8 procs is far below the floor
-	if _, stats := r.Final(in, d.Start()); stats.Chunks != 1 {
-		t.Errorf("sub-minChunk input split into %d chunks", stats.Chunks)
-	}
-	r.SetMinChunk(0) // clamps to 1, restoring the fan-out
-	if _, stats := r.Final(in, d.Start()); stats.Chunks != 8 {
-		t.Errorf("chunks = %d after resetting minChunk, want 8", stats.Chunks)
-	}
-}
-
+// TestFinalCtxMatchesFinalAndCancels drives Source through a
+// multicore core runner under a context, the way the engine's
+// speculative lane does.
 func TestFinalCtxMatchesFinalAndCancels(t *testing.T) {
 	rng := rand.New(rand.NewSource(195))
 	d := fsm.Random(rng, 12, 3, 0.3)
 	in := d.RandomInput(rng, 30000)
 	r := New(d, 4, in[:500])
+	cr, err := core.New(d, core.WithProcs(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	st, stats, err := r.FinalCtx(context.Background(), in, d.Start())
+	st, stats, err := cr.Drive(context.Background(), in, d.Start(), r.Source(), nil)
 	if err != nil {
 		t.Fatalf("background ctx errored: %v", err)
 	}
 	if want := d.Run(in, d.Start()); st != want {
-		t.Fatalf("FinalCtx = %d, want %d", st, want)
+		t.Fatalf("Drive = %d, want %d", st, want)
 	}
 	if stats.Chunks != 4 {
 		t.Fatalf("chunks = %d, want 4", stats.Chunks)
 	}
+	if final, fs := r.Final(in, d.Start()); final != st || fs.Chunks != stats.Chunks || fs.Misspeculated != stats.Misses {
+		t.Fatalf("Final = (%d, %+v), Drive = (%d, %+v)", final, fs, st, stats)
+	}
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := r.FinalCtx(canceled, in, d.Start()); err != context.Canceled {
+	if _, _, err := cr.Drive(canceled, in, d.Start(), r.Source(), nil); err != context.Canceled {
 		t.Fatalf("canceled ctx: err = %v, want context.Canceled", err)
 	}
-	// Cancellation reaches the sequential fallback path too.
-	if _, _, err := r.FinalCtx(canceled, in[:3], d.Start()); err != context.Canceled {
+	// Cancellation reaches the one-chunk path too.
+	if _, _, err := cr.Drive(canceled, in[:3], d.Start(), r.Source(), nil); err != context.Canceled {
 		t.Fatalf("canceled ctx on tiny input: err = %v, want context.Canceled", err)
 	}
 }
