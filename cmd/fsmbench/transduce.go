@@ -101,9 +101,12 @@ func runTransduceBench(opt *options) (*sustainedReport, error) {
 		{"speculative", func() ([]core.Span, error) {
 			// The guess as phase 1 of the multicore schedule: misses are
 			// replayed from the verified state, so the spans stay exact.
-			scan := core.NewSpanScan(tr)
-			_, _, err := multi.Drive(context.Background(), input, start, spec.Source(), scan.Chunk)
-			return scan.Spans(), err
+			var spans []core.Span
+			_, _, err := multi.DriveSpans(context.Background(), input, start, spec.Source(), nil, func(batch []core.Span) error {
+				spans = append(spans, batch...)
+				return nil
+			})
+			return spans, err
 		}},
 	}
 

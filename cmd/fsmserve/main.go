@@ -893,22 +893,27 @@ func errorCode(status int) string {
 
 // writeEngineError maps engine failure modes to HTTP statuses.
 func writeEngineError(w http.ResponseWriter, err error) {
+	writeError(w, engineErrorStatus(err), err.Error())
+}
+
+// engineErrorStatus is the HTTP status of an engine failure mode.
+func engineErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrUnknownMachine):
-		writeError(w, http.StatusNotFound, err.Error())
+		return http.StatusNotFound
 	case errors.Is(err, engine.ErrBadStart), errors.Is(err, engine.ErrNotTransducer):
-		writeError(w, http.StatusBadRequest, err.Error())
+		return http.StatusBadRequest
 	case errors.Is(err, engine.ErrQueueFull):
 		// Load shed by TrySubmit: the canonical "back off and retry".
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err.Error())
-	case errors.Is(err, context.Canceled), errors.Is(err, engine.ErrClosed):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled), errors.Is(err, engine.ErrClosed), errors.Is(err, errWrite):
 		// Client went away, or the engine is shutting down: either way
 		// the service cannot answer this request.
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return http.StatusServiceUnavailable
 	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		return http.StatusInternalServerError
 	}
 }
 

@@ -477,6 +477,43 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// waitAccessLines polls a JSON access log until it holds a request line
+// for every route, and returns the latest line per route. The
+// middleware logs after the handler returns, which can be after the
+// client has read the whole response.
+func waitAccessLines(t *testing.T, log *syncBuffer, routes ...string) map[string]map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		lines := map[string]map[string]any{}
+		for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+			if line == "" {
+				continue
+			}
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("non-JSON log line %q: %v", line, err)
+			}
+			if route, ok := rec["route"].(string); ok && rec["msg"] == "request" {
+				lines[route] = rec
+			}
+		}
+		missing := ""
+		for _, r := range routes {
+			if lines[r] == nil {
+				missing = r
+			}
+		}
+		if missing == "" {
+			return lines
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no access-log line for %s within 10s", missing)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestAccessLogCarriesTraceID(t *testing.T) {
 	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
 	if err != nil {
@@ -500,25 +537,10 @@ func TestAccessLogCarriesTraceID(t *testing.T) {
 	}
 	r2.Body.Close()
 
-	var tracedLine, untracedLine map[string]any
-	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("non-JSON log line %q: %v", line, err)
-		}
-		if rec["msg"] != "request" {
-			continue
-		}
-		switch rec["route"] {
-		case "/v1/run":
-			tracedLine = rec
-		case "/v1/status":
-			untracedLine = rec
-		}
-	}
-	if tracedLine == nil || untracedLine == nil {
-		t.Fatalf("missing access-log lines: traced=%v untraced=%v", tracedLine, untracedLine)
-	}
+	// Each access-log line is written after its response reached the
+	// client, so wait for them instead of reading the log once.
+	lines := waitAccessLines(t, logBuf, "/v1/run", "/v1/status")
+	tracedLine, untracedLine := lines["/v1/run"], lines["/v1/status"]
 	if got := tracedLine["trace_id"]; got != traceID {
 		t.Errorf("traced access log trace_id=%v, want %q", got, traceID)
 	}

@@ -27,7 +27,10 @@ func wantsTrace(req *http.Request) bool {
 }
 
 // statusWriter captures the response status for the access log while
-// forwarding Flush, which the NDJSON batch streaming depends on.
+// forwarding Flush, which the NDJSON batch streaming depends on. A
+// stream that fails after its 200 went out (/v1/transduce) overwrites
+// status with the one its failure maps to, so the access log, the SLO
+// tracker and the trace count the failure.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

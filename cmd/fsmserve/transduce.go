@@ -3,16 +3,24 @@ package main
 // POST /v1/transduce: tokenize-as-a-service. The machine must carry an
 // output table (registered as a transducer); the response streams
 // NDJSON — a header line, one line per emitted span in input order,
-// and a trailing summary — so a client can start consuming token spans
-// before the tail of a large input has been replayed. Dispatch,
+// and a trailing summary — as the engine emits the spans: on the
+// single-core lane block by block while phase 3 replays, so a client
+// consumes token spans before the tail of a large input has been
+// replayed; on the multi-chunk lanes once the fan-out is over. Each
+// batch is encoded into one reused buffer (serverapi.AppendTransduceSpan)
+// and written and flushed once. A failure after the first byte ends the
+// stream with an error trailer instead of the summary. Dispatch,
 // tracing, and metering match /v1/run: the engine picks the lane
 // (single/multicore/speculative, honoring ?strategy= overrides), and
 // every lane produces the exact sequential span list.
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"dpfsm/internal/core"
 	"dpfsm/internal/engine"
@@ -21,13 +29,7 @@ import (
 	"dpfsm/internal/serverapi"
 	"dpfsm/internal/trace"
 	"dpfsm/internal/xmltok"
-	"encoding/json"
 )
-
-// spanFlushEvery bounds how many span lines buffer between flushes:
-// small enough that a client sees steady progress on span-dense
-// inputs, large enough that flushing is not per-line.
-const spanFlushEvery = 256
 
 // registerBuiltinTransducers installs the compiled-in tokenizers as
 // transducer machines. A name collision (a patterns file claiming
@@ -95,24 +97,61 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// The request context rides down to the chunk loops, as on /v1/run.
-	res := s.engine.Transduce(req.Context(), job)
-	if res.Err != nil {
-		writeEngineError(w, res.Err)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	// The stream commits (200, header line) at the first span batch, or
+	// at success when there are none; an engine error before that gets
+	// its usual status.
+	bufp := lineBufs.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	defer func() { *bufp = buf[:0]; lineBufs.Put(bufp) }()
+	committed := false
 	flusher, _ := w.(http.Flusher)
-	_ = enc.Encode(serverapi.TransduceHeader{Machine: name, Kind: m.Kind().String(), Bytes: res.Bytes})
-	for i, sp := range res.Spans {
-		_ = enc.Encode(serverapi.TransduceSpan{Start: sp.Start, End: sp.End, Out: int(sp.Out)})
-		if flusher != nil && (i+1)%spanFlushEvery == 0 {
+	send := func() error {
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("%w: %v", errWrite, err)
+		}
+		buf = buf[:0]
+		if flusher != nil {
 			flusher.Flush()
 		}
+		return nil
+	}
+	commit := func() {
+		committed = true
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		buf = appendJSONLine(buf, serverapi.TransduceHeader{Machine: name, Kind: m.Kind().String(), Bytes: len(input)})
+	}
+	res := s.engine.TransduceTo(req.Context(), job, func(batch []core.Span) error {
+		if !committed {
+			commit()
+		}
+		for _, sp := range batch {
+			buf = serverapi.AppendTransduceSpan(buf, serverapi.TransduceSpan{Start: sp.Start, End: sp.End, Out: int(sp.Out)})
+		}
+		return send()
+	})
+	if res.Err != nil {
+		if !committed {
+			writeEngineError(w, res.Err)
+			return
+		}
+		// Mid-stream: the 200 is on the wire. End with the error trailer
+		// and no summary, and record the status the failure would have
+		// had for the access log, the SLO tracker and the trace.
+		status := engineErrorStatus(res.Err)
+		if sw, ok := w.(*statusWriter); ok {
+			sw.status = status
+		}
+		buf = appendJSONLine(buf[:0], serverapi.TransduceErrorTrailer{Error: serverapi.ErrorDetail{
+			Code: errorCode(status), Message: res.Err.Error(),
+		}})
+		_ = send() // best effort: the failure may be the connection itself
+		return
+	}
+	if !committed {
+		commit()
 	}
 	summary := serverapi.TransduceSummary{
-		Spans:           len(res.Spans),
+		Spans:           res.SpanCount,
 		OutputBytes:     res.OutputBytes,
 		Bytes:           res.Bytes,
 		Final:           res.Final,
@@ -130,8 +169,25 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 	if tr := trace.FromContext(req.Context()); tr != nil {
 		summary.TraceID = tr.ID()
 	}
-	_ = enc.Encode(serverapi.TransduceTrailer{Summary: summary})
-	if flusher != nil {
-		flusher.Flush()
+	buf = appendJSONLine(buf, serverapi.TransduceTrailer{Summary: summary})
+	_ = send()
+}
+
+// lineBufs recycles the NDJSON encode buffers of /v1/transduce across
+// requests: a 64 KiB block's span lines run to a few hundred KiB, and
+// Write does not keep the buffer.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// errWrite marks a failed response write: the client is gone.
+var errWrite = errors.New("writing response")
+
+// appendJSONLine appends v's JSON encoding and a newline, as
+// json.Encoder writes it.
+func appendJSONLine(dst []byte, v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		// The header and trailer types always encode.
+		panic(err)
 	}
+	return append(append(dst, b...), '\n')
 }

@@ -3,13 +3,17 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"dpfsm/internal/core"
+	"dpfsm/internal/engine"
 	"dpfsm/internal/htmltok"
 	"dpfsm/internal/serverapi"
 )
@@ -163,5 +167,127 @@ func TestStatusReportsMachineKind(t *testing.T) {
 	}
 	if in := infos["sqli"]; in.Kind != "acceptor" || in.OutputTableBytes != 0 {
 		t.Fatalf("sqli machine info %+v", in)
+	}
+}
+
+// htmlPage repeats a small document with every token kind to n bytes.
+func htmlPage(n int) []byte {
+	doc := []byte(`<div id="a" class='b c'>text &amp; more<!-- note --><br/><script>x<y</script></div>` + "\n")
+	return bytes.Repeat(doc, n/len(doc)+1)[:n]
+}
+
+// TestTransduceBodyGolden pins the wire format: the whole body for a
+// fixed page — header, span lines, summary — is byte for byte what
+// json.Encoder writes for the same values, for an empty page, a small
+// one, and one the single lane streams in several blocks.
+func TestTransduceBodyGolden(t *testing.T) {
+	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	srv.registerBuiltinTransducers()
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	tok, err := htmltok.NewTokenizer()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, page := range [][]byte{nil, htmlPage(300), htmlPage(200 << 10)} {
+		resp, err := http.Post(ts.URL+"/v1/transduce?machine=htmltok", "text/html", bytes.NewReader(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d-byte page: status %d: %s", len(page), resp.StatusCode, body)
+		}
+		last := bytes.LastIndexByte(bytes.TrimSuffix(body, []byte("\n")), '\n')
+		var trailer serverapi.TransduceTrailer
+		if err := json.Unmarshal(body[last+1:], &trailer); err != nil {
+			t.Fatalf("%d-byte page: summary line: %v", len(page), err)
+		}
+
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		_ = enc.Encode(serverapi.TransduceHeader{Machine: "htmltok", Kind: "mealy", Bytes: len(page)})
+		for _, tk := range tok.TokenizeTable(page) {
+			_ = enc.Encode(serverapi.TransduceSpan{Start: tk.Start, End: tk.End, Out: int(tk.Type)})
+		}
+		_ = enc.Encode(trailer)
+		if !bytes.Equal(body, want.Bytes()) {
+			i := 0
+			for i < len(body) && i < want.Len() && body[i] == want.Bytes()[i] {
+				i++
+			}
+			t.Fatalf("%d-byte page: body differs from json.Encoder's at byte %d of %d (want %d): got %.60q want %.60q",
+				len(page), i, len(body), want.Len(), body[i:], want.Bytes()[i:])
+		}
+	}
+}
+
+// TestTransduceShutdownMidStream pins a page far larger than the socket
+// buffers to the single lane, reads the first span line, shuts the
+// engine down and reads on: the stream must end with one error trailer
+// and no summary, and the access log must record the 503 the failure
+// would have had instead of the 200 already sent.
+func TestTransduceShutdownMidStream(t *testing.T) {
+	srv, err := newServer(nil, core.Auto, 2, 64<<20, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	logBuf := &syncBuffer{}
+	srv.log = slog.New(slog.NewJSONHandler(logBuf, nil))
+	srv.registerBuiltinTransducers()
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+
+	page := htmlPage(12 << 20) // about 4 output bytes per input byte
+	resp, err := http.Post(ts.URL+"/v1/transduce?machine=htmltok&strategy=base", "text/html", bytes.NewReader(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	br := bufio.NewReader(resp.Body)
+	for i := 0; i < 2; i++ { // the header line, then the first span line
+		if _, err := br.ReadBytes('\n'); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.engine.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(rest, []byte("\n")), []byte("\n"))
+	last := lines[len(lines)-1]
+	var failure serverapi.TransduceErrorTrailer
+	if err := json.Unmarshal(last, &failure); err != nil || failure.Error.Code != serverapi.CodeCanceled ||
+		!strings.Contains(failure.Error.Message, engine.ErrClosed.Error()) {
+		t.Fatalf("last line %q (err %v), want a canceled error trailer naming ErrClosed", last, err)
+	}
+	for _, line := range lines[:len(lines)-1] {
+		var sp serverapi.TransduceSpan
+		if bytes.Contains(line, []byte(`"summary"`)) || bytes.Contains(line, []byte(`"error"`)) || json.Unmarshal(line, &sp) != nil {
+			t.Fatalf("non-span line %q before the trailer", line)
+		}
+	}
+	if len(rest) > 2*len(page) {
+		t.Fatalf("%d bytes after shutdown: the stream was not cut", len(rest))
+	}
+	rec := waitAccessLines(t, logBuf, "/v1/transduce")["/v1/transduce"]
+	if got := rec["status"]; got != float64(http.StatusServiceUnavailable) {
+		t.Fatalf("access log status %v, want 503", got)
 	}
 }

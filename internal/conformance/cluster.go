@@ -129,8 +129,11 @@ func (c *checker) checkClusterTransduce(co *cluster.Coordinator, in []byte, star
 		kind := probe.kind.String()
 		wantTape, wantFinal := OracleTransduce(probe.t, in, start)
 		job := co.NewJob(probe.single.PlanRef(), len(in))
-		scan := core.NewSpanScan(probe.t)
-		got, _, err := probe.single.Drive(context.Background(), in, start, job, scan.Chunk)
+		var spans []core.Span
+		got, _, err := probe.single.DriveSpans(context.Background(), in, start, job, nil, func(batch []core.Span) error {
+			spans = append(spans, batch...)
+			return nil
+		})
 		stats := job.Stats()
 		if err != nil {
 			return c.divergence(check, kind, in, start, wantFinal, got, "error: "+err.Error())
@@ -138,7 +141,7 @@ func (c *checker) checkClusterTransduce(co *cluster.Coordinator, in []byte, star
 		if got != wantFinal {
 			return c.divergence(check, kind, in, start, wantFinal, got, fmt.Sprintf("final state, stats=%+v", stats))
 		}
-		spans, wantSpans := scan.Spans(), oracleSpans(wantTape)
+		wantSpans := oracleSpans(wantTape)
 		if len(spans) != len(wantSpans) {
 			return c.divergence(check, kind, in, start, wantFinal, got,
 				fmt.Sprintf("%d spans, oracle folds %d (chunk=%d)", len(spans), len(wantSpans), co.ChunkBytes()))

@@ -54,6 +54,9 @@ type Plan struct {
 	// for plain acceptors. Like the transition columns it aliases the
 	// caller's machine (out.DFA() == d) and is immutable once compiled.
 	out *fsm.Transducer
+	// step is out's fused replay table (fuseStep), derived whenever out
+	// is set and never serialized.
+	step []uint32
 
 	// fingerprint = hex(sha256(machine encoding ‖ output-table encoding
 	// (transducers only) ‖ strategy name)[:16]).
@@ -132,9 +135,32 @@ func CompileTransducer(t *fsm.Transducer, opts ...Option) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.out = t
+	p.out, p.step = t, fuseStep(t)
 	p.fingerprint = fingerprint(p.d, t, p.strategy)
 	return p, nil
+}
+
+// fuseStep builds the row-major replay table of t:
+// step[q<<8|b] = δ(q, b)<<16 | OutputAt(q, b), so the phase-3 replay
+// takes one load per byte where Next + OutputAt take two or three and
+// a kind branch. Bytes outside Σ map to state 0xFFFF, whose row lies
+// past the table (below MaxStates states), so a contract-violating
+// input still faults on the next byte instead of replaying garbage.
+func fuseStep(t *fsm.Transducer) []uint32 {
+	d := t.DFA()
+	n, k := d.NumStates(), d.NumSymbols()
+	step := make([]uint32, n<<8)
+	for q := 0; q < n; q++ {
+		row := step[q<<8 : (q+1)<<8]
+		for b := range row {
+			if b >= k {
+				row[b] = 0xFFFF << 16
+				continue
+			}
+			row[b] = uint32(d.Next(fsm.State(q), byte(b)))<<16 | uint32(t.OutputAt(fsm.State(q), byte(b)))
+		}
+	}
+	return step
 }
 
 // TransducerPlanKey is PlanKey for transducer plans: the fingerprint
@@ -278,7 +304,7 @@ func (p *Plan) TableBytes() int {
 		total += len(c)
 	}
 	if p.out != nil {
-		total += p.out.TableBytes()
+		total += p.out.TableBytes() + 4*len(p.step)
 	}
 	if p.rc != nil {
 		total += p.rc.EntryCount() // t tables (bytes)

@@ -152,7 +152,7 @@ func UnmarshalPlan(data []byte) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: plan output table: %w", err)
 		}
-		p.out = t
+		p.out, p.step = t, fuseStep(t)
 	}
 	p.fingerprint = fingerprint(d, p.out, strategy)
 	return p, nil

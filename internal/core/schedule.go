@@ -92,6 +92,10 @@ type DriveStats struct {
 	// replayed in phase 2; ReplayBytes is their input.
 	Misses      int
 	ReplayBytes int
+	// Spans counts the spans DriveSpans emitted and SpanBytes the input
+	// bytes they cover.
+	Spans     int
+	SpanBytes int64
 }
 
 // Drive runs input from start through the Figure 5 schedule with src as
@@ -102,22 +106,31 @@ type DriveStats struct {
 // partial and the state unspecified. A trace on ctx receives the phase
 // decomposition as spans.
 func (r *Runner) Drive(ctx context.Context, input []byte, start fsm.State, src Source, f ChunkFunc) (fsm.State, DriveStats, error) {
+	ctx, block, chunks, err := r.prepare(ctx, input, src)
+	if err != nil {
+		return start, DriveStats{}, err
+	}
+	if chunks == nil {
+		return r.driveOne(ctx, block, input, start, src, f)
+	}
+	return r.driveChunks(ctx, block, input, chunks, start, src, f)
+}
+
+// prepare is the schedule's preamble: the defaulted ctx, the block size
+// polled under it, and the chunk tiling (nil: the one-chunk schedule).
+func (r *Runner) prepare(ctx context.Context, input []byte, src Source) (context.Context, int, [][2]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return start, DriveStats{}, err
+		return ctx, 0, nil, err
 	}
 	r.noteEntry(len(input))
 	block := ctxCheckBytes
 	if ctxIsPlain(ctx) {
 		block = max(len(input), 1)
 	}
-	chunks := r.split(src, len(input))
-	if chunks == nil {
-		return r.driveOne(ctx, block, input, start, src, f)
-	}
-	return r.driveChunks(ctx, block, input, chunks, start, src, f)
+	return ctx, block, r.split(src, len(input)), nil
 }
 
 // driveChunks is the schedule over two or more chunks. (Kept apart from

@@ -792,7 +792,7 @@ func (e *Engine) Run(ctx context.Context, job Job) Result {
 	if e.closed() {
 		return Result{Machine: job.Machine, Bytes: len(job.Input), Err: ErrClosed}
 	}
-	return e.dispatch(ctx, 0, job, 0, false).Result
+	return e.dispatch(ctx, 0, job, 0, nil).Result
 }
 
 // RunBatch submits every job and waits for all results, returned in
@@ -923,7 +923,7 @@ func (e *Engine) worker() {
 			return
 		case t := <-e.queue:
 			wait := e.dequeue(t)
-			t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, false).Result
+			t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, nil).Result
 		case <-e.drain:
 			// Graceful drain: finish whatever is queued, then exit.
 			// done still preempts, so Close during a drain stops the
@@ -937,7 +937,7 @@ func (e *Engine) worker() {
 				select {
 				case t := <-e.queue:
 					wait := e.dequeue(t)
-					t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, false).Result
+					t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, nil).Result
 				default:
 					return
 				}
@@ -947,12 +947,14 @@ func (e *Engine) worker() {
 }
 
 // dispatch runs one job to a result — the engine's one dispatch, for
-// Run, Transduce, and the worker path alike. transduce selects the
-// span-scan phase 3; queueWait is attributed to the machine's perf
-// profile alongside the execution time. All failure modes land in
-// Result.Err.
-func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.Duration, transduce bool) (res TransduceResult) {
+// Run, Transduce, and the worker path alike. A non-nil emit makes it a
+// transduction: core's span scan is phase 3 and its spans go to emit
+// (core.Runner.DriveSpans), on this goroutine and never while a fan-out
+// slot is held. queueWait is attributed to the machine's perf profile
+// alongside the execution time. All failure modes land in Result.Err.
+func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.Duration, emit core.SpanSink) (res TransduceResult) {
 	res.Result = Result{Index: idx, Machine: job.Machine, Bytes: len(job.Input)}
+	transduce := emit != nil
 	var rec *perfprofile.MachineRecorder
 	defer func() {
 		e.noteResult(&res, transduce)
@@ -1008,14 +1010,9 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	}
 	res.Machine = name
 	rec = m.rec
-	var scan *core.SpanScan
-	if transduce {
-		t := m.Transducer()
-		if t == nil {
-			res.Err = fmt.Errorf("%w: %q", ErrNotTransducer, name)
-			return res
-		}
-		scan = core.NewSpanScan(t)
+	if transduce && m.Transducer() == nil {
+		res.Err = fmt.Errorf("%w: %q", ErrNotTransducer, name)
+		return res
 	}
 
 	start := m.dfa.Start()
@@ -1082,7 +1079,9 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	// Lanes that fan out over local cores acquire a fan-out slot, so at
 	// most workers/procs such jobs run at once. The cluster lane is
 	// network-bound in phase 1, but a transduction replays its chunks
-	// locally in phase 3.
+	// locally in phase 3. A transduction frees its slot as soon as the
+	// fan-out is over, before its spans go to emit.
+	gated := false
 	if res.Lane == LaneMulticore || res.Lane == LaneSpeculative || (res.Lane == LaneCluster && transduce) {
 		var gsp *trace.Span
 		if sp != nil {
@@ -1091,13 +1090,20 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 		select {
 		case e.multiGate <- struct{}{}:
 			gsp.End()
-			defer func() { <-e.multiGate }()
+			gated = true
 		case <-ctx.Done():
 			gsp.End()
 			res.Err = ctx.Err()
 			return res
 		}
 	}
+	release := func() {
+		if gated {
+			gated = false
+			<-e.multiGate
+		}
+	}
+	defer release()
 	// Every lane is core's schedule; they differ in the runner (chunking
 	// and strategy) and the phase-1 source.
 	var src core.Source
@@ -1112,10 +1118,6 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	case LaneCluster:
 		cjob = co.NewJob(m.plan, len(job.Input))
 		src = cjob
-	}
-	var f core.ChunkFunc
-	if scan != nil {
-		f = scan.Chunk
 	}
 	res.Reason = reason
 	if sp != nil {
@@ -1140,8 +1142,13 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 		"strategy", res.Strategy,
 		AttrLane, res.Lane,
 	), func(ctx context.Context) {
-		final, ds, err = r.Drive(ctx, job.Input, start, src, f)
+		if transduce {
+			final, ds, err = r.DriveSpans(ctx, job.Input, start, src, release, emit)
+		} else {
+			final, ds, err = r.Drive(ctx, job.Input, start, src, nil)
+		}
 	})
+	res.SpanCount, res.OutputBytes = ds.Spans, ds.SpanBytes
 	res.Duration = time.Since(t0)
 	// Exemplar: link this job's latency bucket to its trace, so the
 	// histogram panel joins to the flight recorder. Traced jobs only —
@@ -1172,12 +1179,6 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	}
 	res.Final = final
 	res.Accepts = m.dfa.Accepting(final)
-	if scan != nil {
-		res.Spans = scan.Spans()
-		for _, s := range res.Spans {
-			res.OutputBytes += int64(s.End - s.Start)
-		}
-	}
 	m.rec.ObserveFinal(int(final))
 	// Large jobs advance the selection clock; every EvalEvery of them
 	// re-evaluates the lane choice against the updated profile.
@@ -1216,7 +1217,7 @@ func (e *Engine) noteResult(res *TransduceResult, transduce bool) {
 		return
 	}
 	if transduce {
-		tm.TransduceSpans.Add(int64(len(res.Spans)))
+		tm.TransduceSpans.Add(int64(res.SpanCount))
 		tm.TransduceOutputBytes.Add(res.OutputBytes)
 	}
 	switch res.Lane {

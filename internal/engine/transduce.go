@@ -6,7 +6,8 @@ package engine
 // core's span scan as the schedule's phase 3. Every lane — single-core,
 // multicore, speculative, cluster — produces the exact sequential span
 // list: phase 3 replays chunks from start states the schedule resolved
-// and verified (see internal/core/schedule.go).
+// and verified (see internal/core/schedule.go), and the spans leave in
+// input order through the caller's sink (TransduceTo).
 
 import (
 	"context"
@@ -52,24 +53,54 @@ func (e *Engine) RegisterTransducer(name string, t *fsm.Transducer, opts ...core
 	return e.registerPlan(name, t.DFA(), p, hit, opts...)
 }
 
-// TransduceResult is the outcome of one Transduce job: the dispatch
-// record of a Result plus the emitted spans. OutputBytes is the input
-// bytes the spans cover — the "useful work" companion to Bytes.
+// TransduceResult is the outcome of one transduce job: the dispatch
+// record of a Result plus what was emitted. SpanCount is the spans
+// handed out and OutputBytes the input bytes they cover — the "useful
+// work" companion to Bytes. Spans holds them for Transduce; TransduceTo
+// leaves it nil.
 type TransduceResult struct {
 	Result
 	Spans       []core.Span `json:"spans"`
+	SpanCount   int         `json:"span_count"`
 	OutputBytes int64       `json:"output_bytes"`
 }
 
 // Transduce runs job through its machine's output table and returns
 // the span list a sequential replay would produce, exactly, whichever
-// lane the dispatch policy picks. It executes on the caller's
+// lane the dispatch policy picks: TransduceTo with a sink that
+// collects.
+func (e *Engine) Transduce(ctx context.Context, job Job) TransduceResult {
+	var spans []core.Span
+	res := e.TransduceTo(ctx, job, func(batch []core.Span) error {
+		spans = append(spans, batch...)
+		return nil
+	})
+	if res.Err == nil {
+		res.Spans = spans
+	}
+	return res
+}
+
+// TransduceTo runs job through its machine's output table and hands
+// the spans to emit (non-nil) in input order, stitched and maximal, as
+// core.Runner.DriveSpans produces them. It executes on the caller's
 // goroutine (transduction is a streaming surface, not a batch one)
 // through the same dispatch as Run: same lanes, same fan-out gate,
-// same cancellation. After Close or Shutdown it fails with ErrClosed.
-func (e *Engine) Transduce(ctx context.Context, job Job) TransduceResult {
+// same cancellation. emit runs only on this goroutine and never while
+// a fan-out slot is held: the single-core lane streams as phase 3
+// replays, the multi-chunk lanes release their spans in order once the
+// slot is free. An error from emit stops the run and becomes the
+// result's Err, as does Close or Shutdown mid-stream (ErrClosed); a
+// failed job may have emitted a prefix of its spans. After Close or
+// Shutdown it fails with ErrClosed before running.
+func (e *Engine) TransduceTo(ctx context.Context, job Job, emit core.SpanSink) TransduceResult {
 	if e.closed() {
 		return TransduceResult{Result: Result{Machine: job.Machine, Bytes: len(job.Input), Err: ErrClosed}}
 	}
-	return e.dispatch(ctx, 0, job, 0, true)
+	return e.dispatch(ctx, 0, job, 0, func(batch []core.Span) error {
+		if e.closed() {
+			return ErrClosed
+		}
+		return emit(batch)
+	})
 }

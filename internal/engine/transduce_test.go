@@ -139,9 +139,11 @@ func TestEngineTransduceSpeculativeLane(t *testing.T) {
 	for _, n := range []int{0, 100, 8 << 10, 64 << 10} {
 		input := d.RandomInput(rng, n)
 		want, wantFinal := scalarSpans(tr, input, d.Start())
-		scan := core.NewSpanScan(tr)
-		final, _, err := m.multi.Drive(context.Background(), input, d.Start(), m.spec.Source(), scan.Chunk)
-		spans := scan.Spans()
+		var spans []core.Span
+		final, _, err := m.multi.DriveSpans(context.Background(), input, d.Start(), m.spec.Source(), nil, func(batch []core.Span) error {
+			spans = append(spans, batch...)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,8 @@
 package serverapi
 
 import (
+	"strconv"
+
 	"dpfsm/internal/cluster"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
@@ -268,6 +270,19 @@ type TransduceSpan struct {
 	Out   int `json:"out"`
 }
 
+// AppendTransduceSpan appends sp's NDJSON line to dst: byte for byte
+// what encoding/json's Encoder writes for it,
+// {"start":S,"end":E,"out":O} and a newline, without reflection.
+func AppendTransduceSpan(dst []byte, sp TransduceSpan) []byte {
+	dst = append(dst, `{"start":`...)
+	dst = strconv.AppendInt(dst, int64(sp.Start), 10)
+	dst = append(dst, `,"end":`...)
+	dst = strconv.AppendInt(dst, int64(sp.End), 10)
+	dst = append(dst, `,"out":`...)
+	dst = strconv.AppendInt(dst, int64(sp.Out), 10)
+	return append(dst, "}\n"...)
+}
+
 // TransduceSummary aggregates one transduce request; it is the payload
 // of the final NDJSON line (wrapped in TransduceTrailer).
 type TransduceSummary struct {
@@ -298,6 +313,21 @@ type TransduceSummary struct {
 // Summary field distinguishes it from header and span lines.
 type TransduceTrailer struct {
 	Summary TransduceSummary `json:"summary"`
+}
+
+// TransduceErrorTrailer is the last line of a /v1/transduce stream that
+// failed after its first byte (the 200 status already sent): a
+// timeout, a cancellation, a shutdown, or a failed write. Such a stream
+// carries no summary line, so a stream without one is incomplete.
+type TransduceErrorTrailer struct {
+	Error ErrorDetail `json:"error"`
+}
+
+// ErrorDetail is a failure reported inside a 200 stream: the Code the
+// Error envelope would have carried, and the message.
+type ErrorDetail struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
 }
 
 // Status is the response body of GET /v1/status: one document a human

@@ -116,15 +116,15 @@ type Metrics struct {
 	// decomposition. EngineCluster counts jobs the engine routed
 	// through the cluster lane; the rest account the coordinator's
 	// protocol traffic and its degradation paths.
-	EngineCluster       Counter
-	ClusterTasks        Counter // chunk tasks answered remotely
-	ClusterTaskErrors   Counter // failed remote attempts
-	ClusterRetries      Counter // re-sent attempts (after backoff)
-	ClusterPlanShips    Counter // plans shipped to peers
+	EngineCluster         Counter
+	ClusterTasks          Counter // chunk tasks answered remotely
+	ClusterTaskErrors     Counter // failed remote attempts
+	ClusterRetries        Counter // re-sent attempts (after backoff)
+	ClusterPlanShips      Counter // plans shipped to peers
 	ClusterLocalFallbacks Counter // chunks degraded to local execution
-	ClusterBreakerOpens Counter // breaker closed→open transitions
-	ClusterBreakerSkips Counter // chunks that skipped a peer on an open breaker
-	ClusterDegraded     Counter // jobs with at least one degraded chunk
+	ClusterBreakerOpens   Counter // breaker closed→open transitions
+	ClusterBreakerSkips   Counter // chunks that skipped a peer on an open breaker
+	ClusterDegraded       Counter // jobs with at least one degraded chunk
 }
 
 // PhaseSnapshot summarizes one timer.
@@ -191,8 +191,8 @@ type Snapshot struct {
 	// TransduceOutputBytes is the input bytes covered by emitted spans.
 	TransduceOutputBytes int64 `json:"transduce_output_bytes"`
 	SpecChunks           int64 `json:"spec_chunks"`
-	SpecMispredicts   int64 `json:"spec_mispredicts"`
-	SpecReRunBytes    int64 `json:"spec_rerun_bytes"`
+	SpecMispredicts      int64 `json:"spec_mispredicts"`
+	SpecReRunBytes       int64 `json:"spec_rerun_bytes"`
 	// SpecMispredictRate is SpecMispredicts/SpecChunks; 0 before any
 	// speculative chunk ran.
 	SpecMispredictRate   float64 `json:"spec_mispredict_rate"`
