@@ -482,7 +482,7 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		job engine.Job
 	}
 	var jobs []lineJob
-	var preFailed []serverapi.BatchResult
+	var preFailed []engine.Result // lines that never reach the engine
 	idx := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -491,7 +491,7 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		}
 		job, err := parseBatchLine(line)
 		if err != nil {
-			preFailed = append(preFailed, serverapi.BatchResult{Index: idx, Error: err.Error()})
+			preFailed = append(preFailed, engine.Result{Index: idx, Err: err})
 		} else {
 			jobs = append(jobs, lineJob{idx: idx, job: job})
 		}
@@ -506,10 +506,10 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	t0 := time.Now()
-	summary := serverapi.BatchSummary{Jobs: idx}
+	var stats engine.BatchStats
 	for _, r := range preFailed {
-		summary.Errors++
-		_ = enc.Encode(r)
+		stats.Add(r)
+		_ = enc.Encode(batchResult(r))
 	}
 
 	out := make(chan engine.Result, len(jobs))
@@ -522,49 +522,43 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}()
 	for range jobs {
 		r := <-out
-		br := serverapi.BatchResult{
-			Index:      r.Index,
-			Machine:    r.Machine,
-			Final:      r.Final,
-			Accepts:    r.Accepts,
-			Bytes:      r.Bytes,
-			Lane:       r.Lane,
-			Multicore:  r.Multicore,
-			Degraded:   r.Degraded,
-			Strategy:   r.Strategy,
-			DurationNs: int64(r.Duration),
-		}
-		summary.Bytes += int64(r.Bytes)
-		switch {
-		case r.Err == nil:
-			summary.OK++
-			switch r.Lane {
-			case engine.LaneMulticore:
-				summary.Multicore++
-			case engine.LaneSpeculative:
-				summary.Speculative++
-			case engine.LaneCluster:
-				summary.Cluster++
-			default:
-				summary.SingleCore++
-			}
-			if r.Degraded {
-				summary.Degraded++
-			}
-		default:
-			br.Error = r.Err.Error()
-			summary.Errors++
-			if errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded) {
-				summary.Canceled++
-			}
-		}
-		_ = enc.Encode(br)
+		stats.Add(r)
+		_ = enc.Encode(batchResult(r))
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	summary.DurationNs = int64(time.Since(t0))
-	_ = enc.Encode(serverapi.BatchTrailer{Summary: summary})
+	stats.Duration = time.Since(t0)
+	_ = enc.Encode(serverapi.BatchTrailer{Summary: batchSummary(stats)})
+}
+
+// batchResult is one job's /v1/batch result line.
+func batchResult(r engine.Result) serverapi.BatchResult {
+	br := serverapi.BatchResult{
+		Index:      r.Index,
+		Machine:    r.Machine,
+		Final:      r.Final,
+		Accepts:    r.Accepts,
+		Bytes:      r.Bytes,
+		Lane:       r.Lane,
+		Multicore:  r.Multicore,
+		Degraded:   r.Degraded,
+		Strategy:   r.Strategy,
+		DurationNs: int64(r.Duration),
+	}
+	if r.Err != nil {
+		br.Error = r.Err.Error()
+	}
+	return br
+}
+
+// batchSummary is the wire form of a batch's counts.
+func batchSummary(st engine.BatchStats) serverapi.BatchSummary {
+	return serverapi.BatchSummary{
+		Jobs: st.Jobs, OK: st.OK, Errors: st.Errors, Canceled: st.Canceled,
+		SingleCore: st.SingleCore, Multicore: st.Multicore, Speculative: st.Speculative,
+		Cluster: st.Cluster, Degraded: st.Degraded, Bytes: st.Bytes, DurationNs: int64(st.Duration),
+	}
 }
 
 // parseBatchLine decodes one NDJSON request line into an engine job.

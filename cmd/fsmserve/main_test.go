@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -212,6 +213,65 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	if sum.Bytes == 0 || sum.DurationNs <= 0 {
 		t.Errorf("summary accounting: %+v", sum)
+	}
+}
+
+// TestBatchCanceledRequest: a /v1/batch whose request context is
+// already canceled answers every line — engine refusals as canceled
+// jobs, a bad line as an error — and the summary counts each once,
+// while the engine's job counters stay put (a refused Submit is not an
+// engine job).
+func TestBatchCanceledRequest(t *testing.T) {
+	srv, _ := testServer(t)
+	before := srv.metrics.Snapshot()
+	lines := []string{
+		`{"machine":"sqli","input":"id=1 UNION  SELECT x"}`,
+		`not json`,
+		`{"machine":"traversal","input":"GET ../../etc/passwd"}`,
+		`{"input":"clean text"}`,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(strings.Join(lines, "\n"))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.mux().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+
+	var trailer serverapi.BatchTrailer
+	canceled := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n")) {
+		if bytes.Contains(line, []byte(`"summary"`)) {
+			if err := json.Unmarshal(line, &trailer); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var br serverapi.BatchResult
+		if err := json.Unmarshal(line, &br); err != nil {
+			t.Fatalf("result line %q: %v", line, err)
+		}
+		if br.Error == "" {
+			t.Errorf("job %d succeeded under a canceled request: %+v", br.Index, br)
+		}
+		if br.Error == context.Canceled.Error() {
+			canceled++
+		}
+	}
+	if canceled != 3 {
+		t.Errorf("%d canceled result lines, want 3", canceled)
+	}
+	if sum := trailer.Summary; sum.Jobs != 4 || sum.Errors != 4 || sum.Canceled != 3 || sum.OK != 0 {
+		t.Errorf("summary %+v", sum)
+	}
+	after := srv.metrics.Snapshot()
+	if after.EngineJobs != before.EngineJobs || after.EngineJobErrors != before.EngineJobErrors {
+		t.Errorf("refused jobs counted: jobs %d -> %d, errors %d -> %d",
+			before.EngineJobs, after.EngineJobs, before.EngineJobErrors, after.EngineJobErrors)
+	}
+	if after.EngineBatches != before.EngineBatches+1 {
+		t.Errorf("batches %d -> %d", before.EngineBatches, after.EngineBatches)
 	}
 }
 

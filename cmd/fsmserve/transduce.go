@@ -151,8 +151,8 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 		commit()
 	}
 	summary := serverapi.TransduceSummary{
-		Spans:           res.SpanCount,
-		OutputBytes:     res.OutputBytes,
+		Spans:           res.Stats.Spans,
+		OutputBytes:     res.Stats.SpanBytes,
 		Bytes:           res.Bytes,
 		Final:           res.Final,
 		Accepts:         res.Accepts,

@@ -71,8 +71,6 @@ type LaneObs struct {
 // profile, and Incumbent from the selector's own prior decision.
 type Inputs struct {
 	// Compile-time shape.
-	States   int
-	MaxRange int
 	Strategy string // the plan's resolved (never "auto") strategy
 
 	// Environment.
@@ -90,11 +88,6 @@ type Inputs struct {
 	// at all — without one the speculative guess is uninformed and
 	// probing is not worth the re-run risk.
 	HasHotState bool
-
-	// ConvergenceRate is the machine's observed §5.2 convergence-check
-	// win rate; converging machines are the ones speculation can work
-	// on at all.
-	ConvergenceRate float64
 
 	// Incumbent is the currently selected lane ("" on first
 	// evaluation); the hysteresis anchor.

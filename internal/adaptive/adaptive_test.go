@@ -9,7 +9,7 @@ import (
 // the given throughputs (0 = lane unsampled).
 func profiled(single, multi, spec float64) Inputs {
 	in := Inputs{
-		States: 16, MaxRange: 4, Strategy: "range-coalesced",
+		Strategy:    "range-coalesced",
 		Procs:       4,
 		HasHotState: true,
 	}

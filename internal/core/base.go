@@ -12,16 +12,13 @@ import (
 // fallback for machines whose structure defeats both optimizations
 // (e.g. permutation transition functions).
 
-// noteBase flushes telemetry for an unoptimized enumerative pass:
-// every one of the gathers moved the full n-wide vector through an
-// n-entry table, so the §4.2 model charges ⌈n/W⌉² shuffles each, and
-// the active width never shrinks.
+// noteBase notes an unoptimized enumerative pass: every one of the
+// gathers moved the full n-wide vector through an n-entry table, so the
+// §4.2 model charges ⌈n/W⌉² shuffles each, and the active width never
+// shrinks.
 func (r *Runner) noteBase(rs *runStats, gathers int) {
-	if r.tel == nil && r.aux == nil && rs == nil {
-		return
-	}
 	nb := int64(r.nBlocks)
-	r.noteSingle(rs, int64(gathers), int64(gathers)*nb*nb, 0, 0, r.n, r.n)
+	rs.note(int64(gathers), int64(gathers)*nb*nb, 0, 0, r.n, r.n)
 }
 
 // baseVecBytes runs Figure 3 over byte-encoded states (n ≤ 256) and
@@ -92,23 +89,23 @@ func (r *Runner) baseILPVec16(input []byte, rs *runStats) []fsm.State {
 
 // baseRunBytes is Figure 3 with the φ callback: the actual FSM state is
 // S[st] at every step.
-func (r *Runner) baseRunBytes(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
+func (r *Runner) baseRunBytes(input []byte, off int, start fsm.State, phi fsm.Phi, rs *runStats) fsm.State {
 	s := gather.Identity[byte](r.n)
 	for i, a := range input {
 		r.gatherB(s, s, r.colsB[a])
 		phi(off+i, a, fsm.State(s[start]))
 	}
-	r.noteBase(nil, len(input))
+	r.noteBase(rs, len(input))
 	return fsm.State(s[start])
 }
 
-func (r *Runner) baseRun16(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
+func (r *Runner) baseRun16(input []byte, off int, start fsm.State, phi fsm.Phi, rs *runStats) fsm.State {
 	s := gather.Identity[fsm.State](r.n)
 	for i, a := range input {
 		gather.Into(s, s, r.cols16[a])
 		phi(off+i, a, s[start])
 	}
-	r.noteBase(nil, len(input))
+	r.noteBase(rs, len(input))
 	if len(input) == 0 {
 		return start
 	}

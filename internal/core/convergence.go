@@ -69,9 +69,9 @@ func (r *Runner) convFinalBytes(input []byte, start fsm.State, rs *runStats) fsm
 // convRunBytes runs Figure 7 invoking φ at every step. Only the entry
 // for the start state is materialized per step (§5.2: "it is not
 // necessary to compute all elements of S_base").
-func (r *Runner) convRunBytes(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
+func (r *Runner) convRunBytes(input []byte, off int, start fsm.State, phi fsm.Phi, rs *runStats) fsm.State {
 	sc := r.getScratch()
-	acc, s := r.convLoopBytes(input, phi, off, start, sc, nil)
+	acc, s := r.convLoopBytes(input, phi, off, start, sc, rs)
 	final := fsm.State(s[acc[start]])
 	r.putScratch(sc)
 	return final
@@ -100,7 +100,7 @@ func (r *Runner) convLoopBytes(input []byte, phi fsm.Phi, off int, start fsm.Sta
 			if rs != nil {
 				rs.noteConverged(off + i)
 			}
-			r.noteSingle(rs, gathers, shufBlocks*int64(r.nBlocks), fCalls, fWins, r.n, m)
+			rs.note(gathers, shufBlocks*int64(r.nBlocks), fCalls, fWins, r.n, m)
 			// Converged into the register regime: finish the input
 			// with lanes in registers (m == 1 degenerates to the
 			// sequential chase). No further convergence checks — the
@@ -199,7 +199,7 @@ func (r *Runner) convLoopBytes(input []byte, phi fsm.Phi, off int, start fsm.Sta
 			phi(off+i, a, fsm.State(s[acc[start]]))
 		}
 	}
-	r.noteSingle(rs, gathers, shufBlocks*int64(r.nBlocks), fCalls, fWins, r.n, m)
+	rs.note(gathers, shufBlocks*int64(r.nBlocks), fCalls, fWins, r.n, m)
 	return acc, s[:m]
 }
 
@@ -226,9 +226,9 @@ func (r *Runner) convFinal16(input []byte, start fsm.State, rs *runStats) fsm.St
 	return final
 }
 
-func (r *Runner) convRun16(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
+func (r *Runner) convRun16(input []byte, off int, start fsm.State, phi fsm.Phi, rs *runStats) fsm.State {
 	sc := r.getScratch()
-	acc, s := r.convLoop16(input, phi, off, start, sc, nil)
+	acc, s := r.convLoop16(input, phi, off, start, sc, rs)
 	final := s[acc[start]]
 	r.putScratch(sc)
 	return final
@@ -246,7 +246,7 @@ func (r *Runner) convLoop16(input []byte, phi fsm.Phi, off int, start fsm.State,
 			if rs != nil {
 				rs.noteConverged(off + i)
 			}
-			r.noteSingle(rs, gathers, shufBlocks*int64(r.nBlocks), fCalls, fWins, r.n, m)
+			rs.note(gathers, shufBlocks*int64(r.nBlocks), fCalls, fWins, r.n, m)
 			// Same register regime as the byte path: once converged,
 			// per-symbol cost is a handful of independent loads —
 			// §5.2's "overhead proportional to the number of active
@@ -326,6 +326,6 @@ func (r *Runner) convLoop16(input []byte, phi fsm.Phi, off int, start fsm.State,
 			phi(off+i, a, s[acc[start]])
 		}
 	}
-	r.noteSingle(rs, gathers, shufBlocks*int64(r.nBlocks), fCalls, fWins, r.n, m)
+	rs.note(gathers, shufBlocks*int64(r.nBlocks), fCalls, fWins, r.n, m)
 	return acc, s[:m]
 }

@@ -155,7 +155,6 @@ type config struct {
 	minChunk  int
 	simd      bool
 	tel       *telemetry.Metrics
-	aux       *telemetry.Metrics
 }
 
 // WithStrategy forces a single-core strategy instead of Auto selection.
@@ -223,19 +222,6 @@ func WithTelemetry(m *telemetry.Metrics) Option {
 	return func(c *config) { c.tel = m }
 }
 
-// WithAuxTelemetry attaches a second, auxiliary metrics sink that
-// receives only the run-level accounting (runs, symbols, gathers,
-// shuffles, convergence checks/wins, active-vector widths) — not the
-// phase timers or stream/engine counters, which stay exclusive to the
-// primary sink. The engine uses this to give every registered machine
-// its own counter set (the per-machine performance profiles of
-// internal/perfprofile) while the shared process-wide sink keeps
-// aggregating everything. A nil m — the default — costs nothing: the
-// flush points already branch on the primary sink.
-func WithAuxTelemetry(m *telemetry.Metrics) Option {
-	return func(c *config) { c.aux = m }
-}
-
 const (
 	defaultConvEvery = 64
 	defaultMinChunk  = 1 << 12
@@ -269,10 +255,6 @@ type Runner struct {
 	// the per-run path never takes the label-registry mutex.
 	tel       *telemetry.Metrics
 	stratRuns *telemetry.Counter
-	// aux is the optional per-machine sink (WithAuxTelemetry): it gets
-	// the run-level counters only, flushed from the same sites as tel.
-	aux          *telemetry.Metrics
-	auxStratRuns *telemetry.Counter
 
 	// simd selects the emulated shuffle/blend dataflow of §4.2 for
 	// byte-lane gathers (WithEmulatedSIMD); the default is the scalar
@@ -342,11 +324,6 @@ func NewFromPlan(p *Plan, opts ...Option) (*Runner, error) {
 		r.tel.StrategySelected.Get(r.strategy.String()).Inc()
 		r.stratRuns = r.tel.StrategyRuns.Get(r.strategy.String())
 	}
-	if cfg.aux != nil {
-		r.aux = cfg.aux
-		r.aux.StrategySelected.Get(r.strategy.String()).Inc()
-		r.auxStratRuns = r.aux.StrategyRuns.Get(r.strategy.String())
-	}
 	return r, nil
 }
 
@@ -362,35 +339,6 @@ func (r *Runner) noteEntry(n int) {
 		t.Runs.Inc()
 		t.Symbols.Add(int64(n))
 		r.stratRuns.Inc()
-	}
-	if t := r.aux; t != nil {
-		t.Runs.Inc()
-		t.Symbols.Add(int64(n))
-		r.auxStratRuns.Inc()
-	}
-}
-
-// noteSingle flushes the accounting of one single-core enumerative
-// pass (a whole input, or one multicore chunk): gather kernel
-// invocations, emulated ⊗16,16 shuffles under the §4.2 blocked cost
-// model, convergence checks and wins, and the active-vector width at
-// entry (highWater) and exit (final). rs, when non-nil, receives the
-// same numbers for the run's trace (the request-scoped view of what
-// the telemetry sink sees in aggregate).
-func (r *Runner) noteSingle(rs *runStats, gathers, shuffles, factorCalls, factorWins int64, highWater, final int) {
-	if rs != nil {
-		rs.note(gathers, shuffles, factorCalls, factorWins, highWater, final)
-	}
-	for _, t := range [2]*telemetry.Metrics{r.tel, r.aux} {
-		if t == nil {
-			continue
-		}
-		t.Gathers.Add(gathers)
-		t.Shuffles.Add(shuffles)
-		t.FactorCalls.Add(factorCalls)
-		t.FactorWins.Add(factorWins)
-		t.ActiveHighWater.Observe(int64(highWater))
-		t.ActiveFinal.Observe(int64(final))
 	}
 }
 
@@ -432,7 +380,9 @@ func (r *Runner) CompositionVector(input []byte) []fsm.State {
 	if r.useMulticore(len(input)) {
 		return r.compVecMulticore(input)
 	}
-	return r.compVecSingle(input, nil)
+	rs := r.newRunStats(false)
+	defer r.endChunk(nil, rs)
+	return r.compVecSingle(input, rs)
 }
 
 func (r *Runner) useMulticore(inputLen int) bool {
@@ -495,8 +445,10 @@ func (r *Runner) compVecSingle(input []byte, rs *runStats) []fsm.State {
 }
 
 // runSingle runs with φ on one goroutine; off is the global position of
-// input[0].
+// input[0]. Its accounting is flushed to the sink at the end.
 func (r *Runner) runSingle(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
+	rs := r.newRunStats(false)
+	defer r.endChunk(nil, rs)
 	switch r.strategy {
 	case Sequential:
 		q := start
@@ -509,17 +461,17 @@ func (r *Runner) runSingle(input []byte, off int, start fsm.State, phi fsm.Phi) 
 		// φ needs a per-step state for one start entry; the plain
 		// coalesced loop provides it (convergence on the name vector
 		// does not change the observable outputs).
-		return r.rcRun(input, off, start, phi)
+		return r.rcRun(input, off, start, phi, rs)
 	case Convergence:
 		if r.colsB != nil {
-			return r.convRunBytes(input, off, start, phi)
+			return r.convRunBytes(input, off, start, phi, rs)
 		}
-		return r.convRun16(input, off, start, phi)
+		return r.convRun16(input, off, start, phi, rs)
 	default: // Base, BaseILP
 		if r.colsB != nil {
-			return r.baseRunBytes(input, off, start, phi)
+			return r.baseRunBytes(input, off, start, phi, rs)
 		}
-		return r.baseRun16(input, off, start, phi)
+		return r.baseRun16(input, off, start, phi, rs)
 	}
 }
 

@@ -77,7 +77,7 @@ func (r *Runner) noteMulticore(chunks [][2]int) {
 func (r *Runner) compVecMulticore(input []byte) []fsm.State {
 	chunks := r.splitChunks(len(input))
 	r.noteMulticore(chunks)
-	comps := r.phase1(context.Background(), nil, len(input), input, chunks, 0, nil, nil, false)
+	comps := r.phase1(context.Background(), nil, len(input), input, chunks, 0, nil, nil, false, new(DriveStats))
 	var sp telemetry.Span
 	if t := r.tel; t != nil {
 		sp = t.Phase2Time.Start()

@@ -100,15 +100,14 @@ func (rc *rcTables) EntryCount() int {
 	return total
 }
 
-// noteRCPlain flushes telemetry for one rcLoop pass. The name vector
-// keeps its width w0 = |range(input[0])| for the whole input, so the
-// Figure 11 shuffle count — ⌈w0/W⌉·⌈|range(prev)|/W⌉ per symbol, the
-// model core.ProfileInput replays offline — is a pure function of the
-// input symbols. It is therefore reconstructed here in one pass only
-// when telemetry is attached; the hot loop itself carries no
-// accounting at all.
+// noteRCPlain notes one rcLoop pass. The name vector keeps its width
+// w0 = |range(input[0])| for the whole input, so the Figure 11 shuffle
+// count — ⌈w0/W⌉·⌈|range(prev)|/W⌉ per symbol, the model
+// core.ProfileInput replays offline — is a pure function of the input
+// symbols. It is therefore reconstructed here in one pass only when the
+// run accounts; the hot loop itself carries no accounting at all.
 func (r *Runner) noteRCPlain(input []byte, rs *runStats) {
-	if (r.tel == nil && rs == nil) || len(input) == 0 {
+	if rs == nil || len(input) == 0 {
 		return
 	}
 	w0 := r.ranges[input[0]]
@@ -118,7 +117,7 @@ func (r *Runner) noteRCPlain(input []byte, rs *runStats) {
 		rows += r.rangeBlocks[b]
 	}
 	// cb·rows for the body plus one seed row of the L_{a0} lookup.
-	r.noteSingle(rs, int64(len(input)-1), cb*rows+cb, 0, 0, w0, w0)
+	rs.note(int64(len(input)-1), cb*rows+cb, 0, 0, w0, w0)
 }
 
 // rcLoop runs the coalesced machine over input[1:], starting from the
@@ -240,10 +239,10 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 	sinceCheck := 0
 	// Unlike rcLoop, the name-vector width shrinks as it converges, so
 	// the shuffle count depends on the runtime m trajectory and must be
-	// tracked in-loop. The track flag hoists the telemetry nil-check so
+	// tracked in-loop. The track flag hoists the accounting nil-check so
 	// the disabled path pays one predictable branch per symbol.
 	const W = gather.Width
-	track := r.tel != nil || rs != nil
+	track := rs != nil
 	var gathers, shuf, fCalls, fWins int64
 	if track {
 		shuf = r.rangeBlocks[a0] // first-symbol seed row
@@ -261,9 +260,7 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 					shuf += r.rangeBlocks[prev]
 					prev = bb
 				}
-				r.noteSingle(rs, gathers, shuf, fCalls, fWins, w0, m)
-			}
-			if rs != nil {
+				rs.note(gathers, shuf, fCalls, fWins, w0, m)
 				rs.noteConverged(i)
 			}
 			// Register regime over names; reuse the plain rcLoop lane
@@ -314,9 +311,7 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 			sinceCheck = 0
 		}
 	}
-	if track {
-		r.noteSingle(rs, gathers, shuf, fCalls, fWins, w0, m)
-	}
+	rs.note(gathers, shuf, fCalls, fWins, w0, m)
 	return a0, acc, c[:m], cur
 }
 
@@ -444,12 +439,12 @@ func (r *Runner) rcFinal(input []byte, start fsm.State, rs *runStats) fsm.State 
 // rcRun runs with φ; the per-step output is the O(1) lookup
 // U_cur[C[name0]] (§5.3: mapping back to states is only needed when
 // calling φ).
-func (r *Runner) rcRun(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
+func (r *Runner) rcRun(input []byte, off int, start fsm.State, phi fsm.Phi, rs *runStats) fsm.State {
 	if len(input) == 0 {
 		return start
 	}
 	sc := r.getScratch()
-	a0, c, cur := r.rcLoop(input, phi, off, start, sc, nil)
+	a0, c, cur := r.rcLoop(input, phi, off, start, sc, rs)
 	final := r.rc.u[cur][c[r.rc.l[a0][start]]]
 	r.putScratch(sc)
 	return final

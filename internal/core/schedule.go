@@ -65,7 +65,6 @@ type Chunk struct {
 	Known bool
 
 	block int
-	rs    *runStats
 }
 
 // Walk runs the chunk sequentially from st, polling ctx between blocks.
@@ -85,7 +84,8 @@ type Source interface {
 	Compose(ctx context.Context, ch Chunk) Comp
 }
 
-// DriveStats accounts one driven run.
+// DriveStats is the record of one driven run. A canceled run returns
+// what it accounted before it stopped.
 type DriveStats struct {
 	Chunks int
 	// Misses counts width-one entries whose guess missed and were
@@ -96,6 +96,16 @@ type DriveStats struct {
 	// bytes they cover.
 	Spans     int
 	SpanBytes int64
+	// Symbols is the input length. The rest is the enumerative
+	// accounting of phase 1 (of the one chunk, for a final-state query)
+	// summed over chunks, exactly what the runner's sink received: zero
+	// unless the runner has a sink or the run is traced. A caller's
+	// phase 3 accounts into the sink only.
+	Symbols, Gathers, Shuffles, FactorCalls, FactorWins int64
+	// ActiveFinalSum sums the final active width of the
+	// ActiveFinalChunks chunks that ran an enumerative pass.
+	ActiveFinalSum    int64
+	ActiveFinalChunks int
 }
 
 // Drive runs input from start through the Figure 5 schedule with src as
@@ -110,10 +120,14 @@ func (r *Runner) Drive(ctx context.Context, input []byte, start fsm.State, src S
 	if err != nil {
 		return start, DriveStats{}, err
 	}
+	ds := DriveStats{Symbols: int64(len(input))}
+	var st fsm.State
 	if chunks == nil {
-		return r.driveOne(ctx, block, input, start, src, f)
+		st, err = r.driveOne(ctx, block, input, start, src, f, &ds)
+	} else {
+		st, err = r.driveChunks(ctx, block, input, chunks, start, src, f, &ds)
 	}
-	return r.driveChunks(ctx, block, input, chunks, start, src, f)
+	return st, ds, err
 }
 
 // prepare is the schedule's preamble: the defaulted ctx, the block size
@@ -136,7 +150,7 @@ func (r *Runner) prepare(ctx context.Context, input []byte, src Source) (context
 // driveChunks is the schedule over two or more chunks. (Kept apart from
 // Drive so the one-chunk path never pays for the goroutine closures'
 // captured variables.)
-func (r *Runner) driveChunks(ctx context.Context, block int, input []byte, chunks [][2]int, start fsm.State, src Source, f ChunkFunc) (fsm.State, DriveStats, error) {
+func (r *Runner) driveChunks(ctx context.Context, block int, input []byte, chunks [][2]int, start fsm.State, src Source, f ChunkFunc, ds *DriveStats) (fsm.State, error) {
 	r.noteMulticore(chunks)
 	tel := r.tel
 	name := SpanMulticore
@@ -153,9 +167,10 @@ func (r *Runner) driveChunks(ctx context.Context, block int, input []byte, chunk
 		defer sp.End()
 	}
 
-	comps := r.phase1(ctx, sp, block, input, chunks, start, src, f, f == nil)
+	ds.Chunks = len(chunks)
+	comps := r.phase1(ctx, sp, block, input, chunks, start, src, f, f == nil, ds)
 	if err := ctx.Err(); err != nil {
-		return start, DriveStats{Chunks: len(chunks)}, err
+		return start, err
 	}
 
 	p2 := childSpan(sp, SpanPhase2)
@@ -170,7 +185,7 @@ func (r *Runner) driveChunks(ctx context.Context, block int, input []byte, chunk
 		replayed = make([]bool, len(chunks))
 		replayed[0] = true
 	}
-	st, stats := r.phase2(ctx, sp, block, input, chunks, comps, start, f, starts, replayed)
+	st := r.phase2(ctx, sp, block, input, chunks, comps, start, f, starts, replayed, ds)
 	p2.End()
 	if tel != nil {
 		tel.Phase2Time.ObserveSince(t2)
@@ -179,7 +194,7 @@ func (r *Runner) driveChunks(ctx context.Context, block int, input []byte, chunk
 		if tel != nil {
 			tel.Phase3Skips.Inc()
 		}
-		return st, stats, ctx.Err()
+		return st, ctx.Err()
 	}
 
 	var wg sync.WaitGroup
@@ -199,19 +214,18 @@ func (r *Runner) driveChunks(ctx context.Context, block int, input []byte, chunk
 		}(p, ch[0], ch[1])
 	}
 	wg.Wait()
-	return st, stats, ctx.Err()
+	return st, ctx.Err()
 }
 
 // driveOne is the one-chunk schedule on the caller's goroutine: the
 // single-core lane, and every input too small to split.
-func (r *Runner) driveOne(ctx context.Context, block int, input []byte, start fsm.State, src Source, f ChunkFunc) (fsm.State, DriveStats, error) {
-	stats := DriveStats{Chunks: 1}
+func (r *Runner) driveOne(ctx context.Context, block int, input []byte, start fsm.State, src Source, f ChunkFunc, ds *DriveStats) (fsm.State, error) {
+	ds.Chunks = 1
 	name := SpanSingle
 	if f != nil {
 		name = SpanChunked
 	}
 	_, sp := trace.Start(ctx, name)
-	var rs *runStats
 	if sp != nil {
 		sp.SetAttrs(
 			trace.Str(AttrStrategy, r.strategy.String()),
@@ -219,30 +233,43 @@ func (r *Runner) driveOne(ctx context.Context, block int, input []byte, start fs
 		)
 		if f != nil {
 			sp.SetAttrs(trace.Int(AttrChunks, 1))
-		} else if src == nil {
-			rs = newRunStats()
 		}
 	}
 	var q fsm.State
+	var rs *runStats
 	if f != nil {
 		q = consume(ctx, block, 0, input, start, f)
 	} else {
+		if src == nil {
+			rs = r.newRunStats(sp != nil)
+		}
 		chunks := [1][2]int{{0, len(input)}}
-		comps := [1]Comp{r.compose(ctx, src, Chunk{Input: input, Start: start, Known: true, block: block, rs: rs})}
-		q, stats = r.phase2(ctx, nil, block, input, chunks[:], comps[:], start, nil, nil, nil)
+		comps := [1]Comp{r.compose(ctx, src, Chunk{Input: input, Start: start, Known: true, block: block}, rs)}
+		q = r.phase2(ctx, nil, block, input, chunks[:], comps[:], start, nil, nil, nil, ds)
+		if rs != nil {
+			ds.add(rs)
+		}
 	}
-	endChunkSpan(sp, rs)
-	return q, stats, ctx.Err()
+	r.endChunk(sp, rs)
+	return q, ctx.Err()
 }
 
 // phase1 resolves every chunk's composition concurrently — the one
 // phase-1 fan-out. With f set, chunk 0's start is already known, so
 // instead of composing it the chunk runs its phase 3 here, overlapped
 // with the other chunks' phase 1 (saving 1/P of the enumerative work).
-// known0 tells the source that start is chunk 0's true start.
-func (r *Runner) phase1(ctx context.Context, sp *trace.Span, block int, input []byte, chunks [][2]int, start fsm.State, src Source, f ChunkFunc, known0 bool) []Comp {
+// known0 tells the source that start is chunk 0's true start. The
+// chunks' accounting is summed into ds.
+func (r *Runner) phase1(ctx context.Context, sp *trace.Span, block int, input []byte, chunks [][2]int, start fsm.State, src Source, f ChunkFunc, known0 bool, ds *DriveStats) []Comp {
 	tel := r.tel
 	comps := make([]Comp, len(chunks))
+	// Each chunk's accumulator has a slot (none when the run does not
+	// account), summed into ds once the fan-out is over.
+	slots := 0
+	if src == nil && (tel != nil || sp != nil) {
+		slots = len(chunks)
+	}
+	acct := make([]runStats, slots)
 	var wg sync.WaitGroup
 	for p, ch := range chunks {
 		wg.Add(1)
@@ -262,17 +289,21 @@ func (r *Runner) phase1(ctx context.Context, sp *trace.Span, block int, input []
 			}
 			csp := chunkSpan(sp, SpanPhase1Chunk, p, lo, hi)
 			var rs *runStats
-			if csp != nil && src == nil {
-				rs = newRunStats()
+			if len(acct) > 0 && (tel != nil || csp != nil) {
+				rs = &acct[p]
+				*rs = runStats{convergedAt: -1, traced: csp != nil}
 			}
 			comps[p] = r.compose(trace.ContextWithSpan(ctx, csp), src, Chunk{
 				Index: p, Input: input[lo:hi], Start: start, Known: p == 0 && known0,
-				block: block, rs: rs,
-			})
-			endChunkSpan(csp, rs)
+				block: block,
+			}, rs)
+			r.endChunk(csp, rs)
 		}(p, ch[0], ch[1])
 	}
 	wg.Wait()
+	for i := range acct {
+		ds.add(&acct[i])
+	}
 	return comps
 }
 
@@ -281,9 +312,8 @@ func (r *Runner) phase1(ctx context.Context, sp *trace.Span, block int, input []
 // whose guess misses the carried state is replayed on the spot, from
 // the carried state: through f (marking replayed), or by a sequential
 // walk when f is nil. starts, when non-nil, receives every chunk's
-// start state for phase 3.
-func (r *Runner) phase2(ctx context.Context, sp *trace.Span, block int, input []byte, chunks [][2]int, comps []Comp, start fsm.State, f ChunkFunc, starts []fsm.State, replayed []bool) (fsm.State, DriveStats) {
-	stats := DriveStats{Chunks: len(chunks)}
+// start state for phase 3; the misses are counted in ds.
+func (r *Runner) phase2(ctx context.Context, sp *trace.Span, block int, input []byte, chunks [][2]int, comps []Comp, start fsm.State, f ChunkFunc, starts []fsm.State, replayed []bool, ds *DriveStats) fsm.State {
 	st := start
 	for p, c := range comps {
 		if starts != nil {
@@ -295,8 +325,8 @@ func (r *Runner) phase2(ctx context.Context, sp *trace.Span, block int, input []
 			continue
 		}
 		lo, hi := chunks[p][0], chunks[p][1]
-		stats.Misses++
-		stats.ReplayBytes += hi - lo
+		ds.Misses++
+		ds.ReplayBytes += hi - lo
 		if f == nil {
 			st = walk(ctx, block, r.d, input[lo:hi], st)
 			continue
@@ -306,7 +336,7 @@ func (r *Runner) phase2(ctx context.Context, sp *trace.Span, block int, input []
 		rsp.End()
 		replayed[p] = true
 	}
-	return st, stats
+	return st
 }
 
 // split tiles an n-byte input for src; nil means a single chunk.
@@ -334,67 +364,59 @@ func (r *Runner) split(src Source, n int) [][2]int {
 
 // compose answers phase 1 for one chunk: src's answer, or the runner's
 // own — a width-one entry from a known start (the single-start fold is
-// cheaper than the full vector), the enumerative vector otherwise.
-func (r *Runner) compose(ctx context.Context, src Source, ch Chunk) Comp {
+// cheaper than the full vector), the enumerative vector otherwise —
+// noting into rs (nil: not accounting).
+func (r *Runner) compose(ctx context.Context, src Source, ch Chunk, rs *runStats) Comp {
 	if src != nil {
 		return src.Compose(ctx, ch)
 	}
 	if ch.Known {
-		return Comp{From: ch.Start, To: r.foldFinal(ctx, ch)}
+		return Comp{From: ch.Start, To: r.foldFinal(ctx, ch, rs)}
 	}
-	return Comp{Vec: r.foldVec(ctx, ch)}
+	return Comp{Vec: r.foldVec(ctx, ch, rs)}
 }
 
 // foldFinal runs the chunk from ch.Start block by block, carrying the
 // reached state across blocks.
-func (r *Runner) foldFinal(ctx context.Context, ch Chunk) fsm.State {
+func (r *Runner) foldFinal(ctx context.Context, ch Chunk, rs *runStats) fsm.State {
 	q := ch.Start
 	for off := 0; off < len(ch.Input); off += ch.block {
 		if ctx.Err() != nil {
 			return q
 		}
 		b := ch.Input[off:min(off+ch.block, len(ch.Input))]
-		switch {
-		case r.strategy == Sequential:
+		if r.strategy == Sequential {
 			q = r.d.RunUnrolled(b, q)
-		case ch.rs == nil:
-			q = r.finalSingle(b, q, nil)
-		default:
-			brs := newRunStats()
-			q = r.finalSingle(b, q, brs)
-			ch.rs.merge(brs, off)
+			continue
 		}
+		if rs != nil {
+			rs.off = off
+		}
+		q = r.finalSingle(b, q, rs)
 	}
 	return q
 }
 
 // foldVec computes the chunk's composition vector block by block,
 // gather-merging the per-block vectors.
-func (r *Runner) foldVec(ctx context.Context, ch Chunk) []fsm.State {
+func (r *Runner) foldVec(ctx context.Context, ch Chunk, rs *runStats) []fsm.State {
 	var total []fsm.State
 	for off := 0; off < len(ch.Input); off += ch.block {
 		if ctx.Err() != nil {
 			return total
 		}
 		b := ch.Input[off:min(off+ch.block, len(ch.Input))]
-		var v []fsm.State
-		if ch.rs == nil {
-			v = r.compVecSingle(b, nil)
-		} else {
-			brs := newRunStats()
-			v = r.compVecSingle(b, brs)
-			ch.rs.merge(brs, off)
+		if rs != nil {
+			rs.off = off
 		}
+		v := r.compVecSingle(b, rs)
 		if total == nil {
 			total = v
 			continue
 		}
 		gather.Into(total, total, v)
-		if ch.rs != nil {
-			ch.rs.gathers++
-		}
-		if t := r.tel; t != nil {
-			t.Gathers.Inc()
+		if rs != nil {
+			rs.gathers++
 		}
 	}
 	if total == nil {
@@ -447,15 +469,4 @@ func childSpan(parent *trace.Span, name string) *trace.Span {
 		return nil
 	}
 	return parent.Child(name)
-}
-
-// endChunkSpan closes a span, attaching the pass's stats when present.
-func endChunkSpan(sp *trace.Span, rs *runStats) {
-	if sp == nil {
-		return
-	}
-	if rs != nil {
-		sp.SetAttrs(rs.attrs()...)
-	}
-	sp.End()
 }

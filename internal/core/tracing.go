@@ -45,23 +45,30 @@ const (
 	AttrWidths      = "widths"       // "width@pos" trajectory of factor wins
 )
 
-// runStats collects the accounting of one traced enumerative pass in
-// stack-adjacent storage: the same quantities the hot loops flush into
-// telemetry.Metrics, kept per chunk instead of aggregated. Allocated
-// only when a trace is attached; every loop takes it as a nillable
+// runStats is one chunk's accounting and the only place the
+// enumerative loops note into: gather kernel invocations, emulated
+// ⊗16,16 shuffles under the §4.2 blocked cost model, §5.2 convergence
+// checks and wins, and the active-vector widths. The schedule keeps one
+// per chunk when the run accounts — the runner has a sink or the run is
+// traced — and flushes it once at chunk end: into the sink and onto the
+// chunk's span (endChunk), and into the run's DriveStats (add), so the
+// three agree by construction. Every loop takes it as a nillable
 // pointer and skips all bookkeeping when absent.
 type runStats struct {
-	gathers     int64
-	shuffles    int64
-	factorCalls int64
-	factorWins  int64
-	widthStart  int
-	widthFinal  int
-	// convergedAt is the input position at which the run entered the
+	gathers, shuffles, factorCalls, factorWins int64
+	// exits counts the loop exits noted; a chunk with none (the
+	// sequential walk) has no widths to report.
+	exits                  int
+	widthStart, widthFinal int
+	// convergedAt is the chunk position at which the run entered the
 	// register regime (active width ≤ 8), -1 if it never did.
 	convergedAt int
-	// widths records the (position, width) trajectory of factor wins —
-	// the paper's Figure 7 curve for this specific input.
+	// off is the chunk offset of the block being run: the loops note
+	// block-relative positions.
+	off int
+	// traced keeps the widths trajectory (the paper's Figure 7 curve for
+	// this specific input), which only a span reads.
+	traced bool
 	widths []widthStep
 }
 
@@ -70,51 +77,77 @@ type widthStep struct {
 	width int
 }
 
-func newRunStats() *runStats { return &runStats{convergedAt: -1} }
+// newRunStats returns a chunk's accumulator when the run accounts, and
+// nil otherwise.
+func (r *Runner) newRunStats(traced bool) *runStats {
+	if r.tel == nil && !traced {
+		return nil
+	}
+	return &runStats{convergedAt: -1, traced: traced}
+}
 
-// note records one loop exit's accounting; mirrors Runner.noteSingle's
-// telemetry flush. widthStart keeps its maximum across blocks (the
-// vector re-widens at every block boundary); widthFinal keeps the last.
+// note records one loop exit's accounting. widthStart keeps its maximum
+// across blocks (the vector re-widens at every block boundary);
+// widthFinal keeps the last.
 func (rs *runStats) note(gathers, shuffles, factorCalls, factorWins int64, highWater, final int) {
+	if rs == nil {
+		return
+	}
 	rs.gathers += gathers
 	rs.shuffles += shuffles
 	rs.factorCalls += factorCalls
 	rs.factorWins += factorWins
+	rs.exits++
 	if highWater > rs.widthStart {
 		rs.widthStart = highWater
 	}
 	rs.widthFinal = final
 }
 
-// noteWidth appends one factor-win width step.
+// noteWidth appends one factor-win width step to a traced trajectory.
 func (rs *runStats) noteWidth(pos, width int) {
-	rs.widths = append(rs.widths, widthStep{pos: pos, width: width})
+	if rs.traced {
+		rs.widths = append(rs.widths, widthStep{pos: rs.off + pos, width: width})
+	}
 }
 
 // noteConverged records the first entry into the register regime.
 func (rs *runStats) noteConverged(pos int) {
 	if rs.convergedAt < 0 {
-		rs.convergedAt = pos
+		rs.convergedAt = rs.off + pos
 	}
 }
 
-// merge folds a per-block stats record into a chunk-level aggregate,
-// offsetting positions by the block's start within the chunk.
-func (rs *runStats) merge(block *runStats, off int) {
-	rs.gathers += block.gathers
-	rs.shuffles += block.shuffles
-	rs.factorCalls += block.factorCalls
-	rs.factorWins += block.factorWins
-	if block.widthStart > rs.widthStart {
-		rs.widthStart = block.widthStart
+// add sums one chunk's accounting into the run's.
+func (ds *DriveStats) add(rs *runStats) {
+	ds.Gathers += rs.gathers
+	ds.Shuffles += rs.shuffles
+	ds.FactorCalls += rs.factorCalls
+	ds.FactorWins += rs.factorWins
+	if rs.exits > 0 {
+		ds.ActiveFinalSum += int64(rs.widthFinal)
+		ds.ActiveFinalChunks++
 	}
-	rs.widthFinal = block.widthFinal
-	if rs.convergedAt < 0 && block.convergedAt >= 0 {
-		rs.convergedAt = off + block.convergedAt
+}
+
+// endChunk flushes a chunk's accounting (nil: none) to the runner's
+// sink and onto sp (nil: untraced), which it closes; the schedule sums
+// the same accumulator into the run's DriveStats (add).
+func (r *Runner) endChunk(sp *trace.Span, rs *runStats) {
+	if t := r.tel; t != nil && rs != nil {
+		t.Gathers.Add(rs.gathers)
+		t.Shuffles.Add(rs.shuffles)
+		t.FactorCalls.Add(rs.factorCalls)
+		t.FactorWins.Add(rs.factorWins)
+		if rs.exits > 0 {
+			t.ActiveHighWater.Observe(int64(rs.widthStart))
+			t.ActiveFinal.Observe(int64(rs.widthFinal))
+		}
 	}
-	for _, w := range block.widths {
-		rs.widths = append(rs.widths, widthStep{pos: off + w.pos, width: w.width})
+	if sp != nil && rs != nil {
+		sp.SetAttrs(rs.attrs()...)
 	}
+	sp.End()
 }
 
 // widthTrajectory renders the factor-win steps as "width@pos" pairs,

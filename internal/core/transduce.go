@@ -122,7 +122,7 @@ func (r *Runner) DriveSpans(ctx context.Context, input []byte, start fsm.State, 
 func (r *Runner) driveSpans(ctx context.Context, block int, input []byte, chunks [][2]int, start fsm.State, src Source, release func(), emit SpanSink) (fsm.State, DriveStats, error) {
 	s := &spanScan{step: r.step, emit: emit, end: len(input)}
 	var final fsm.State
-	var ds DriveStats
+	ds := DriveStats{Symbols: int64(len(input))}
 	var err error
 	if chunks == nil {
 		buf := getSpanBuf()
@@ -131,12 +131,12 @@ func (r *Runner) driveSpans(ctx context.Context, block int, input []byte, chunks
 		if release != nil {
 			release()
 		}
-		final, ds, err = r.driveOne(ctx, block, input, start, src, s.stream)
+		final, err = r.driveOne(ctx, block, input, start, src, s.stream, &ds)
 		if s.err != nil {
 			err = s.err
 		}
 	} else {
-		final, ds, err = r.driveChunks(ctx, block, input, chunks, start, src, s.collect)
+		final, err = r.driveChunks(ctx, block, input, chunks, start, src, s.collect, &ds)
 		if release != nil {
 			release()
 		}

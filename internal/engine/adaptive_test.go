@@ -64,10 +64,11 @@ func TestAdaptiveProfileFlipReroutes(t *testing.T) {
 	// multicore lane with a negligible mispredict rate, and re-evaluate.
 	rec := m.Recorder()
 	for i := 0; i < adaptive.MinSamples; i++ {
-		rec.ObserveJob(perfprofile.LaneSpeculative, 1<<20, time.Millisecond, 0, false)
-		rec.ObserveJob(perfprofile.LaneMulticore, 1<<20, 10*time.Millisecond, 0, false)
+		rec.Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want)})
+		rec.Observe(perfprofile.Job{Lane: perfprofile.LaneMulticore, Bytes: 1 << 20, Exec: 10 * time.Millisecond, Final: int(want)})
 	}
-	rec.ObserveSpeculation(100, 1, 0)
+	rec.Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want),
+		Stats: core.DriveStats{Chunks: 100, Misses: 1}})
 	if sel := m.Reselect(); sel.Lane != adaptive.LaneSpeculative {
 		t.Fatalf("post-flip selection %+v, want speculative", sel)
 	}
@@ -102,7 +103,8 @@ func TestAdaptiveProfileFlipReroutes(t *testing.T) {
 
 	// Poison the mispredict rate past the disqualification bound; the
 	// next re-evaluation must abandon the lane.
-	rec.ObserveSpeculation(1000, 900, 50<<20)
+	rec.Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want),
+		Stats: core.DriveStats{Chunks: 1000, Misses: 900, ReplayBytes: 50 << 20}})
 	if sel := m.Reselect(); sel.Lane == adaptive.LaneSpeculative {
 		t.Fatalf("selection stayed speculative despite mispredict poisoning: %+v", sel)
 	}
@@ -136,7 +138,7 @@ func TestSpeculativeLaneExactOnHostileMachine(t *testing.T) {
 	// is what executes.
 	rec := m.Recorder()
 	for i := 0; i < adaptive.MinSamples; i++ {
-		rec.ObserveJob(perfprofile.LaneSpeculative, 1<<20, time.Millisecond, 0, false)
+		rec.Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
 	}
 	if sel := m.Reselect(); sel.Lane != adaptive.LaneSpeculative {
 		t.Fatalf("could not force speculative lane: %+v", sel)

@@ -160,12 +160,11 @@ func WithPlanCache(pc *PlanCache) Option {
 
 // WithPerfProfiles attaches a per-machine performance-profile store:
 // every registration gets a MachineRecorder (seeded from the store's
-// persisted baseline for the plan's fingerprint, if any), every job
-// execution is observed into it (lane, bytes, wall time, queue wait),
-// and the machine's runners flush their run-level counters into the
-// recorder's private telemetry sink. nil (the default) disables
-// per-machine profiling; the shared WithTelemetry sink is unaffected
-// either way.
+// persisted baseline for the plan's fingerprint, if any), and every
+// job's Result — lane, bytes, wall time, queue wait, final state and
+// the run's core accounting — is folded into it. nil (the default)
+// disables per-machine profiling; the shared WithTelemetry sink is
+// unaffected either way.
 func WithPerfProfiles(s *perfprofile.Store) Option {
 	return func(c *config) { c.profiles = s }
 }
@@ -286,8 +285,6 @@ func (m *Machine) Reselect() adaptive.Selection {
 // compile-time plan stats plus the merged perf profile.
 func (m *Machine) adaptiveInputs() adaptive.Inputs {
 	in := adaptive.Inputs{
-		States:   m.plan.States(),
-		MaxRange: m.plan.MaxRange(),
 		Strategy: m.plan.Strategy().String(),
 		Procs:    m.eng.procs,
 	}
@@ -298,7 +295,6 @@ func (m *Machine) adaptiveInputs() adaptive.Inputs {
 	in.MispredictRate = p.MispredictRate
 	in.SpecChunks = p.SpecChunks
 	in.HasHotState = len(p.HotStates) > 0
-	in.ConvergenceRate = p.ConvergenceRate
 	obs := func(lane string) adaptive.LaneObs {
 		ls := p.Lanes[lane]
 		return adaptive.LaneObs{Jobs: ls.Jobs, BytesPerSec: ls.BytesPerSec}
@@ -332,7 +328,7 @@ func (m *Machine) altRunner(s core.Strategy) (*core.Runner, error) {
 		return nil, err
 	}
 	r, err := core.NewFromPlan(p, append(m.opts, core.WithStrategy(s),
-		core.WithProcs(1), core.WithTelemetry(m.eng.tel), core.WithAuxTelemetry(m.rec.Telemetry()))...)
+		core.WithProcs(1), core.WithTelemetry(m.eng.runTel))...)
 	if err != nil {
 		return nil, err
 	}
@@ -360,11 +356,13 @@ type Job struct {
 	Strategy core.Strategy
 }
 
-// Result is the outcome of one Job. Index is the job's position in
-// its batch (or the caller-supplied submission index), so streamed
-// results can be reordered. Lane, Strategy, and Reason record the
-// dispatch decision the job actually ran under; Multicore is kept as
-// the legacy boolean view of Lane.
+// Result is the outcome of one Job and the engine's one record of it:
+// observe folds it, once, into the telemetry counters, the machine's
+// perf profile, the exemplar and the exec span. Index is the job's
+// position in its batch (or the caller-supplied submission index), so
+// streamed results can be reordered. Lane, Strategy, and Reason record
+// the dispatch decision the job actually ran under; Multicore is kept
+// as the legacy boolean view of Lane.
 type Result struct {
 	Index     int       `json:"index"`
 	Machine   string    `json:"machine"`
@@ -381,11 +379,16 @@ type Result struct {
 	// full cluster parallelism.
 	Degraded bool          `json:"degraded,omitempty"`
 	Duration time.Duration `json:"duration_ns"`
-	Err      error         `json:"-"`
+	// QueueWait is the time a submitted job waited for a worker.
+	QueueWait time.Duration `json:"queue_wait_ns"`
+	// Stats is the run's record from core: chunks, speculative misses,
+	// spans, and the §4.2/§5.2 figures of merit.
+	Stats core.DriveStats `json:"stats"`
+	Err   error           `json:"-"`
 }
 
 // BatchStats aggregates one batch: the per-batch telemetry the
-// metrics endpoints expose in aggregate form.
+// metrics endpoints expose in aggregate form. Build it with Add.
 type BatchStats struct {
 	Jobs        int           `json:"jobs"`
 	OK          int           `json:"ok"`
@@ -398,6 +401,38 @@ type BatchStats struct {
 	Degraded    int           `json:"degraded"`
 	Bytes       int64         `json:"bytes"`
 	Duration    time.Duration `json:"duration_ns"`
+}
+
+// Add counts one job's Result into the batch.
+func (st *BatchStats) Add(r Result) {
+	st.Jobs++
+	st.Bytes += int64(r.Bytes)
+	if r.Err != nil {
+		st.Errors++
+		if canceled(r.Err) {
+			st.Canceled++
+		}
+		return
+	}
+	st.OK++
+	switch r.Lane {
+	case LaneMulticore:
+		st.Multicore++
+	case LaneSpeculative:
+		st.Speculative++
+	case LaneCluster:
+		st.Cluster++
+	default:
+		st.SingleCore++
+	}
+	if r.Degraded {
+		st.Degraded++
+	}
+}
+
+// canceled reports whether err is a context's cancellation or deadline.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 type task struct {
@@ -437,6 +472,10 @@ type Engine struct {
 	// concurrency stays near the worker count.
 	multiGate chan struct{}
 	tel       *telemetry.Metrics
+	// runTel is the runners' sink: tel, or a private one when only the
+	// perf profiles need the runs' core accounting (core keeps it only
+	// for a runner with a sink).
+	runTel    *telemetry.Metrics
 	sink      trace.Sink
 	planCache *PlanCache
 	profiles  *perfprofile.Store
@@ -489,9 +528,13 @@ func New(opts ...Option) *Engine {
 		procs:      cfg.procs,
 		multiGate:  make(chan struct{}, gate),
 		tel:        cfg.tel,
+		runTel:     cfg.tel,
 		sink:       cfg.sink,
 		planCache:  cfg.planCache,
 		profiles:   cfg.profiles,
+	}
+	if e.runTel == nil && e.profiles != nil {
+		e.runTel = new(telemetry.Metrics)
 	}
 	e.SetClusterMinBytes(cfg.clusterMin)
 	if cfg.cluster != nil {
@@ -610,20 +653,18 @@ func (e *Engine) RegisterPlan(name string, p *core.Plan, opts ...core.Option) (*
 // machine, re-checking the name under the write lock (a concurrent
 // Register for the same name may have won since the pre-check).
 func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, hit bool, opts ...core.Option) (*Machine, error) {
-	// The per-machine recorder (nil without a profile store) gets its
-	// own aux telemetry sink; both lane runners flush their run-level
-	// counters into it in addition to the shared engine sink, which is
-	// what lets the profile report per-machine convergence behavior.
+	// The per-machine recorder (nil without a profile store) folds every
+	// job's Result, core accounting included (observe).
 	rec := e.profiles.NewRecorder(name, p.Fingerprint(), p.Strategy().String())
 	single, err := core.NewFromPlan(p, append(opts[:len(opts):len(opts)],
-		core.WithProcs(1), core.WithTelemetry(e.tel), core.WithAuxTelemetry(rec.Telemetry()))...)
+		core.WithProcs(1), core.WithTelemetry(e.runTel))...)
 	if err != nil {
 		return nil, fmt.Errorf("engine: machine %q: %w", name, err)
 	}
 	var multi *core.Runner
 	if e.procs > 1 {
 		multi, err = core.NewFromPlan(p, append(opts[:len(opts):len(opts)],
-			core.WithProcs(e.procs), core.WithTelemetry(e.tel), core.WithAuxTelemetry(rec.Telemetry()))...)
+			core.WithProcs(e.procs), core.WithTelemetry(e.runTel))...)
 		if err != nil {
 			return nil, fmt.Errorf("engine: machine %q: %w", name, err)
 		}
@@ -704,36 +745,14 @@ func (e *Engine) Machines() []string {
 // out, which must have capacity for every outstanding submission or a
 // dedicated receiver, or the pool will stall. Submit blocks while the
 // queue is full — that is the backpressure contract — and fails only
-// if ctx is done first or the engine is closed. Submissions must not
-// race with Close: quiesce callers (e.g. shut the HTTP server down)
-// before closing the engine, or a job enqueued in the closing window
-// may never be answered.
+// if ctx is done first or the engine is closed. A failed Submit is a
+// refusal: the job never becomes an engine job (see
+// telemetry.Metrics.EngineJobs), and the caller answers it.
+// Submissions must not race with Close: quiesce callers (e.g. shut the
+// HTTP server down) before closing the engine, or a job enqueued in
+// the closing window may never be answered.
 func (e *Engine) Submit(ctx context.Context, job Job, idx int, out chan<- Result) error {
-	t := task{ctx: ctx, job: job, idx: idx, out: out}
-	if e.closed() {
-		return ErrClosed
-	}
-	if ctx != nil {
-		if tr := trace.FromContext(ctx); tr != nil {
-			t.qspan = tr.StartSpan(SpanQueue)
-		}
-	}
-	t.enq = time.Now()
-	select {
-	case e.queue <- t:
-		depth := e.queueLen.Add(1)
-		e.noteDepth(depth)
-		if tm := e.tel; tm != nil {
-			tm.EngineQueueHighWater.Observe(depth)
-		}
-		return nil
-	case <-ctx.Done():
-		t.qspan.End()
-		return ctx.Err()
-	case <-e.drain:
-		t.qspan.End()
-		return ErrClosed
-	}
+	return e.enqueue(task{ctx: ctx, job: job, idx: idx, out: out}, true)
 }
 
 // TrySubmit is Submit without the blocking contract: when the bounded
@@ -744,34 +763,55 @@ func (e *Engine) Submit(ctx context.Context, job Job, idx int, out chan<- Result
 // capacity) that must not hold their own resources hostage to the
 // pool's backpressure.
 func (e *Engine) TrySubmit(ctx context.Context, job Job, idx int, out chan<- Result) error {
-	t := task{ctx: ctx, job: job, idx: idx, out: out}
+	return e.enqueue(task{ctx: ctx, job: job, idx: idx, out: out}, false)
+}
+
+// enqueue queues t — waiting for room when block is set, failing with
+// ErrQueueFull otherwise. A done ctx never enqueues: it is refused, not
+// raced against a free queue slot.
+func (e *Engine) enqueue(t task, block bool) error {
 	if e.closed() {
 		return ErrClosed
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if tr := trace.FromContext(ctx); tr != nil {
-			t.qspan = tr.StartSpan(SpanQueue)
-		}
+	if t.ctx == nil {
+		t.ctx = context.Background()
+	}
+	if err := t.ctx.Err(); err != nil {
+		return err
+	}
+	if tr := trace.FromContext(t.ctx); tr != nil {
+		t.qspan = tr.StartSpan(SpanQueue)
 	}
 	t.enq = time.Now()
+	var err error
 	select {
 	case e.queue <- t:
-		depth := e.queueLen.Add(1)
-		e.noteDepth(depth)
-		if tm := e.tel; tm != nil {
-			tm.EngineQueueHighWater.Observe(depth)
-		}
-		return nil
 	default:
-		t.qspan.End()
-		if tm := e.tel; tm != nil {
-			tm.EngineQueueRejects.Inc()
+		if !block {
+			err = ErrQueueFull
+			if tm := e.tel; tm != nil {
+				tm.EngineQueueRejects.Inc()
+			}
+			break
 		}
-		return ErrQueueFull
+		select {
+		case e.queue <- t:
+		case <-t.ctx.Done():
+			err = t.ctx.Err()
+		case <-e.drain:
+			err = ErrClosed
+		}
 	}
+	if err != nil {
+		t.qspan.End()
+		return err
+	}
+	depth := e.queueLen.Add(1)
+	e.noteDepth(depth)
+	if tm := e.tel; tm != nil {
+		tm.EngineQueueHighWater.Observe(depth)
+	}
+	return nil
 }
 
 // closed reports whether Close or Shutdown has begun.
@@ -792,7 +832,7 @@ func (e *Engine) Run(ctx context.Context, job Job) Result {
 	if e.closed() {
 		return Result{Machine: job.Machine, Bytes: len(job.Input), Err: ErrClosed}
 	}
-	return e.dispatch(ctx, 0, job, 0, nil).Result
+	return e.dispatch(ctx, 0, job, 0, nil)
 }
 
 // RunBatch submits every job and waits for all results, returned in
@@ -811,7 +851,6 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Result, BatchStats
 	for i, job := range jobs {
 		if err := e.Submit(ctx, job, i, out); err != nil {
 			results[i] = Result{Index: i, Machine: job.Machine, Bytes: len(job.Input), Err: err}
-			e.noteResult(&TransduceResult{Result: results[i]}, false)
 			continue
 		}
 		submitted++
@@ -820,41 +859,12 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Result, BatchStats
 		r := <-out
 		results[r.Index] = r
 	}
-	return results, summarize(results, time.Since(t0))
-}
-
-// summarize computes the per-batch aggregate.
-func summarize(results []Result, dur time.Duration) BatchStats {
-	st := BatchStats{Jobs: len(results), Duration: dur}
-	for i := range results {
-		r := &results[i]
-		st.Bytes += int64(r.Bytes)
-		switch {
-		case r.Err == nil:
-			st.OK++
-		case errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded):
-			st.Errors++
-			st.Canceled++
-		default:
-			st.Errors++
-		}
-		if r.Err == nil {
-			switch r.Lane {
-			case LaneMulticore:
-				st.Multicore++
-			case LaneSpeculative:
-				st.Speculative++
-			case LaneCluster:
-				st.Cluster++
-			default:
-				st.SingleCore++
-			}
-			if r.Degraded {
-				st.Degraded++
-			}
-		}
+	var st BatchStats
+	for _, r := range results {
+		st.Add(r)
 	}
-	return st
+	st.Duration = time.Since(t0)
+	return results, st
 }
 
 // Close stops the workers, fails queued jobs with ErrClosed, and
@@ -890,14 +900,17 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// failQueued answers every still-queued task with ErrClosed.
+// failQueued answers every still-queued task with ErrClosed — an
+// engine job like any other, observed once.
 func (e *Engine) failQueued() {
 	for {
 		select {
 		case t := <-e.queue:
-			e.noteDepth(e.queueLen.Add(-1))
-			t.qspan.End()
-			t.out <- Result{Index: t.idx, Machine: t.job.Machine, Bytes: len(t.job.Input), Err: ErrClosed}
+			res := Result{Index: t.idx, Machine: t.job.Machine, Bytes: len(t.job.Input),
+				QueueWait: e.dequeue(t), Err: ErrClosed}
+			_, m := e.machine(t.job.Machine)
+			e.observe(m, nil, &res, false)
+			t.out <- res
 		default:
 			return
 		}
@@ -923,7 +936,7 @@ func (e *Engine) worker() {
 			return
 		case t := <-e.queue:
 			wait := e.dequeue(t)
-			t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, nil).Result
+			t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, nil)
 		case <-e.drain:
 			// Graceful drain: finish whatever is queued, then exit.
 			// done still preempts, so Close during a drain stops the
@@ -937,7 +950,7 @@ func (e *Engine) worker() {
 				select {
 				case t := <-e.queue:
 					wait := e.dequeue(t)
-					t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, nil).Result
+					t.out <- e.dispatch(t.ctx, t.idx, t.job, wait, nil)
 				default:
 					return
 				}
@@ -947,23 +960,16 @@ func (e *Engine) worker() {
 }
 
 // dispatch runs one job to a result — the engine's one dispatch, for
-// Run, Transduce, and the worker path alike. A non-nil emit makes it a
-// transduction: core's span scan is phase 3 and its spans go to emit
-// (core.Runner.DriveSpans), on this goroutine and never while a fan-out
-// slot is held. queueWait is attributed to the machine's perf profile
-// alongside the execution time. All failure modes land in Result.Err.
-func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.Duration, emit core.SpanSink) (res TransduceResult) {
-	res.Result = Result{Index: idx, Machine: job.Machine, Bytes: len(job.Input)}
-	transduce := emit != nil
-	var rec *perfprofile.MachineRecorder
-	defer func() {
-		e.noteResult(&res, transduce)
-		rec.ObserveJob(res.Lane, res.Bytes, res.Duration, queueWait, res.Err != nil)
-	}()
-
+// Run, Transduce, and the worker path alike — and observes it. A
+// non-nil emit makes it a transduction: core's span scan is phase 3 and
+// its spans go to emit (core.Runner.DriveSpans), on this goroutine and
+// never while a fan-out slot is held. queueWait is the submitted job's
+// wait for a worker. All failure modes land in Result.Err.
+func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.Duration, emit core.SpanSink) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	transduce := emit != nil
 	spanName := SpanExec
 	if transduce {
 		spanName = SpanTransduce
@@ -971,48 +977,55 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	// An inbound trace (HTTP layer) wins; otherwise, with a sink
 	// configured, the engine owns a fresh per-job trace and records it
 	// on completion. Neither present → zero-cost untraced path.
-	tr := trace.FromContext(ctx)
-	if tr == nil && e.sink != nil {
-		tr = trace.New()
+	var owned *trace.Trace
+	if trace.FromContext(ctx) == nil && e.sink != nil {
+		owned = trace.New()
 		if transduce {
-			tr.SetName(SpanTransduce)
+			owned.SetName(SpanTransduce)
 		} else {
-			tr.SetName("engine.job")
+			owned.SetName("engine.job")
 		}
-		ctx = trace.NewContext(ctx, tr)
-		owned := tr
-		defer func() {
-			if res.Err != nil {
-				owned.SetError(res.Err.Error())
-			}
-			e.sink.Record(owned)
-		}()
+		ctx = trace.NewContext(ctx, owned)
 	}
 	ctx, sp := trace.Start(ctx, spanName)
-	defer sp.End()
+	m, res := e.run(ctx, sp, job, emit)
+	res.Index, res.QueueWait = idx, queueWait
+	e.observe(m, sp, &res, transduce)
+	sp.End()
+	if owned != nil {
+		if res.Err != nil {
+			owned.SetError(res.Err.Error())
+		}
+		e.sink.Record(owned)
+	}
+	return res
+}
 
+// machine resolves a job's machine name ("" is the first registered
+// machine); m is nil when no such machine is registered.
+func (e *Engine) machine(name string) (string, *Machine) {
 	e.mu.RLock()
-	name := job.Machine
+	defer e.mu.RUnlock()
 	if name == "" && len(e.order) > 0 {
 		name = e.order[0]
 	}
-	m := e.machines[name]
-	e.mu.RUnlock()
-	if sp != nil {
-		sp.SetAttrs(
-			trace.Str(AttrMachine, name),
-			trace.Int(AttrBytes, int64(len(job.Input))),
-		)
-	}
+	return name, e.machines[name]
+}
+
+// run executes one job under ctx (sp is its exec span, nil untraced):
+// machine lookup, lane choice, and the drive through core's schedule.
+// It returns the machine (nil if unknown) and the job's record.
+func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.SpanSink) (*Machine, Result) {
+	res := Result{Machine: job.Machine, Bytes: len(job.Input)}
+	name, m := e.machine(job.Machine)
 	if m == nil {
 		res.Err = fmt.Errorf("%w: %q", ErrUnknownMachine, job.Machine)
-		return res
+		return nil, res
 	}
 	res.Machine = name
-	rec = m.rec
-	if transduce && m.Transducer() == nil {
+	if emit != nil && m.Transducer() == nil {
 		res.Err = fmt.Errorf("%w: %q", ErrNotTransducer, name)
-		return res
+		return m, res
 	}
 
 	start := m.dfa.Start()
@@ -1020,13 +1033,13 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 		if !m.dfa.ValidState(job.Start) {
 			res.Err = fmt.Errorf("%w: %d (machine %q has %d states)",
 				ErrBadStart, job.Start, name, m.dfa.NumStates())
-			return res
+			return m, res
 		}
 		start = job.Start
 	}
 	if err := ctx.Err(); err != nil {
 		res.Err = err
-		return res
+		return m, res
 	}
 	if job.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -1049,31 +1062,31 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	r := m.single
 	res.Lane = LaneSingle
 	res.Strategy = m.plan.Strategy().String()
-	reason := fmt.Sprintf("input %d B < large-input threshold %d B", len(job.Input), e.largeInput)
+	res.Reason = fmt.Sprintf("input %d B < large-input threshold %d B", len(job.Input), e.largeInput)
 
 	co := e.clusterCo.Load()
 	if job.Strategy != core.Auto && job.Strategy != m.plan.Strategy() {
 		alt, err := m.altRunner(job.Strategy)
 		if err != nil {
 			res.Err = fmt.Errorf("engine: machine %q: strategy override %v: %w", name, job.Strategy, err)
-			return res
+			return m, res
 		}
 		r = alt
 		res.Strategy = job.Strategy.String()
-		reason = fmt.Sprintf("explicit strategy override (%v); single-core lane", job.Strategy)
+		res.Reason = fmt.Sprintf("explicit strategy override (%v); single-core lane", job.Strategy)
 	} else if co != nil && len(job.Input) >= e.ClusterMinBytes() {
 		res.Lane = LaneCluster
-		reason = fmt.Sprintf("input %d B >= cluster threshold %d B; fanning out over %d peers",
+		res.Reason = fmt.Sprintf("input %d B >= cluster threshold %d B; fanning out over %d peers",
 			len(job.Input), e.ClusterMinBytes(), len(co.Peers()))
 	} else if len(job.Input) >= e.largeInput && e.procs > 1 {
 		if m.sel != nil {
-			res.Lane, reason = m.sel.LaneFor()
+			res.Lane, res.Reason = m.sel.LaneFor()
 		} else if m.multi != nil {
 			res.Lane = LaneMulticore
-			reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
+			res.Reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
 		}
 	} else if m.multi == nil {
-		reason = "multicore lane disabled (procs=1)"
+		res.Reason = "multicore lane disabled (procs=1)"
 	}
 
 	// Lanes that fan out over local cores acquire a fan-out slot, so at
@@ -1082,11 +1095,8 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	// locally in phase 3. A transduction frees its slot as soon as the
 	// fan-out is over, before its spans go to emit.
 	gated := false
-	if res.Lane == LaneMulticore || res.Lane == LaneSpeculative || (res.Lane == LaneCluster && transduce) {
-		var gsp *trace.Span
-		if sp != nil {
-			gsp = sp.Child(SpanGate)
-		}
+	if res.Lane == LaneMulticore || res.Lane == LaneSpeculative || (res.Lane == LaneCluster && emit != nil) {
+		gsp := sp.Child(SpanGate)
 		select {
 		case e.multiGate <- struct{}{}:
 			gsp.End()
@@ -1094,7 +1104,7 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 		case <-ctx.Done():
 			gsp.End()
 			res.Err = ctx.Err()
-			return res
+			return m, res
 		}
 	}
 	release := func() {
@@ -1119,14 +1129,6 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 		cjob = co.NewJob(m.plan, len(job.Input))
 		src = cjob
 	}
-	res.Reason = reason
-	if sp != nil {
-		sp.SetAttrs(
-			trace.Str(AttrLane, res.Lane),
-			trace.Str(AttrLaneReason, reason),
-			trace.Str(AttrStrategy, res.Strategy),
-		)
-	}
 
 	// pprof labels make /debug/pprof/profile CPU samples attributable:
 	// "which machine is burning the cores, on which lane, under which
@@ -1134,7 +1136,6 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	// bespoke experiment. Labels ride the goroutine, so the parallel
 	// lanes' phase workers inherit them too.
 	var final fsm.State
-	var ds core.DriveStats
 	var err error
 	t0 := time.Now()
 	pprof.Do(ctx, pprof.Labels(
@@ -1142,92 +1143,101 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 		"strategy", res.Strategy,
 		AttrLane, res.Lane,
 	), func(ctx context.Context) {
-		if transduce {
-			final, ds, err = r.DriveSpans(ctx, job.Input, start, src, release, emit)
+		if emit != nil {
+			final, res.Stats, err = r.DriveSpans(ctx, job.Input, start, src, release, emit)
 		} else {
-			final, ds, err = r.Drive(ctx, job.Input, start, src, nil)
+			final, res.Stats, err = r.Drive(ctx, job.Input, start, src, nil)
 		}
 	})
-	res.SpanCount, res.OutputBytes = ds.Spans, ds.SpanBytes
 	res.Duration = time.Since(t0)
-	// Exemplar: link this job's latency bucket to its trace, so the
-	// histogram panel joins to the flight recorder. Traced jobs only —
-	// an exemplar without a retrievable trace points nowhere.
-	if tm := e.tel; tm != nil && tr != nil {
-		tm.EngineJobExemplars.Observe(int64(res.Duration), tr.ID(), time.Now().UnixNano())
+	res.Degraded = cjob != nil && cjob.Stats().Degraded
+	if err != nil {
+		res.Err = err
+		return m, res
 	}
-	if cjob != nil && cjob.Stats().Degraded {
-		res.Degraded = true
-		if sp != nil {
-			sp.SetAttrs(trace.Bool(cluster.AttrDegraded, true))
+	res.Final = final
+	res.Accepts = m.dfa.Accepting(final)
+	return m, res
+}
+
+// observe folds one job's record into every view, once: the engine
+// counters and histograms, the lane and speculative counters, the
+// exemplar, the exec span's attributes, and the machine's perf profile
+// (m is nil for an unknown machine, sp for an untraced job). A large
+// job that ran also advances the machine's selection clock.
+func (e *Engine) observe(m *Machine, sp *trace.Span, res *Result, transduce bool) {
+	ds := &res.Stats
+	spec := res.Lane == LaneSpeculative && ds.Chunks > 0
+	if tm := e.tel; tm != nil {
+		tm.EngineJobs.Inc()
+		if transduce {
+			tm.EngineTransduce.Inc()
 		}
-	}
-	if res.Lane == LaneSpeculative && ds.Chunks > 0 {
-		m.rec.ObserveSpeculation(int64(ds.Chunks), int64(ds.Misses), int64(ds.ReplayBytes))
-		if tm := e.tel; tm != nil {
+		tm.EngineJobBytes.Observe(int64(res.Bytes))
+		if res.Duration > 0 {
+			// Jobs that failed validation before running carry no duration
+			// and would drag the latency window toward zero.
+			tm.EngineJobTime.Observe(int64(res.Duration))
+			tm.EngineJobLatency.Observe(int64(res.Duration))
+			// Exemplar: link this job's latency bucket to its trace, so
+			// the histogram panel joins to the flight recorder. Traced jobs
+			// only — an exemplar without a retrievable trace points nowhere.
+			if sp != nil {
+				tm.EngineJobExemplars.Observe(int64(res.Duration), sp.TraceID(), time.Now().UnixNano())
+			}
+		}
+		if spec {
 			tm.SpecChunks.Add(int64(ds.Chunks))
 			tm.SpecMispredicts.Add(int64(ds.Misses))
 			tm.SpecReRunBytes.Add(int64(ds.ReplayBytes))
 		}
-		if ds.Misses > 0 && sp != nil {
+		switch {
+		case res.Err != nil:
+			tm.EngineJobErrors.Inc()
+			if canceled(res.Err) {
+				tm.EngineCanceled.Inc()
+			}
+		case res.Lane == LaneMulticore:
+			tm.EngineMulticore.Inc()
+		case res.Lane == LaneSpeculative:
+			tm.EngineSpeculative.Inc()
+		case res.Lane == LaneCluster:
+			tm.EngineCluster.Inc()
+		default:
+			tm.EngineSingleCore.Inc()
+		}
+		if transduce && res.Err == nil {
+			tm.TransduceSpans.Add(int64(ds.Spans))
+			tm.TransduceOutputBytes.Add(ds.SpanBytes)
+		}
+	}
+	if sp != nil {
+		sp.SetAttrs(trace.Str(AttrMachine, res.Machine), trace.Int(AttrBytes, int64(res.Bytes)))
+		if res.Lane != "" {
+			sp.SetAttrs(
+				trace.Str(AttrLane, res.Lane),
+				trace.Str(AttrLaneReason, res.Reason),
+				trace.Str(AttrStrategy, res.Strategy),
+			)
+		}
+		if res.Degraded {
+			sp.SetAttrs(trace.Bool(cluster.AttrDegraded, true))
+		}
+		if spec && ds.Misses > 0 {
 			sp.SetAttrs(trace.Bool(AttrMispredict, true))
 		}
 	}
-	if err != nil {
-		res.Err = err
-		return res
+	if m == nil {
+		return
 	}
-	res.Final = final
-	res.Accepts = m.dfa.Accepting(final)
-	m.rec.ObserveFinal(int(final))
+	m.rec.Observe(perfprofile.Job{
+		Lane: res.Lane, Bytes: res.Bytes, Exec: res.Duration, QueueWait: res.QueueWait,
+		Final: int(res.Final), Failed: res.Err != nil, Stats: res.Stats,
+	})
 	// Large jobs advance the selection clock; every EvalEvery of them
-	// re-evaluates the lane choice against the updated profile.
-	if m.sel != nil && len(job.Input) >= e.largeInput {
-		if m.sel.NoteJob() {
-			m.Reselect()
-		}
-	}
-	return res
-}
-
-// noteResult flushes one job's accounting into the shared sink: the
-// job/lane series every job feeds, plus the transduction throughput
-// counters for transduce jobs.
-func (e *Engine) noteResult(res *TransduceResult, transduce bool) {
-	tm := e.tel
-	if tm == nil {
-		return
-	}
-	tm.EngineJobs.Inc()
-	if transduce {
-		tm.EngineTransduce.Inc()
-	}
-	tm.EngineJobBytes.Observe(int64(res.Bytes))
-	if res.Duration > 0 {
-		// Jobs that failed validation before running carry no duration
-		// and would drag the latency window toward zero.
-		tm.EngineJobTime.Observe(int64(res.Duration))
-		tm.EngineJobLatency.Observe(int64(res.Duration))
-	}
-	if res.Err != nil {
-		tm.EngineJobErrors.Inc()
-		if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
-			tm.EngineCanceled.Inc()
-		}
-		return
-	}
-	if transduce {
-		tm.TransduceSpans.Add(int64(res.SpanCount))
-		tm.TransduceOutputBytes.Add(res.OutputBytes)
-	}
-	switch res.Lane {
-	case LaneMulticore:
-		tm.EngineMulticore.Inc()
-	case LaneSpeculative:
-		tm.EngineSpeculative.Inc()
-	case LaneCluster:
-		tm.EngineCluster.Inc()
-	default:
-		tm.EngineSingleCore.Inc()
+	// re-evaluates the lane choice against the profile this job is now
+	// part of.
+	if m.sel != nil && res.Err == nil && res.Bytes >= e.largeInput && m.sel.NoteJob() {
+		m.Reselect()
 	}
 }

@@ -53,16 +53,12 @@ func (e *Engine) RegisterTransducer(name string, t *fsm.Transducer, opts ...core
 	return e.registerPlan(name, t.DFA(), p, hit, opts...)
 }
 
-// TransduceResult is the outcome of one transduce job: the dispatch
-// record of a Result plus what was emitted. SpanCount is the spans
-// handed out and OutputBytes the input bytes they cover — the "useful
-// work" companion to Bytes. Spans holds them for Transduce; TransduceTo
-// leaves it nil.
+// TransduceResult is what Transduce returns: the job's Result, whose
+// Stats.Spans and Stats.SpanBytes count the spans handed out and the
+// input bytes they cover, plus the spans themselves.
 type TransduceResult struct {
 	Result
-	Spans       []core.Span `json:"spans"`
-	SpanCount   int         `json:"span_count"`
-	OutputBytes int64       `json:"output_bytes"`
+	Spans []core.Span `json:"spans"`
 }
 
 // Transduce runs job through its machine's output table and returns
@@ -71,10 +67,10 @@ type TransduceResult struct {
 // collects.
 func (e *Engine) Transduce(ctx context.Context, job Job) TransduceResult {
 	var spans []core.Span
-	res := e.TransduceTo(ctx, job, func(batch []core.Span) error {
+	res := TransduceResult{Result: e.TransduceTo(ctx, job, func(batch []core.Span) error {
 		spans = append(spans, batch...)
 		return nil
-	})
+	})}
 	if res.Err == nil {
 		res.Spans = spans
 	}
@@ -93,9 +89,9 @@ func (e *Engine) Transduce(ctx context.Context, job Job) TransduceResult {
 // result's Err, as does Close or Shutdown mid-stream (ErrClosed); a
 // failed job may have emitted a prefix of its spans. After Close or
 // Shutdown it fails with ErrClosed before running.
-func (e *Engine) TransduceTo(ctx context.Context, job Job, emit core.SpanSink) TransduceResult {
+func (e *Engine) TransduceTo(ctx context.Context, job Job, emit core.SpanSink) Result {
 	if e.closed() {
-		return TransduceResult{Result: Result{Machine: job.Machine, Bytes: len(job.Input), Err: ErrClosed}}
+		return Result{Machine: job.Machine, Bytes: len(job.Input), Err: ErrClosed}
 	}
 	return e.dispatch(ctx, 0, job, 0, func(batch []core.Span) error {
 		if e.closed() {

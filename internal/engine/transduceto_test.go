@@ -28,7 +28,7 @@ func goid() string {
 // the streaming contract: emit only on this goroutine with no fan-out
 // slot held, the concatenated batches in order, maximal, and equal to
 // the scalar oracle and to Transduce's list, on the expected lane.
-func checkTransduceTo(t *testing.T, e *Engine, ctx context.Context, tr *fsm.Transducer, job Job, wantLane string) TransduceResult {
+func checkTransduceTo(t *testing.T, e *Engine, ctx context.Context, tr *fsm.Transducer, job Job, wantLane string) Result {
 	t.Helper()
 	caller := goid()
 	var got []core.Span
@@ -59,9 +59,9 @@ func checkTransduceTo(t *testing.T, e *Engine, ctx context.Context, tr *fsm.Tran
 			t.Fatalf("%s lane: span %d %+v after %+v: out of order or not maximal", wantLane, i, sp, got[i-1])
 		}
 	}
-	if res.SpanCount != len(got) || res.OutputBytes != covered || res.Spans != nil {
-		t.Errorf("%s lane: SpanCount %d OutputBytes %d Spans %d, emitted %d over %d bytes",
-			wantLane, res.SpanCount, res.OutputBytes, len(res.Spans), len(got), covered)
+	if res.Stats.Spans != len(got) || res.Stats.SpanBytes != covered {
+		t.Errorf("%s lane: Stats.Spans %d SpanBytes %d, emitted %d over %d bytes",
+			wantLane, res.Stats.Spans, res.Stats.SpanBytes, len(got), covered)
 	}
 	if list := e.Transduce(ctx, job); list.Err != nil || !spansEqual(list.Spans, got) {
 		t.Errorf("%s lane: Transduce gave %d spans (err %v), TransduceTo emitted %d", wantLane, len(list.Spans), list.Err, len(got))
@@ -91,7 +91,7 @@ func TestEngineTransduceToEveryLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < adaptive.MinSamples; i++ {
-		spec.Recorder().ObserveJob(perfprofile.LaneSpeculative, 1<<20, time.Millisecond, 0, false)
+		spec.Recorder().Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
 	}
 	if sel := spec.Reselect(); sel.Lane != adaptive.LaneSpeculative {
 		t.Fatalf("could not force the speculative lane: %+v", sel)

@@ -15,12 +15,12 @@
 // plan fingerprint the plan cache uses.
 //
 // Data flow: the engine attaches one MachineRecorder per registered
-// machine. The engine feeds it job-level observations (lane, bytes,
-// wall time, queue wait); the machine's runners feed it run-level
-// counters (symbols, shuffles, convergence checks/wins) through a
-// per-machine telemetry sink (core.WithAuxTelemetry). Profile() merges
-// both with any baseline loaded from disk, so counts accumulate across
-// process restarts.
+// machine and folds every job's record into it with one Observe call:
+// the job-level facts (lane, bytes, wall time, queue wait, final state)
+// and the run's core accounting (symbols, shuffles, convergence
+// checks/wins, speculative chunks). Profile() merges them with any
+// baseline loaded from disk, so counts accumulate across process
+// restarts.
 //
 // Persistence is cache-shaped, exactly like the serialized plans it
 // sits next to: fingerprint-keyed files (<fingerprint>.perf.json),
@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dpfsm/internal/core"
 	"dpfsm/internal/telemetry"
 )
 
@@ -111,8 +112,8 @@ type Profile struct {
 	LatencyP90Ns int64 `json:"latency_p90_ns"`
 	LatencyP99Ns int64 `json:"latency_p99_ns"`
 
-	// Runner-level counters from the per-machine telemetry sink: the
-	// paper's own quantities, per machine instead of per process.
+	// The runs' core accounting: the paper's own quantities, per machine
+	// instead of per process.
 	Symbols     int64 `json:"symbols"`
 	Shuffles    int64 `json:"shuffles"`
 	FactorCalls int64 `json:"factor_calls"`
@@ -142,9 +143,8 @@ type Profile struct {
 }
 
 // MachineRecorder accumulates one machine's observations. The engine
-// calls ObserveJob once per executed job; the machine's runners flush
-// run-level counters into Telemetry(). All methods are safe for
-// concurrent use and nil-safe no-ops, mirroring internal/telemetry.
+// calls Observe once per job. All methods are safe for concurrent use
+// and nil-safe no-ops, mirroring internal/telemetry.
 type MachineRecorder struct {
 	machine     string
 	fingerprint string
@@ -154,14 +154,17 @@ type MachineRecorder struct {
 	// counters add on top of it so totals survive restarts.
 	base Profile
 
-	aux telemetry.Metrics
-
 	jobs, errors atomic.Int64
 	queueWaitNs  atomic.Int64
 	laneJobs     [laneCount]atomic.Int64
 	laneBytes    [laneCount]atomic.Int64
 	laneExecNs   [laneCount]atomic.Int64
 	latency      telemetry.Window
+
+	symbols, shuffles       atomic.Int64
+	factorCalls, factorWins atomic.Int64
+	// activeFinalSum/activeFinalChunks give ActiveFinalMean.
+	activeFinalSum, activeFinalChunks atomic.Int64
 
 	specChunks      atomic.Int64
 	specMispredicts atomic.Int64
@@ -194,61 +197,61 @@ func laneIdx(lane string) int {
 	}
 }
 
-// Telemetry returns the per-machine runner sink to pass as
-// core.WithAuxTelemetry. Nil-safe.
-func (r *MachineRecorder) Telemetry() *telemetry.Metrics {
-	if r == nil {
-		return nil
-	}
-	return &r.aux
+// Job is one engine job as the profile folds it: the parts of the
+// engine's record the profile reads.
+type Job struct {
+	Lane      string // one of the Lane* constants (the dispatch decision)
+	Bytes     int
+	Exec      time.Duration
+	QueueWait time.Duration
+	Failed    bool
+	// Final is the state the run ended in, feeding the hot-state
+	// histogram the speculative predictor guesses from.
+	Final int
+	// Stats is the run's core accounting, folded even for a failed job
+	// (it covers what ran before the failure, as the telemetry sink's
+	// counters do).
+	Stats core.DriveStats
 }
 
-// ObserveJob records one engine job against this machine's profile.
-// lane is one of the Lane* constants (the engine's dispatch decision).
-func (r *MachineRecorder) ObserveJob(lane string, bytes int, exec, queueWait time.Duration, failed bool) {
+// Observe folds one engine job into this machine's profile.
+func (r *MachineRecorder) Observe(j Job) {
 	if r == nil {
 		return
 	}
+	ds := &j.Stats
+	r.symbols.Add(ds.Symbols)
+	r.shuffles.Add(ds.Shuffles)
+	r.factorCalls.Add(ds.FactorCalls)
+	r.factorWins.Add(ds.FactorWins)
+	r.activeFinalSum.Add(ds.ActiveFinalSum)
+	r.activeFinalChunks.Add(int64(ds.ActiveFinalChunks))
+	if j.Lane == LaneSpeculative {
+		r.specChunks.Add(int64(ds.Chunks))
+		r.specMispredicts.Add(int64(ds.Misses))
+		r.specReRunBytes.Add(int64(ds.ReplayBytes))
+	}
 	r.jobs.Add(1)
-	if failed {
+	if j.Failed {
 		r.errors.Add(1)
 		return
 	}
-	idx := laneIdx(lane)
+	idx := laneIdx(j.Lane)
 	r.laneJobs[idx].Add(1)
-	r.laneBytes[idx].Add(int64(bytes))
-	r.laneExecNs[idx].Add(int64(exec))
-	r.queueWaitNs.Add(int64(queueWait))
-	if exec > 0 {
-		r.latency.Observe(int64(exec))
-	}
-}
-
-// ObserveFinal records the state a job's run ended in, feeding the
-// hot-state histogram the speculative predictor guesses from.
-func (r *MachineRecorder) ObserveFinal(state int) {
-	if r == nil {
-		return
+	r.laneBytes[idx].Add(int64(j.Bytes))
+	r.laneExecNs[idx].Add(int64(j.Exec))
+	r.queueWaitNs.Add(int64(j.QueueWait))
+	if j.Exec > 0 {
+		r.latency.Observe(int64(j.Exec))
 	}
 	r.hotMu.Lock()
 	if r.hotStates == nil {
 		r.hotStates = make(map[int]int64, 8)
 	}
-	if _, ok := r.hotStates[state]; ok || len(r.hotStates) < hotStateCap {
-		r.hotStates[state]++
+	if _, ok := r.hotStates[j.Final]; ok || len(r.hotStates) < hotStateCap {
+		r.hotStates[j.Final]++
 	}
 	r.hotMu.Unlock()
-}
-
-// ObserveSpeculation folds one speculative execution's chunk accounting
-// into the profile.
-func (r *MachineRecorder) ObserveSpeculation(chunks, mispredicts, rerunBytes int64) {
-	if r == nil {
-		return
-	}
-	r.specChunks.Add(chunks)
-	r.specMispredicts.Add(mispredicts)
-	r.specReRunBytes.Add(rerunBytes)
 }
 
 // HotState reports the machine's dominant observed final state —
@@ -300,7 +303,6 @@ func (r *MachineRecorder) Profile() Profile {
 	if r == nil {
 		return Profile{}
 	}
-	snap := r.aux.Snapshot()
 	p := Profile{
 		Schema:        SchemaVersion,
 		Fingerprint:   r.fingerprint,
@@ -312,17 +314,20 @@ func (r *MachineRecorder) Profile() Profile {
 		Errors:      r.base.Errors + r.errors.Load(),
 		QueueWaitNs: r.base.QueueWaitNs + r.queueWaitNs.Load(),
 
-		Symbols:     r.base.Symbols + snap.Symbols,
-		Shuffles:    r.base.Shuffles + snap.Shuffles,
-		FactorCalls: r.base.FactorCalls + snap.FactorCalls,
-		FactorWins:  r.base.FactorWins + snap.FactorWins,
+		Symbols:     r.base.Symbols + r.symbols.Load(),
+		Shuffles:    r.base.Shuffles + r.shuffles.Load(),
+		FactorCalls: r.base.FactorCalls + r.factorCalls.Load(),
+		FactorWins:  r.base.FactorWins + r.factorWins.Load(),
 
 		SpecChunks:      r.base.SpecChunks + r.specChunks.Load(),
 		SpecMispredicts: r.base.SpecMispredicts + r.specMispredicts.Load(),
 		SpecReRunBytes:  r.base.SpecReRunBytes + r.specReRunBytes.Load(),
 		// ActiveFinalMean is a mean, not a counter: the live value wins
 		// once this process has run anything, else the persisted one.
-		ActiveFinalMean: snap.ActiveFinalMean,
+		ActiveFinalMean: r.base.ActiveFinalMean,
+	}
+	if n := r.activeFinalChunks.Load(); n > 0 {
+		p.ActiveFinalMean = float64(r.activeFinalSum.Load()) / float64(n)
 	}
 	p.Lanes = make(map[string]LaneStats, laneCount)
 	for i, name := range [laneCount]string{LaneSingle, LaneMulticore, LaneSpeculative, LaneCluster} {
@@ -362,9 +367,6 @@ func (r *MachineRecorder) Profile() Profile {
 		for st, n := range merged {
 			p.HotStates[strconv.Itoa(st)] = n
 		}
-	}
-	if p.ActiveFinalMean == 0 {
-		p.ActiveFinalMean = r.base.ActiveFinalMean
 	}
 	if lat := r.latency.Quantiles(0.5, 0.9, 0.99); r.latency.Count() > 0 {
 		p.LatencyP50Ns, p.LatencyP90Ns, p.LatencyP99Ns = lat[0], lat[1], lat[2]

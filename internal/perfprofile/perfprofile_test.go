@@ -5,22 +5,21 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"dpfsm/internal/core"
 )
 
 // observe runs a fixed little workload into a recorder: three single
-// jobs of 100 B at 1 ms each, one multicore job of 1000 B at 2 ms, one
-// failed job, plus runner-level counters through the aux sink.
+// jobs of 100 B at 1 ms each, one multicore job of 1000 B at 2 ms (the
+// two carrying the runs' core accounting), and one failed job.
 func observe(r *MachineRecorder) {
 	for i := 0; i < 3; i++ {
-		r.ObserveJob(LaneSingle, 100, time.Millisecond, 100*time.Microsecond, false)
+		r.Observe(Job{Lane: LaneSingle, Bytes: 100, Exec: time.Millisecond, QueueWait: 100 * time.Microsecond,
+			Stats: core.DriveStats{Symbols: 100, Shuffles: 200}})
 	}
-	r.ObserveJob(LaneMulticore, 1000, 2*time.Millisecond, 0, false)
-	r.ObserveJob(LaneSingle, 50, 0, 0, true)
-	aux := r.Telemetry()
-	aux.Symbols.Add(1300)
-	aux.Shuffles.Add(2600)
-	aux.FactorCalls.Add(10)
-	aux.FactorWins.Add(9)
+	r.Observe(Job{Lane: LaneMulticore, Bytes: 1000, Exec: 2 * time.Millisecond,
+		Stats: core.DriveStats{Symbols: 1000, Shuffles: 2000, FactorCalls: 10, FactorWins: 9}})
+	r.Observe(Job{Lane: LaneSingle, Bytes: 50, Failed: true})
 }
 
 func TestProfileAggregation(t *testing.T) {
@@ -153,12 +152,14 @@ func TestSpeculationAndHotStates(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)
 	r := s.Attach("m", "fpS", "auto")
-	r.ObserveJob(LaneSpeculative, 4096, time.Millisecond, 0, false)
-	r.ObserveSpeculation(8, 2, 1024)
-	for i := 0; i < 5; i++ {
-		r.ObserveFinal(3)
+	r.Observe(Job{Lane: LaneSpeculative, Bytes: 4096, Exec: time.Millisecond, Final: 3,
+		Stats: core.DriveStats{Chunks: 8, Misses: 2, ReplayBytes: 1024}})
+	for i := 0; i < 4; i++ {
+		r.Observe(Job{Lane: LaneSingle, Bytes: 1, Final: 3})
 	}
-	r.ObserveFinal(1)
+	r.Observe(Job{Lane: LaneSingle, Bytes: 1, Final: 1})
+	// A failed job's final state is not an observation.
+	r.Observe(Job{Lane: LaneSingle, Bytes: 1, Final: 1, Failed: true})
 
 	p := r.Profile()
 	spec := p.Lanes[LaneSpeculative]
@@ -188,7 +189,7 @@ func TestSpeculationAndHotStates(t *testing.T) {
 	if st, ok := r2.HotState(); !ok || st != 3 {
 		t.Fatalf("reloaded HotState = %d/%v, want 3/true", st, ok)
 	}
-	r2.ObserveSpeculation(2, 2, 0)
+	r2.Observe(Job{Lane: LaneSpeculative, Failed: true, Stats: core.DriveStats{Chunks: 2, Misses: 2}})
 	p2 := r2.Profile()
 	if p2.SpecChunks != 10 || p2.SpecMispredicts != 4 {
 		t.Fatalf("reloaded spec counters = %d/%d, want 10/4", p2.SpecChunks, p2.SpecMispredicts)
@@ -201,10 +202,10 @@ func TestSpeculationAndHotStates(t *testing.T) {
 func TestHotStateHistogramBounded(t *testing.T) {
 	r := NewStore("").Attach("m", "fpB", "auto")
 	for st := 0; st < 4*hotStateCap; st++ {
-		r.ObserveFinal(st)
+		r.Observe(Job{Final: st})
 	}
 	// Admitted states keep counting even once the map is full.
-	r.ObserveFinal(0)
+	r.Observe(Job{Final: 0})
 	p := r.Profile()
 	if len(p.HotStates) != hotStateCap {
 		t.Fatalf("hot-state histogram has %d entries, want cap %d", len(p.HotStates), hotStateCap)
@@ -220,14 +221,9 @@ func TestNilSafety(t *testing.T) {
 	if r != nil {
 		t.Fatal("nil store returned non-nil recorder")
 	}
-	r.ObserveJob(LaneSingle, 1, time.Millisecond, 0, false) // must not panic
-	r.ObserveFinal(3)
-	r.ObserveSpeculation(1, 1, 1)
+	r.Observe(Job{Lane: LaneSpeculative, Bytes: 1, Exec: time.Millisecond, Final: 3}) // must not panic
 	if _, ok := r.HotState(); ok {
 		t.Fatal("nil recorder reported a hot state")
-	}
-	if r.Telemetry() != nil {
-		t.Fatal("nil recorder returned non-nil telemetry")
 	}
 	_ = r.Profile()
 	s.Detach("m")
@@ -237,5 +233,72 @@ func TestNilSafety(t *testing.T) {
 	}
 	if s.Profiles() != nil {
 		t.Fatal("nil store returned profiles")
+	}
+}
+
+// legacyProfile is a schema-1 profile file as the previous recorder
+// (the one with a per-machine telemetry sink) wrote it.
+const legacyProfile = `{
+  "schema": 1,
+  "fingerprint": "fpLegacy",
+  "machine": "m",
+  "strategy": "convergence",
+  "updated_unix_ns": 1792249904839936375,
+  "jobs": 6,
+  "errors": 1,
+  "bytes": 5396,
+  "exec_ns": 6000000,
+  "queue_wait_ns": 300000,
+  "queue_wait_share": 0.047619047619047616,
+  "throughput_bytes_per_sec": 899333.3333333334,
+  "lanes": {
+    "multicore": {"jobs": 1, "bytes": 1000, "exec_ns": 2000000, "bytes_per_sec": 500000},
+    "single": {"jobs": 3, "bytes": 300, "exec_ns": 3000000, "bytes_per_sec": 100000},
+    "speculative": {"jobs": 1, "bytes": 4096, "exec_ns": 1000000, "bytes_per_sec": 4096000}
+  },
+  "latency_p50_ns": 1000000,
+  "latency_p90_ns": 2000000,
+  "latency_p99_ns": 2000000,
+  "symbols": 1300,
+  "shuffles": 2600,
+  "factor_calls": 10,
+  "factor_wins": 9,
+  "shuffles_per_symbol": 2,
+  "convergence_rate": 0.9,
+  "active_final_mean": 4,
+  "hot_states": {"3": 1},
+  "spec_chunks": 8,
+  "spec_mispredicts": 2,
+  "spec_rerun_bytes": 1024,
+  "mispredict_rate": 0.25
+}
+`
+
+// TestLegacyProfileSeedsRecorder pins persistence compatibility: a
+// profile file written before the recorder folded job records (same
+// schema, same field names) still seeds a recorder's baseline, and
+// live observations add on top of it.
+func TestLegacyProfileSeedsRecorder(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fpLegacy"+FileSuffix), []byte(legacyProfile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := NewStore(dir).Attach("m", "fpLegacy", "convergence")
+	p := r.Profile()
+	if p.Jobs != 6 || p.Errors != 1 || p.Symbols != 1300 || p.Shuffles != 2600 ||
+		p.FactorCalls != 10 || p.FactorWins != 9 || p.SpecChunks != 8 || p.ActiveFinalMean != 4 {
+		t.Fatalf("baseline not seeded: %+v", p)
+	}
+	if st, ok := r.HotState(); !ok || st != 3 {
+		t.Fatalf("HotState = %d/%v, want 3/true", st, ok)
+	}
+	r.Observe(Job{Lane: LaneSingle, Bytes: 100, Exec: time.Millisecond,
+		Stats: core.DriveStats{Symbols: 100, Shuffles: 100, ActiveFinalSum: 2, ActiveFinalChunks: 1}})
+	p = r.Profile()
+	if p.Jobs != 7 || p.Symbols != 1400 || p.Shuffles != 2700 || p.Lanes[LaneSingle].Jobs != 4 {
+		t.Fatalf("live job not folded onto the baseline: %+v", p)
+	}
+	if p.ActiveFinalMean != 2 {
+		t.Fatalf("active final mean = %g, want the live 2", p.ActiveFinalMean)
 	}
 }

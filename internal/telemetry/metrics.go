@@ -52,7 +52,11 @@ type Metrics struct {
 	// Batch engine (internal/engine) counters. The engine multiplexes
 	// many (machine, input) jobs over a bounded worker pool; these
 	// series expose its dispatch policy and health.
-	EngineJobs      Counter // jobs executed to completion (ok or error)
+	// EngineJobs counts each job the engine accepted exactly once, when
+	// it answers with a Result: ran, failed, or ErrClosed while queued.
+	// A refused call — a Submit/TrySubmit error, Run/Transduce after
+	// Close — is not a job; its caller answers and counts it.
+	EngineJobs      Counter
 	EngineJobErrors Counter // jobs whose result carried an error
 	EngineCanceled  Counter // jobs canceled before or during execution
 	EngineBatches   Counter // batch submissions (RunBatch calls)

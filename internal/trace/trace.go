@@ -165,6 +165,14 @@ func (s *Span) End() {
 	s.dur.CompareAndSwap(0, int64(time.Since(s.start)))
 }
 
+// TraceID returns the ID of the trace s belongs to ("" for nil).
+func (s *Span) TraceID() string {
+	if s == nil {
+		return ""
+	}
+	return s.tr.ID()
+}
+
 // Child starts a sub-span of s. Nil-safe: a nil receiver returns a nil
 // child, so fan-out goroutines can capture their parent handle without
 // checking whether tracing is on.
