@@ -64,7 +64,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -96,16 +95,16 @@ import (
 	"dpfsm/internal/trace"
 )
 
-// server wires the engine, the machine registry, and the shared
-// telemetry sink behind the HTTP surface.
+// server is a codec over the engine: requests decode into engine jobs,
+// run through one engine entry point, and encode the job's Result. The
+// engine owns machine names, their order and the default machine,
+// validation, and batch fan-in; the server keeps only each machine's
+// pattern and source.
 type server struct {
 	engine *engine.Engine
-	// mu guards the registry views (meta, order). The engine has its
-	// own lock; this one keeps the name list and per-machine metadata
-	// consistent with it across dynamic register/unregister/reload.
-	mu    sync.RWMutex
-	meta  map[string]machineMeta
-	order []string // registration order; first machine is the default
+	// mu guards meta, the per-machine pattern/source metadata.
+	mu   sync.RWMutex
+	meta map[string]machineMeta
 	// strategy is the server-wide default for machines that do not
 	// name one; planDir, when set, round-trips serialized plans.
 	strategy core.Strategy
@@ -184,7 +183,10 @@ func newServer(patterns []string, strategy core.Strategy, procs int, maxBody int
 		engine.WithTelemetry(s.metrics),
 		engine.WithPerfProfiles(s.profiles),
 	)
-	s.peer = cluster.NewPeer(s.resolvePlan)
+	// The cluster peer resolves plans this node already compiled from
+	// the plan cache, so they are never shipped over the wire; an
+	// evicted plan falls back to plan shipping.
+	s.peer = cluster.NewPeer(s.engine.PlanCache().Get)
 	for _, spec := range patterns {
 		name, pat, ok := strings.Cut(spec, "=")
 		if !ok || name == "" {
@@ -197,22 +199,6 @@ func newServer(patterns []string, strategy core.Strategy, procs int, maxBody int
 		}
 	}
 	return s, nil
-}
-
-// resolvePlan finds a locally registered machine's compiled plan by
-// fingerprint — the cluster peer's local path: chunk tasks for
-// machines this node already compiled skip the plan-shipping round
-// trip entirely.
-func (s *server) resolvePlan(fingerprint string) *core.Plan {
-	s.mu.RLock()
-	names := append([]string(nil), s.order...)
-	s.mu.RUnlock()
-	for _, name := range names {
-		if m := s.engine.Machine(name); m != nil && m.Fingerprint() == fingerprint {
-			return m.Plan()
-		}
-	}
-	return nil
 }
 
 // enableCluster builds the coordinator over the static peer set and
@@ -262,25 +248,18 @@ func (s *server) registerMachine(name, pattern string, strategy core.Strategy, s
 	}
 	s.mu.Lock()
 	s.meta[name] = machineMeta{pattern: pattern, source: source}
-	s.order = append(s.order, name)
 	s.mu.Unlock()
 	return m, cached, nil
 }
 
-// unregisterMachine removes name from the engine and the registry
-// views, reporting whether it existed.
+// unregisterMachine removes name from the engine and its metadata,
+// reporting whether it existed.
 func (s *server) unregisterMachine(name string) bool {
 	if !s.engine.Unregister(name) {
 		return false
 	}
 	s.mu.Lock()
 	delete(s.meta, name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 	s.mu.Unlock()
 	return true
 }
@@ -361,27 +340,18 @@ func (s *server) Close() {
 	}
 }
 
-// resolveMachine maps the ?machine= query (empty = default) to a
-// registered machine, or writes a 404.
-func (s *server) resolveMachine(w http.ResponseWriter, req *http.Request) (string, *engine.Machine, bool) {
-	name := req.URL.Query().Get("machine")
-	if name == "" {
-		s.mu.RLock()
-		if len(s.order) > 0 {
-			name = s.order[0]
-		}
-		s.mu.RUnlock()
-		if name == "" {
-			writeError(w, http.StatusNotFound, "no machines registered")
-			return "", nil, false
-		}
-	}
+// machineOr404 resolves a ?machine= query through the engine ("" is
+// the default machine) before any body is read, or writes a 404.
+func (s *server) machineOr404(w http.ResponseWriter, name string) *engine.Machine {
 	m := s.engine.Machine(name)
-	if m == nil {
+	switch {
+	case m != nil:
+	case name == "":
+		writeError(w, http.StatusNotFound, "no machines registered")
+	default:
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown machine %q (see %s/machines)", name, serverapi.Version))
-		return "", nil, false
 	}
-	return name, m, true
+	return m
 }
 
 func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
@@ -389,8 +359,9 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST an input body to /v1/run")
 		return
 	}
-	name, m, ok := s.resolveMachine(w, req)
-	if !ok {
+	q := req.URL.Query()
+	m := s.machineOr404(w, q.Get("machine"))
+	if m == nil {
 		return
 	}
 	input, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.maxBody))
@@ -398,25 +369,12 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	job := engine.Job{Machine: name, Input: input}
-	if qs := req.URL.Query().Get("start"); qs != "" {
-		var q int
-		if _, err := fmt.Sscanf(qs, "%d", &q); err != nil || q < 0 || !m.DFA().ValidState(fsm.State(q)) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad start state %q", qs))
-			return
-		}
-		job.Start, job.HasStart = fsm.State(q), true
+	job, err := queryJob(q)
+	if err != nil {
+		writeEngineError(w, err)
+		return
 	}
-	// ?strategy= pins this run to an explicit strategy; "auto" (or
-	// absence) keeps the machine's own adaptive dispatch.
-	if qs := req.URL.Query().Get("strategy"); qs != "" {
-		st, err := core.ParseStrategy(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad strategy %q: %v", qs, err))
-			return
-		}
-		job.Strategy = st
-	}
+	job.Machine, job.Input = m.Name(), input
 
 	// The request context rides down to the core chunk loops, so a
 	// disconnected or timed-out client cancels its own run.
@@ -426,7 +384,7 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	res := serverapi.RunResult{
-		Machine:         name,
+		Machine:         r.Machine,
 		Bytes:           r.Bytes,
 		Final:           r.Final,
 		Accepts:         r.Accepts,
@@ -440,62 +398,52 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 	if r.Duration > 0 {
 		res.MBPerS = float64(r.Bytes) / r.Duration.Seconds() / 1e6
 	}
+	if job.First {
+		res.FirstMatch = &r.FirstMatch
+	}
 	if tr := trace.FromContext(req.Context()); tr != nil {
 		res.TraceID = tr.ID()
 		// The inline explain block is opt-in (?trace=1); a request that
 		// was traced only because it carried a traceparent header gets
 		// the ID but keeps the wire result lean.
-		if req.URL.Query().Get("trace") != "" {
-			res.Explain = buildExplain(tr)
+		if q.Get("trace") != "" {
+			res.Explain = buildExplain(tr, r)
 		}
-	}
-	if req.URL.Query().Get("first") != "" {
-		start := m.DFA().Start()
-		if job.HasStart {
-			start = job.Start
-		}
-		hit := m.Runner().FirstAccepting(input, start)
-		res.FirstMatch = &hit
 	}
 	writeJSON(w, res)
 }
 
 // handleBatch is POST /v1/batch: NDJSON jobs in (one serverapi.BatchJob
 // per line), NDJSON results out — streamed in completion order as the
-// engine finishes them, with a BatchTrailer summary as the final line.
-// The request context cancels the whole batch, so a disconnecting
-// client releases the pool mid-batch.
+// engine finishes them (engine.RunBatchTo), with a BatchTrailer summary
+// as the final line. The request context cancels the whole batch, so a
+// disconnecting client releases the pool mid-batch.
 func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST NDJSON jobs to /v1/batch")
 		return
 	}
-	ctx := req.Context()
-	s.metrics.EngineBatches.Inc()
 
 	// Parse every request line up front; the body is bounded by
 	// maxBody, so the job list is too.
 	sc := bufio.NewScanner(http.MaxBytesReader(w, req.Body, s.maxBody))
 	sc.Buffer(make([]byte, 64<<10), bufLimit(s.maxBody))
-	type lineJob struct {
-		idx int
-		job engine.Job
-	}
-	var jobs []lineJob
+	var jobs []engine.Job
+	var lines []int               // request-line index of each job
 	var preFailed []engine.Result // lines that never reach the engine
-	idx := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
+		idx := len(jobs) + len(preFailed)
 		job, err := parseBatchLine(line)
 		if err != nil {
 			preFailed = append(preFailed, engine.Result{Index: idx, Err: err})
 		} else {
-			jobs = append(jobs, lineJob{idx: idx, job: job})
+			jobs = append(jobs, job)
+			lines = append(lines, idx)
 		}
-		idx++
 	}
 	if err := sc.Err(); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading batch body: %v", err))
@@ -505,30 +453,19 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	t0 := time.Now()
-	var stats engine.BatchStats
 	for _, r := range preFailed {
-		stats.Add(r)
 		_ = enc.Encode(batchResult(r))
 	}
-
-	out := make(chan engine.Result, len(jobs))
-	go func() {
-		for _, lj := range jobs {
-			if err := s.engine.Submit(ctx, lj.job, lj.idx, out); err != nil {
-				out <- engine.Result{Index: lj.idx, Machine: lj.job.Machine, Bytes: len(lj.job.Input), Err: err}
-			}
-		}
-	}()
-	for range jobs {
-		r := <-out
-		stats.Add(r)
+	stats := s.engine.RunBatchTo(req.Context(), jobs, func(r engine.Result) {
+		r.Index = lines[r.Index]
 		_ = enc.Encode(batchResult(r))
 		if flusher != nil {
 			flusher.Flush()
 		}
+	})
+	for _, r := range preFailed {
+		stats.Add(r)
 	}
-	stats.Duration = time.Since(t0)
 	_ = enc.Encode(serverapi.BatchTrailer{Summary: batchSummary(stats)})
 }
 
@@ -559,41 +496,6 @@ func batchSummary(st engine.BatchStats) serverapi.BatchSummary {
 		SingleCore: st.SingleCore, Multicore: st.Multicore, Speculative: st.Speculative,
 		Cluster: st.Cluster, Degraded: st.Degraded, Bytes: st.Bytes, DurationNs: int64(st.Duration),
 	}
-}
-
-// parseBatchLine decodes one NDJSON request line into an engine job.
-func parseBatchLine(line []byte) (engine.Job, error) {
-	var bj serverapi.BatchJob
-	if err := json.Unmarshal(line, &bj); err != nil {
-		return engine.Job{}, fmt.Errorf("bad job line: %v", err)
-	}
-	job := engine.Job{Machine: bj.Machine, Timeout: time.Duration(bj.TimeoutMs) * time.Millisecond}
-	switch {
-	case bj.InputB64 != "" && bj.Input != "":
-		return engine.Job{}, errors.New("bad job line: both input and input_b64 set")
-	case bj.InputB64 != "":
-		raw, err := base64.StdEncoding.DecodeString(bj.InputB64)
-		if err != nil {
-			return engine.Job{}, fmt.Errorf("bad input_b64: %v", err)
-		}
-		job.Input = raw
-	default:
-		job.Input = []byte(bj.Input)
-	}
-	if bj.Start != nil {
-		if *bj.Start < 0 || *bj.Start > int(^fsm.State(0)) {
-			return engine.Job{}, fmt.Errorf("bad start state %d", *bj.Start)
-		}
-		job.Start, job.HasStart = fsm.State(*bj.Start), true
-	}
-	if bj.Strategy != "" {
-		st, err := core.ParseStrategy(bj.Strategy)
-		if err != nil {
-			return engine.Job{}, fmt.Errorf("bad strategy %q: %v", bj.Strategy, err)
-		}
-		job.Strategy = st
-	}
-	return job, nil
 }
 
 // bufLimit clamps maxBody to a scanner line limit.
@@ -631,8 +533,9 @@ func (s *server) handleMachines(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodGet:
 		s.mu.RLock()
-		out := make([]serverapi.MachineInfo, 0, len(s.order))
-		for _, name := range s.order {
+		names := s.engine.Machines()
+		out := make([]serverapi.MachineInfo, 0, len(names))
+		for _, name := range names {
 			if m := s.engine.Machine(name); m != nil {
 				out = append(out, s.machineInfo(name, m))
 			}
@@ -890,12 +793,13 @@ func writeEngineError(w http.ResponseWriter, err error) {
 	writeError(w, engineErrorStatus(err), err.Error())
 }
 
-// engineErrorStatus is the HTTP status of an engine failure mode.
+// engineErrorStatus is the HTTP status of a job's failure: a request
+// the job decoder rejected, or an engine failure mode.
 func engineErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrUnknownMachine):
 		return http.StatusNotFound
-	case errors.Is(err, engine.ErrBadStart), errors.Is(err, engine.ErrNotTransducer):
+	case errors.As(err, new(badRequest)), errors.Is(err, engine.ErrBadStart), errors.Is(err, engine.ErrNotTransducer):
 		return http.StatusBadRequest
 	case errors.Is(err, engine.ErrQueueFull):
 		// Load shed by TrySubmit: the canonical "back off and retry".
@@ -1099,7 +1003,7 @@ func main() {
 		}
 		logger.Info("otlp export enabled", "endpoint", *otlpEndpoint, "interval", *otlpInterval)
 	}
-	for _, name := range srv.order {
+	for _, name := range srv.engine.Machines() {
 		m := srv.engine.Machine(name)
 		stats := m.DFA().Stats()
 		logger.Info("machine registered",

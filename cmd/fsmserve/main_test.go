@@ -552,8 +552,8 @@ func TestLoadPatternsFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if len(srv.order) != 2 || srv.order[0] != "alpha" {
-		t.Errorf("server order = %v", srv.order)
+	if names := srv.engine.Machines(); len(names) != 2 || names[0] != "alpha" {
+		t.Errorf("server order = %v", names)
 	}
 
 	if _, err := loadPatternsFile(filepath.Join(t.TempDir(), "missing")); err == nil {

@@ -416,9 +416,7 @@ func TestReloadSweepsDefaults(t *testing.T) {
 	if err := srv.reloadPatterns(path); err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.RLock()
-	defer srv.mu.RUnlock()
-	if len(srv.order) != 1 || srv.order[0] != "only" {
-		t.Fatalf("registry after sweep: %v", srv.order)
+	if names := srv.engine.Machines(); len(names) != 1 || names[0] != "only" {
+		t.Fatalf("registry after sweep: %v", names)
 	}
 }

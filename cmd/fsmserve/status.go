@@ -54,11 +54,9 @@ func (s *server) status() serverapi.Status {
 		Runtime:  telemetry.ReadRuntime(),
 	}
 	st.Machines = len(st.Profiles)
-	// The adaptive layer's current per-machine decisions, in the
-	// registry's name order sorted for stable output.
-	s.mu.RLock()
-	names := append([]string(nil), s.order...)
-	s.mu.RUnlock()
+	// The adaptive layer's current per-machine decisions, sorted by
+	// name for stable output.
+	names := s.engine.Machines()
 	sort.Strings(names)
 	for _, name := range names {
 		if m := s.engine.Machine(name); m != nil {

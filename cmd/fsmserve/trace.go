@@ -177,37 +177,21 @@ func traceInfo(t *trace.Trace) serverapi.TraceInfo {
 	return info
 }
 
-// buildExplain renders a trace's span tree as the inline explain block
-// of POST /v1/run?trace=1. It walks the spans the engine and core
-// emitted — addressed by their exported name/attr constants — so its
-// numbers are exactly what landed in the aggregate telemetry.
-func buildExplain(tr *trace.Trace) *serverapi.Explain {
-	ex := &serverapi.Explain{}
+// buildExplain renders the inline explain block of POST
+// /v1/run?trace=1: the dispatch decision and chunk count come from the
+// job's record (r), the per-chunk profiles from the spans core emitted
+// — addressed by their exported name/attr constants — so its numbers
+// are exactly what landed in the aggregate telemetry.
+func buildExplain(tr *trace.Trace, r engine.Result) *serverapi.Explain {
+	ex := &serverapi.Explain{
+		Lane:        r.Lane,
+		LaneReason:  r.Reason,
+		Strategy:    r.Strategy,
+		QueueWaitNs: int64(r.QueueWait),
+		ChunkCount:  r.Stats.Chunks,
+	}
 	for _, sp := range tr.Spans() {
-		switch sp.Name {
-		case engine.SpanQueue:
-			ex.QueueWaitNs += int64(sp.Duration)
-		case engine.SpanExec:
-			if a, ok := trace.FindAttr(sp.Attrs, engine.AttrLane); ok {
-				ex.Lane = a.Text()
-			}
-			if a, ok := trace.FindAttr(sp.Attrs, engine.AttrLaneReason); ok {
-				ex.LaneReason = a.Text()
-			}
-		case core.SpanSingle:
-			if a, ok := trace.FindAttr(sp.Attrs, core.AttrStrategy); ok {
-				ex.Strategy = a.Text()
-			}
-			ex.ChunkCount = 1
-			ex.Chunks = append(ex.Chunks, explainChunk(sp))
-		case core.SpanMulticore, core.SpanChunked:
-			if a, ok := trace.FindAttr(sp.Attrs, core.AttrStrategy); ok {
-				ex.Strategy = a.Text()
-			}
-			if a, ok := trace.FindAttr(sp.Attrs, core.AttrChunks); ok {
-				ex.ChunkCount = int(a.Int64())
-			}
-		case core.SpanPhase1Chunk:
+		if sp.Name == core.SpanSingle || sp.Name == core.SpanPhase1Chunk {
 			ex.Chunks = append(ex.Chunks, explainChunk(sp))
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"dpfsm/internal/core"
-	"dpfsm/internal/engine"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/htmltok"
 	"dpfsm/internal/serverapi"
@@ -53,7 +52,6 @@ func (s *server) registerBuiltinTransducers() {
 		}
 		s.mu.Lock()
 		s.meta[b.name] = machineMeta{pattern: b.desc, source: "builtin"}
-		s.order = append(s.order, b.name)
 		s.mu.Unlock()
 	}
 }
@@ -64,13 +62,9 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST an input body to /v1/transduce")
 		return
 	}
-	name, m, ok := s.resolveMachine(w, req)
-	if !ok {
-		return
-	}
-	if m.Transducer() == nil {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("machine %q is an acceptor (no output table); transduce needs a moore/mealy machine", name))
+	q := req.URL.Query()
+	m := s.machineOr404(w, q.Get("machine"))
+	if m == nil {
 		return
 	}
 	input, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.maxBody))
@@ -78,28 +72,17 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	job := engine.Job{Machine: name, Input: input}
-	if qs := req.URL.Query().Get("start"); qs != "" {
-		var q int
-		if _, err := fmt.Sscanf(qs, "%d", &q); err != nil || q < 0 || !m.DFA().ValidState(fsm.State(q)) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad start state %q", qs))
-			return
-		}
-		job.Start, job.HasStart = fsm.State(q), true
+	job, err := queryJob(q)
+	if err != nil {
+		writeEngineError(w, err)
+		return
 	}
-	if qs := req.URL.Query().Get("strategy"); qs != "" {
-		st, err := core.ParseStrategy(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad strategy %q: %v", qs, err))
-			return
-		}
-		job.Strategy = st
-	}
+	job.Machine, job.Input = m.Name(), input
 
 	// The request context rides down to the chunk loops, as on /v1/run.
 	// The stream commits (200, header line) at the first span batch, or
 	// at success when there are none; an engine error before that gets
-	// its usual status.
+	// its usual status (an acceptor machine is ErrNotTransducer, 400).
 	bufp := lineBufs.Get().(*[]byte)
 	buf := (*bufp)[:0]
 	defer func() { *bufp = buf[:0]; lineBufs.Put(bufp) }()
@@ -118,7 +101,7 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 	commit := func() {
 		committed = true
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		buf = appendJSONLine(buf, serverapi.TransduceHeader{Machine: name, Kind: m.Kind().String(), Bytes: len(input)})
+		buf = appendJSONLine(buf, serverapi.TransduceHeader{Machine: m.Name(), Kind: m.Kind().String(), Bytes: len(input)})
 	}
 	res := s.engine.TransduceTo(req.Context(), job, func(batch []core.Span) error {
 		if !committed {

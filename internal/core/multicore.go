@@ -119,43 +119,58 @@ func (r *Runner) RunChunked(input []byte, start fsm.State, f ChunkFunc) fsm.Stat
 // never is. With sticky-accept machines (the regex package's default
 // "contains" compilation) this is the end position of the first match
 // — what a grep-style tool reports. Multicore runners resolve chunk
-// start states enumeratively and scan chunks concurrently; the
-// earliest hit wins.
+// start states enumeratively and scan chunks concurrently through a
+// FirstAccept phase 3; the earliest hit wins.
 func (r *Runner) FirstAccepting(input []byte, start fsm.State) int {
 	if r.strategy == Sequential || !r.useMulticore(len(input)) {
 		r.noteEntry(len(input))
 		return r.firstAcceptingSeq(input, 0, start)
 	}
-	var mu sync.Mutex
-	best := -1
-	r.RunChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
-		// Skip the scan if a hit earlier than this chunk is known.
-		mu.Lock()
-		skip := best >= 0 && best < off
-		mu.Unlock()
-		if skip {
-			return r.d.Run(chunk, st)
-		}
-		q := st
-		hit := -1
-		for i, b := range chunk {
-			q = r.d.Next(q, b)
-			if hit < 0 && r.d.Accepting(q) {
-				hit = off + i
-				// Keep running: the chunk's final state is still
-				// needed by the schedule.
+	fa := NewFirstAccept(r.d)
+	r.RunChunked(input, start, fa.Scan)
+	return fa.Pos()
+}
+
+// FirstAccept is the first-accept scan as a phase-3 ChunkFunc (Scan):
+// it records the earliest position at which the machine is in an
+// accepting state. Scan is safe for concurrent calls on distinct
+// chunks; a block that starts after a known hit only walks.
+type FirstAccept struct {
+	d    *fsm.DFA
+	mu   sync.Mutex
+	best int
+}
+
+// NewFirstAccept returns a scan over d with no hit yet.
+func NewFirstAccept(d *fsm.DFA) *FirstAccept { return &FirstAccept{d: d, best: -1} }
+
+// Scan is the ChunkFunc: it walks chunk from st, noting its first
+// accepting position, and returns the state after the chunk (the
+// schedule still needs it after a hit).
+func (fa *FirstAccept) Scan(off int, chunk []byte, st fsm.State) fsm.State {
+	if best := fa.Pos(); best >= 0 && best < off {
+		return fa.d.RunUnrolled(chunk, st)
+	}
+	for i, b := range chunk {
+		st = fa.d.Next(st, b)
+		if fa.d.Accepting(st) {
+			fa.mu.Lock()
+			if fa.best < 0 || off+i < fa.best {
+				fa.best = off + i
 			}
+			fa.mu.Unlock()
+			return fa.d.RunUnrolled(chunk[i+1:], st)
 		}
-		if hit >= 0 {
-			mu.Lock()
-			if best < 0 || hit < best {
-				best = hit
-			}
-			mu.Unlock()
-		}
-		return q
-	})
-	return best
+	}
+	return st
+}
+
+// Pos reports the earliest accepting position scanned so far, -1 if
+// none.
+func (fa *FirstAccept) Pos() int {
+	fa.mu.Lock()
+	defer fa.mu.Unlock()
+	return fa.best
 }
 
 // firstAcceptingSeq scans sequentially from a known start state.

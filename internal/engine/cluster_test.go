@@ -42,11 +42,11 @@ func clusterEngine(t *testing.T, n int) (*Engine, *cluster.FaultRoundTripper, []
 		WithWorkers(2),
 		WithProcs(2),
 		WithLargeInput(1<<20),
-		WithClusterMinBytes(2048),
-		WithCluster(co),
 		WithTelemetry(tel),
 	)
 	t.Cleanup(e.Close)
+	e.SetClusterMinBytes(2048)
+	e.SetCluster(co)
 	return e, faults, hosts, tel
 }
 

@@ -101,8 +101,6 @@ type config struct {
 	sink       trace.Sink
 	planCache  *PlanCache
 	profiles   *perfprofile.Store
-	cluster    *cluster.Coordinator
-	clusterMin int
 }
 
 // WithWorkers sets the worker-pool size. n <= 0 means runtime.NumCPU().
@@ -167,23 +165,6 @@ func WithPlanCache(pc *PlanCache) Option {
 // unaffected either way.
 func WithPerfProfiles(s *perfprofile.Store) Option {
 	return func(c *config) { c.profiles = s }
-}
-
-// WithCluster attaches a distributed coordinator: jobs of at least
-// the cluster threshold (WithClusterMinBytes) take the cluster lane,
-// fanning chunks out over the peer set instead of local cores. nil
-// (the default) disables the lane. The coordinator can also be
-// attached or swapped after construction with SetCluster.
-func WithCluster(co *cluster.Coordinator) Option {
-	return func(c *config) { c.cluster = co }
-}
-
-// WithClusterMinBytes sets the cluster lane's input threshold. Only
-// jobs of at least n bytes are worth a network round trip; smaller
-// large inputs stay on the local multicore lane. n <= 0 keeps the
-// default of 4x the large-input threshold.
-func WithClusterMinBytes(n int) Option {
-	return func(c *config) { c.clusterMin = n }
 }
 
 // Machine is one compiled DFA registered with the engine: a shared
@@ -354,6 +335,11 @@ type Job struct {
 	// explicit escape hatch from adaptive selection. Auto (the zero
 	// value) defers to the machine's plan and the dispatch policy.
 	Strategy core.Strategy
+	// First asks for Result.FirstMatch: the first-accept scan
+	// (core.FirstAccept) runs as the schedule's phase 3, in the same
+	// pass as the final state, on whatever lane dispatch picks.
+	// Transductions have their own phase 3 and ignore it.
+	First bool
 }
 
 // Result is the outcome of one Job and the engine's one record of it:
@@ -384,7 +370,10 @@ type Result struct {
 	// Stats is the run's record from core: chunks, speculative misses,
 	// spans, and the §4.2/§5.2 figures of merit.
 	Stats core.DriveStats `json:"stats"`
-	Err   error           `json:"-"`
+	// FirstMatch is a First job's earliest accepting position, -1 when
+	// the machine never accepts on the input (zero for other jobs).
+	FirstMatch int   `json:"first_match"`
+	Err        error `json:"-"`
 }
 
 // BatchStats aggregates one batch: the per-batch telemetry the
@@ -536,10 +525,7 @@ func New(opts ...Option) *Engine {
 	if e.runTel == nil && e.profiles != nil {
 		e.runTel = new(telemetry.Metrics)
 	}
-	e.SetClusterMinBytes(cfg.clusterMin)
-	if cfg.cluster != nil {
-		e.clusterCo.Store(cfg.cluster)
-	}
+	e.SetClusterMinBytes(0)
 	for i := 0; i < cfg.workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -548,8 +534,10 @@ func New(opts ...Option) *Engine {
 }
 
 // SetCluster attaches (or, with nil, detaches) the distributed
-// coordinator at runtime. Jobs already dispatched keep the coordinator
-// they loaded.
+// coordinator: jobs of at least the cluster threshold
+// (SetClusterMinBytes) take the cluster lane, fanning chunks out over
+// the peer set instead of local cores. Jobs already dispatched keep
+// the coordinator they loaded.
 func (e *Engine) SetCluster(co *cluster.Coordinator) { e.clusterCo.Store(co) }
 
 // Cluster returns the attached coordinator (nil when the cluster lane
@@ -559,8 +547,10 @@ func (e *Engine) Cluster() *cluster.Coordinator { return e.clusterCo.Load() }
 // ClusterMinBytes reports the cluster lane's input threshold.
 func (e *Engine) ClusterMinBytes() int { return int(e.clusterMin.Load()) }
 
-// SetClusterMinBytes sets the cluster lane's input threshold; n <= 0
-// restores the default of 4x the large-input threshold.
+// SetClusterMinBytes sets the cluster lane's input threshold: only
+// jobs of at least n bytes are worth a network round trip, smaller
+// large inputs stay on the local multicore lane. n <= 0 restores the
+// default of 4x the large-input threshold.
 func (e *Engine) SetClusterMinBytes(n int) {
 	if n <= 0 {
 		n = 4 * e.largeInput
@@ -726,10 +716,15 @@ func (e *Engine) Unregister(name string) bool {
 // PlanCache returns the engine's compiled-plan cache.
 func (e *Engine) PlanCache() *PlanCache { return e.planCache }
 
-// Machine looks up a registered machine by name (nil if absent).
+// Machine looks up a registered machine by name — the engine's one
+// name resolution: "" is the default, the first registered machine.
+// nil when no such machine is registered.
 func (e *Engine) Machine(name string) *Machine {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if name == "" && len(e.order) > 0 {
+		name = e.order[0]
+	}
 	return e.machines[name]
 }
 
@@ -836,35 +831,43 @@ func (e *Engine) Run(ctx context.Context, job Job) Result {
 }
 
 // RunBatch submits every job and waits for all results, returned in
-// job order. A canceled ctx stops the batch cooperatively: queued
-// jobs fail fast with ctx.Err(), in-flight jobs stop at their next
-// block/chunk boundary, and the partial results are still returned —
-// per-job errors mark which jobs did not complete.
+// job order: RunBatchTo with an emit that collects.
 func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Result, BatchStats) {
+	results := make([]Result, len(jobs))
+	st := e.RunBatchTo(ctx, jobs, func(r Result) { results[r.Index] = r })
+	return results, st
+}
+
+// RunBatchTo submits every job and hands each Result (Index is the
+// job's position in jobs) to emit in completion order, on the caller's
+// goroutine, while later jobs are still being submitted; it returns
+// once every job is answered. A canceled ctx stops the batch
+// cooperatively: queued jobs fail fast with ctx.Err(), in-flight jobs
+// stop at their next block/chunk boundary, and every job still gets
+// its Result — per-job errors mark which did not complete. A job whose
+// Submit is refused is answered with the refusal and is not an engine
+// job (see Submit).
+func (e *Engine) RunBatchTo(ctx context.Context, jobs []Job, emit func(Result)) BatchStats {
 	t0 := time.Now()
 	if tm := e.tel; tm != nil {
 		tm.EngineBatches.Inc()
 	}
-	results := make([]Result, len(jobs))
 	out := make(chan Result, len(jobs))
-	submitted := 0
-	for i, job := range jobs {
-		if err := e.Submit(ctx, job, i, out); err != nil {
-			results[i] = Result{Index: i, Machine: job.Machine, Bytes: len(job.Input), Err: err}
-			continue
+	go func() {
+		for i, job := range jobs {
+			if err := e.Submit(ctx, job, i, out); err != nil {
+				out <- Result{Index: i, Machine: job.Machine, Bytes: len(job.Input), Err: err}
+			}
 		}
-		submitted++
-	}
-	for k := 0; k < submitted; k++ {
-		r := <-out
-		results[r.Index] = r
-	}
+	}()
 	var st BatchStats
-	for _, r := range results {
+	for range jobs {
+		r := <-out
 		st.Add(r)
+		emit(r)
 	}
 	st.Duration = time.Since(t0)
-	return results, st
+	return st
 }
 
 // Close stops the workers, fails queued jobs with ErrClosed, and
@@ -908,8 +911,7 @@ func (e *Engine) failQueued() {
 		case t := <-e.queue:
 			res := Result{Index: t.idx, Machine: t.job.Machine, Bytes: len(t.job.Input),
 				QueueWait: e.dequeue(t), Err: ErrClosed}
-			_, m := e.machine(t.job.Machine)
-			e.observe(m, nil, &res, false)
+			e.observe(e.Machine(t.job.Machine), nil, &res, false)
 			t.out <- res
 		default:
 			return
@@ -1001,27 +1003,17 @@ func (e *Engine) dispatch(ctx context.Context, idx int, job Job, queueWait time.
 	return res
 }
 
-// machine resolves a job's machine name ("" is the first registered
-// machine); m is nil when no such machine is registered.
-func (e *Engine) machine(name string) (string, *Machine) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if name == "" && len(e.order) > 0 {
-		name = e.order[0]
-	}
-	return name, e.machines[name]
-}
-
 // run executes one job under ctx (sp is its exec span, nil untraced):
 // machine lookup, lane choice, and the drive through core's schedule.
 // It returns the machine (nil if unknown) and the job's record.
 func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.SpanSink) (*Machine, Result) {
 	res := Result{Machine: job.Machine, Bytes: len(job.Input)}
-	name, m := e.machine(job.Machine)
+	m := e.Machine(job.Machine)
 	if m == nil {
 		res.Err = fmt.Errorf("%w: %q", ErrUnknownMachine, job.Machine)
 		return nil, res
 	}
+	name := m.name
 	res.Machine = name
 	if emit != nil && m.Transducer() == nil {
 		res.Err = fmt.Errorf("%w: %q", ErrNotTransducer, name)
@@ -1089,13 +1081,22 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		res.Reason = "multicore lane disabled (procs=1)"
 	}
 
+	// The phase 3 the job asks for: the span scan (emit), the
+	// first-accept scan (First), or none (a final-state query, §3.4).
+	var first *core.FirstAccept
+	var scan core.ChunkFunc
+	if emit == nil && job.First {
+		first = core.NewFirstAccept(m.dfa)
+		scan = first.Scan
+	}
+
 	// Lanes that fan out over local cores acquire a fan-out slot, so at
 	// most workers/procs such jobs run at once. The cluster lane is
-	// network-bound in phase 1, but a transduction replays its chunks
-	// locally in phase 3. A transduction frees its slot as soon as the
-	// fan-out is over, before its spans go to emit.
+	// network-bound in phase 1, but a phase 3 replays its chunks
+	// locally. A transduction frees its slot as soon as the fan-out is
+	// over, before its spans go to emit.
 	gated := false
-	if res.Lane == LaneMulticore || res.Lane == LaneSpeculative || (res.Lane == LaneCluster && emit != nil) {
+	if res.Lane == LaneMulticore || res.Lane == LaneSpeculative || (res.Lane == LaneCluster && (emit != nil || scan != nil)) {
 		gsp := sp.Child(SpanGate)
 		select {
 		case e.multiGate <- struct{}{}:
@@ -1146,7 +1147,7 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		if emit != nil {
 			final, res.Stats, err = r.DriveSpans(ctx, job.Input, start, src, release, emit)
 		} else {
-			final, res.Stats, err = r.Drive(ctx, job.Input, start, src, nil)
+			final, res.Stats, err = r.Drive(ctx, job.Input, start, src, scan)
 		}
 	})
 	res.Duration = time.Since(t0)
@@ -1157,6 +1158,9 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 	}
 	res.Final = final
 	res.Accepts = m.dfa.Accepting(final)
+	if first != nil {
+		res.FirstMatch = first.Pos()
+	}
 	return m, res
 }
 

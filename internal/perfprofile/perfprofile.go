@@ -150,7 +150,7 @@ type MachineRecorder struct {
 	fingerprint string
 	strategy    string
 
-	// base is the profile reloaded from disk at Attach time; live
+	// base is the profile reloaded from disk at NewRecorder time; live
 	// counters add on top of it so totals survive restarts.
 	base Profile
 
@@ -433,17 +433,6 @@ func (s *Store) Install(r *MachineRecorder) {
 	s.mu.Lock()
 	s.recs[r.machine] = r
 	s.mu.Unlock()
-}
-
-// Attach is NewRecorder + Install in one step, for callers without a
-// separate commit point.
-func (s *Store) Attach(machine, fingerprint, strategy string) *MachineRecorder {
-	if s == nil {
-		return nil
-	}
-	r := s.NewRecorder(machine, fingerprint, strategy)
-	s.Install(r)
-	return r
 }
 
 // Detach removes a machine's recorder, persisting its final profile

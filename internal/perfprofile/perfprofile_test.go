@@ -22,9 +22,17 @@ func observe(r *MachineRecorder) {
 	r.Observe(Job{Lane: LaneSingle, Bytes: 50, Failed: true})
 }
 
+// install registers a recorder the way the engine does: NewRecorder,
+// then Install once the registration has landed.
+func install(s *Store, machine, fingerprint, strategy string) *MachineRecorder {
+	r := s.NewRecorder(machine, fingerprint, strategy)
+	s.Install(r)
+	return r
+}
+
 func TestProfileAggregation(t *testing.T) {
 	s := NewStore("")
-	r := s.Attach("m", "fp1", "convergence")
+	r := install(s, "m", "fp1", "convergence")
 	observe(r)
 	p := r.Profile()
 
@@ -71,7 +79,7 @@ func TestPersistAndReload(t *testing.T) {
 	dir := t.TempDir()
 
 	s1 := NewStore(dir)
-	r1 := s1.Attach("m", "fpX", "auto")
+	r1 := install(s1, "m", "fpX", "auto")
 	observe(r1)
 	if err := s1.SaveAll(); err != nil {
 		t.Fatalf("SaveAll: %v", err)
@@ -83,7 +91,7 @@ func TestPersistAndReload(t *testing.T) {
 	// Restart: a fresh store over the same directory seeds the baseline,
 	// so totals continue instead of restarting from zero.
 	s2 := NewStore(dir)
-	r2 := s2.Attach("m", "fpX", "auto")
+	r2 := install(s2, "m", "fpX", "auto")
 	p := r2.Profile()
 	if p.Jobs != 5 || p.Bytes != 1300 || p.Shuffles != 2600 {
 		t.Fatalf("reloaded profile lost counts: %+v", p)
@@ -109,10 +117,10 @@ func TestCorruptAndSkewedFilesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStore(dir)
-	if p := s.Attach("a", "bad", "auto").Profile(); p.Jobs != 0 {
+	if p := install(s, "a", "bad", "auto").Profile(); p.Jobs != 0 {
 		t.Fatalf("corrupt file seeded a baseline: %+v", p)
 	}
-	if p := s.Attach("b", "skew", "auto").Profile(); p.Jobs != 0 {
+	if p := install(s, "b", "skew", "auto").Profile(); p.Jobs != 0 {
 		t.Fatalf("version-skewed file seeded a baseline: %+v", p)
 	}
 }
@@ -120,7 +128,7 @@ func TestCorruptAndSkewedFilesIgnored(t *testing.T) {
 func TestDetachPersists(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)
-	r := s.Attach("m", "fpD", "auto")
+	r := install(s, "m", "fpD", "auto")
 	observe(r)
 	s.Detach("m")
 	if _, ok := s.Profile("m"); ok {
@@ -128,15 +136,15 @@ func TestDetachPersists(t *testing.T) {
 	}
 	// The final profile was flushed on detach.
 	s2 := NewStore(dir)
-	if p := s2.Attach("m", "fpD", "auto").Profile(); p.Jobs != 5 {
+	if p := install(s2, "m", "fpD", "auto").Profile(); p.Jobs != 5 {
 		t.Fatalf("detach did not persist: %+v", p)
 	}
 }
 
 func TestProfilesSortedAndInstallSemantics(t *testing.T) {
 	s := NewStore("")
-	s.Attach("zeta", "f1", "auto")
-	s.Attach("alpha", "f2", "auto")
+	install(s, "zeta", "f1", "auto")
+	install(s, "alpha", "f2", "auto")
 	ps := s.Profiles()
 	if len(ps) != 2 || ps[0].Machine != "alpha" || ps[1].Machine != "zeta" {
 		t.Fatalf("profiles not sorted by machine: %+v", ps)
@@ -151,7 +159,7 @@ func TestProfilesSortedAndInstallSemantics(t *testing.T) {
 func TestSpeculationAndHotStates(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)
-	r := s.Attach("m", "fpS", "auto")
+	r := install(s, "m", "fpS", "auto")
 	r.Observe(Job{Lane: LaneSpeculative, Bytes: 4096, Exec: time.Millisecond, Final: 3,
 		Stats: core.DriveStats{Chunks: 8, Misses: 2, ReplayBytes: 1024}})
 	for i := 0; i < 4; i++ {
@@ -185,7 +193,7 @@ func TestSpeculationAndHotStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := NewStore(dir)
-	r2 := s2.Attach("m", "fpS", "auto")
+	r2 := install(s2, "m", "fpS", "auto")
 	if st, ok := r2.HotState(); !ok || st != 3 {
 		t.Fatalf("reloaded HotState = %d/%v, want 3/true", st, ok)
 	}
@@ -200,7 +208,7 @@ func TestSpeculationAndHotStates(t *testing.T) {
 }
 
 func TestHotStateHistogramBounded(t *testing.T) {
-	r := NewStore("").Attach("m", "fpB", "auto")
+	r := install(NewStore(""), "m", "fpB", "auto")
 	for st := 0; st < 4*hotStateCap; st++ {
 		r.Observe(Job{Final: st})
 	}
@@ -217,7 +225,8 @@ func TestHotStateHistogramBounded(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var s *Store
-	r := s.Attach("m", "fp", "auto")
+	r := s.NewRecorder("m", "fp", "auto")
+	s.Install(r)
 	if r != nil {
 		t.Fatal("nil store returned non-nil recorder")
 	}
@@ -283,7 +292,7 @@ func TestLegacyProfileSeedsRecorder(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "fpLegacy"+FileSuffix), []byte(legacyProfile), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := NewStore(dir).Attach("m", "fpLegacy", "convergence")
+	r := install(NewStore(dir), "m", "fpLegacy", "convergence")
 	p := r.Profile()
 	if p.Jobs != 6 || p.Errors != 1 || p.Symbols != 1300 || p.Shuffles != 2600 ||
 		p.FactorCalls != 10 || p.FactorWins != 9 || p.SpecChunks != 8 || p.ActiveFinalMean != 4 {
