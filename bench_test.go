@@ -224,30 +224,6 @@ func BenchmarkFig13SingleCore(b *testing.B) {
 	}
 }
 
-// Ablation: the emulated shuffle/blend dataflow versus the scalar
-// kernel on the same strategy (DESIGN.md's SIMD-substitution note).
-func BenchmarkFig13EmulatedSIMDAblation(b *testing.B) {
-	setup(b)
-	d := pickMachine(b, 4, 64, 16)
-	input := fixtures.wiki[:1<<18]
-	for _, simd := range []bool{false, true} {
-		r, err := core.New(d, core.WithStrategy(core.Convergence), core.WithEmulatedSIMD(simd))
-		if err != nil {
-			b.Fatal(err)
-		}
-		name := "scalar"
-		if simd {
-			name = "emulated-simd"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			for i := 0; i < b.N; i++ {
-				r.Final(input, d.Start())
-			}
-		})
-	}
-}
-
 // Ablation: convergence-check cadence (§5.2's "use factor sparingly").
 func BenchmarkConvCheckCadenceAblation(b *testing.B) {
 	setup(b)

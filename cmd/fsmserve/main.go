@@ -574,7 +574,7 @@ func (s *server) handleRegister(w http.ResponseWriter, req *http.Request) {
 	m, cached, err := s.registerMachine(rr.Name, rr.Pattern, strategy, "api")
 	if err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "duplicate machine") {
+		if errors.Is(err, engine.ErrDuplicateMachine) {
 			status = http.StatusConflict
 		}
 		writeError(w, status, err.Error())

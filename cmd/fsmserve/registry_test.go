@@ -100,6 +100,9 @@ func TestRegisterEndpoint(t *testing.T) {
 		{Name: "", Pattern: "x"},
 		{Name: "nopat", Pattern: ""},
 		{Name: "badre", Pattern: "(unclosed"},
+		// A compile failure (max range 513 > 256) is a bad request
+		// whatever the name says.
+		{Name: "duplicate machine", Pattern: "a[ab]{9}b", Strategy: core.RangeCoalesced},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/machines", bad)
 		if resp.StatusCode != http.StatusBadRequest {

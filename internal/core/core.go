@@ -13,8 +13,8 @@
 //
 //   - Convergence (§5.2, Figure 7): transition functions are
 //     many-to-one, so the distinct ("active") states in S collapse
-//     quickly — usually to ≤16, at which point one emulated 16-lane
-//     shuffle advances all of them at once. Periodic Factor calls
+//     quickly — usually to ≤16, at which point one 16-lane shuffle
+//     (§4.2) advances all of them at once. Periodic Factor calls
 //     compress S and accumulate the removed redundancy in a lookup
 //     vector Acc with the invariant S_base = Acc ⊗ S.
 //
@@ -38,7 +38,6 @@ import (
 	"sync"
 
 	"dpfsm/internal/fsm"
-	"dpfsm/internal/gather"
 	"dpfsm/internal/telemetry"
 )
 
@@ -153,7 +152,6 @@ type config struct {
 	procs     int
 	convEvery int
 	minChunk  int
-	simd      bool
 	tel       *telemetry.Metrics
 }
 
@@ -199,19 +197,6 @@ func WithMinChunk(n int) Option {
 	}
 }
 
-// WithEmulatedSIMD makes the byte-state kernels execute the blocked
-// shuffle/blend dataflow of §4.2 (gather.SIMDInto) instead of scalar
-// gather. On real SSE hardware the shuffle path is the fast one (the
-// paper's Figure 6 peak of 4.4×); a pure-Go emulation pays ~Width
-// scalar operations per 16-lane shuffle, so this is an ablation/
-// fidelity knob, not a speedup — see DESIGN.md's substitution notes.
-// In this port the scalar gather over the same byte-encoded compact
-// tables plays the vector role: it preserves the locality and
-// width-scaling structure the optimizations are about.
-func WithEmulatedSIMD(on bool) Option {
-	return func(c *config) { c.simd = on }
-}
-
 // WithTelemetry attaches a metrics sink. All Runners sharing m
 // accumulate into the same counters; m may be read (Snapshot, expvar,
 // Prometheus) while runs are in flight. A nil m — the default —
@@ -237,12 +222,12 @@ func defaultConfig() config {
 }
 
 // Runner is the run-time half of the compile/execute split: a thin
-// execution context — multicore width, convergence cadence, kernel
-// selection, telemetry sink, scratch pool — over a shared immutable
-// *Plan holding every machine-derived table. Any number of Runners
-// may share one Plan (the engine's pooled single-core and multicore
-// runners do exactly that); a Runner is itself immutable after
-// construction and safe for concurrent use.
+// execution context — multicore width, convergence cadence, telemetry
+// sink, scratch pool — over a shared immutable *Plan holding every
+// machine-derived table. Any number of Runners may share one Plan
+// (the engine's pooled single-core and multicore runners do exactly
+// that); a Runner is itself immutable after construction and safe for
+// concurrent use.
 type Runner struct {
 	*Plan
 
@@ -255,13 +240,6 @@ type Runner struct {
 	// the per-run path never takes the label-registry mutex.
 	tel       *telemetry.Metrics
 	stratRuns *telemetry.Counter
-
-	// simd selects the emulated shuffle/blend dataflow of §4.2 for
-	// byte-lane gathers (WithEmulatedSIMD); the default is the scalar
-	// kernel, which is the fast path in pure Go.
-	simd bool
-	// gatherB is the byte-lane gather kernel matching simd.
-	gatherB func(dst, s, t []byte)
 
 	// scratchPool recycles the per-run working vectors (scratch.go) so
 	// batch workloads — many small runs over one shared Runner — do
@@ -282,7 +260,7 @@ func New(d *fsm.DFA, opts ...Option) (*Runner, error) {
 }
 
 // NewFromPlan builds a Runner executing p. Run-time options (procs,
-// convergence cadence, SIMD emulation, telemetry) apply as in New;
+// convergence cadence, telemetry) apply as in New;
 // WithStrategy, if given, must match the plan's resolved strategy —
 // a plan *is* a strategy's compiled tables, so running it any other
 // way is a compile-time request, not a run-time one.
@@ -304,12 +282,6 @@ func NewFromPlan(p *Plan, opts ...Option) (*Runner, error) {
 		procs:     cfg.procs,
 		convEvery: cfg.convEvery,
 		minChunk:  cfg.minChunk,
-	}
-	r.simd = cfg.simd
-	if cfg.simd {
-		r.gatherB = gather.SIMDInto
-	} else {
-		r.gatherB = gather.Into[byte]
 	}
 	if r.procs < 1 {
 		r.procs = 1
@@ -395,20 +367,16 @@ func (r *Runner) useMulticore(inputLen int) bool {
 func (r *Runner) finalSingle(input []byte, start fsm.State, rs *runStats) fsm.State {
 	switch r.strategy {
 	case RangeCoalesced:
-		return r.rcFinal(input, start, rs)
+		return r.rcFinal(input, 0, start, nil, rs)
 	case RangeConvergence:
 		return r.rcConvFinal(input, start, rs)
 	case Convergence:
 		if r.colsB != nil {
-			return r.convFinalBytes(input, start, rs)
+			return convFinal(r, r.colsB, input, 0, start, nil, rs)
 		}
-		return r.convFinal16(input, start, rs)
-	case BaseILP:
-		vec := r.compVecSingle(input, rs)
-		return vec[start]
-	default: // Base
-		vec := r.compVecSingle(input, rs)
-		return vec[start]
+		return convFinal(r, r.cols16, input, 0, start, nil, rs)
+	default: // Base, BaseILP
+		return r.compVecSingle(input, rs)[start]
 	}
 }
 
@@ -428,19 +396,19 @@ func (r *Runner) compVecSingle(input []byte, rs *runStats) []fsm.State {
 		return r.rcConvCompVec(input, rs)
 	case Convergence:
 		if r.colsB != nil {
-			return r.convCompVecBytes(input, rs)
+			return convVec(r, r.colsB, input, rs)
 		}
-		return r.convCompVec16(input, rs)
+		return convVec(r, r.cols16, input, rs)
 	case BaseILP:
 		if r.colsB != nil {
-			return bytesToStates(r.baseILPVecBytes(input, rs))
+			return bytesToStates(baseILPVec(r, r.colsB, input, rs))
 		}
-		return r.baseILPVec16(input, rs)
+		return baseILPVec(r, r.cols16, input, rs)
 	default: // Base
 		if r.colsB != nil {
-			return bytesToStates(r.baseVecBytes(input, rs))
+			return bytesToStates(baseVec(r, r.colsB, input, rs))
 		}
-		return r.baseVec16(input, rs)
+		return baseVec(r, r.cols16, input, rs)
 	}
 }
 
@@ -461,17 +429,17 @@ func (r *Runner) runSingle(input []byte, off int, start fsm.State, phi fsm.Phi) 
 		// φ needs a per-step state for one start entry; the plain
 		// coalesced loop provides it (convergence on the name vector
 		// does not change the observable outputs).
-		return r.rcRun(input, off, start, phi, rs)
+		return r.rcFinal(input, off, start, phi, rs)
 	case Convergence:
 		if r.colsB != nil {
-			return r.convRunBytes(input, off, start, phi, rs)
+			return convFinal(r, r.colsB, input, off, start, phi, rs)
 		}
-		return r.convRun16(input, off, start, phi, rs)
+		return convFinal(r, r.cols16, input, off, start, phi, rs)
 	default: // Base, BaseILP
 		if r.colsB != nil {
-			return r.baseRunBytes(input, off, start, phi, rs)
+			return baseRun(r, r.colsB, input, off, start, phi, rs)
 		}
-		return r.baseRun16(input, off, start, phi, rs)
+		return baseRun(r, r.cols16, input, off, start, phi, rs)
 	}
 }
 

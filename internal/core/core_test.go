@@ -28,6 +28,11 @@ func machines(t testing.TB, rng *rand.Rand) []*fsm.DFA {
 		fsm.RandomConverging(rng, 300, 6, 12, 0.3), // n>256, range≤256: byte names
 		fsm.RandomPermutation(rng, 24, 4, 0.5),
 		fsm.Random(rng, 400, 3, 0.5), // n>256, big range: uint16 path
+		// The byte/uint16 boundary: 256 states with a full byte of
+		// range (every lane and name value in use), then the first
+		// uint16 machine.
+		fsm.RandomPermutation(rng, 256, 4, 0.5),
+		fsm.Random(rng, 257, 4, 0.5),
 	)
 	return ms
 }

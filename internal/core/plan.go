@@ -187,31 +187,43 @@ func TransducerPlanKey(t *fsm.Transducer, opts ...Option) (string, error) {
 	return fingerprint(d, t, s), nil
 }
 
-// compile is CompilePlan after validation and option folding; it is
-// the single constructor every path (New, CompilePlan, UnmarshalPlan's
-// cross-check) funnels through.
+// compile is CompilePlan after validation and option folding; every
+// compiling path (New, CompilePlan, CompileTransducer) funnels through
+// it, and UnmarshalPlan shares its derive step.
 func compile(d *fsm.DFA, strategy Strategy) (*Plan, error) {
-	p := &Plan{
-		d:        d,
-		n:        d.NumStates(),
-		strategy: strategy,
-	}
-	p.ranges = d.RangeSizes()
-	for _, v := range p.ranges {
-		if v > p.maxRange {
-			p.maxRange = v
+	p := derive(d)
+	p.strategy, p.reason = resolveStrategy(strategy, p.maxRange)
+	if p.strategy == RangeCoalesced || p.strategy == RangeConvergence {
+		if p.maxRange > 256 {
+			return nil, fmt.Errorf("core: range coalescing needs max range ≤ 256, machine has %d (use Convergence)", p.maxRange)
 		}
+		p.rc = buildRCTables(d, p.ranges)
 	}
-	p.strategy, p.reason = resolveStrategy(p.strategy, p.maxRange)
+	p.fingerprint = fingerprint(d, nil, p.strategy)
+	return p, nil
+}
 
+// derive starts a plan over d with the tables every plan rebuilds from
+// its machine alone, whether compiled or decoded: the per-symbol range
+// sizes and their maximum, the transition columns at both state widths
+// (colsB only when n ≤ 256), and the shuffle-cost block tables.
+// Accounting reconstruction (noteRCPlain) runs for traced runs even
+// without a telemetry sink, so the block tables are built always.
+func derive(d *fsm.DFA) *Plan {
+	p := &Plan{d: d, n: d.NumStates(), ranges: d.RangeSizes()}
+	p.rangeBlocks = make([]int64, len(p.ranges))
+	for a, v := range p.ranges {
+		p.maxRange = max(p.maxRange, v)
+		p.rangeBlocks[a] = int64((v + gather.Width - 1) / gather.Width)
+	}
+	p.nBlocks = (p.n + gather.Width - 1) / gather.Width
 	p.cols16 = make([][]fsm.State, d.NumSymbols())
-	for a := 0; a < d.NumSymbols(); a++ {
+	for a := range p.cols16 {
 		p.cols16[a] = d.Column(byte(a))
 	}
 	if p.n <= 256 {
-		p.colsB = make([][]byte, d.NumSymbols())
-		for a := 0; a < d.NumSymbols(); a++ {
-			col := p.cols16[a]
+		p.colsB = make([][]byte, len(p.cols16))
+		for a, col := range p.cols16 {
 			b := make([]byte, p.n)
 			for q, s := range col {
 				b[q] = byte(s)
@@ -219,32 +231,15 @@ func compile(d *fsm.DFA, strategy Strategy) (*Plan, error) {
 			p.colsB[a] = b
 		}
 	}
-
-	if p.strategy == RangeCoalesced || p.strategy == RangeConvergence {
-		if p.maxRange > 256 {
-			return nil, fmt.Errorf("core: range coalescing needs max range ≤ 256, machine has %d (use Convergence)", p.maxRange)
-		}
-		p.rc = buildRCTables(d, p.ranges)
-	}
-
-	p.nBlocks = (p.n + gather.Width - 1) / gather.Width
-	// Accounting reconstruction (noteRCPlain) runs for traced runs even
-	// without a telemetry sink, so the block table is built always: 256
-	// entries once per Plan.
-	p.rangeBlocks = make([]int64, len(p.ranges))
-	for a, v := range p.ranges {
-		p.rangeBlocks[a] = int64((v + gather.Width - 1) / gather.Width)
-	}
-	p.fingerprint = fingerprint(d, nil, p.strategy)
-	return p, nil
+	return p
 }
 
 // fingerprint derives the cache identity of a compiled machine:
 // sha256 over the machine's canonical binary encoding, the output
 // table's encoding when t is non-nil (transducer plans), and the
 // resolved strategy name, truncated to 128 bits and hex-encoded.
-// Runner-level knobs (procs, convergence cadence, SIMD emulation,
-// telemetry) are deliberately excluded — plans are invariant under
+// Runner-level knobs (procs, convergence cadence, telemetry) are
+// deliberately excluded — plans are invariant under
 // them, which is what lets a single-core and a multicore runner pair
 // share one cache entry. Acceptor fingerprints are unchanged from
 // before transduction existed, so persisted plan directories keyed by

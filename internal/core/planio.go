@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"dpfsm/internal/fsm"
-	"dpfsm/internal/gather"
 	planwire "dpfsm/internal/plan"
 )
 
@@ -87,13 +86,9 @@ func UnmarshalPlan(data []byte) (*Plan, error) {
 		return nil, fmt.Errorf("core: serialized plan names strategy %q; plans carry a resolved strategy", f.Strategy)
 	}
 
-	p := &Plan{
-		d:        d,
-		n:        d.NumStates(),
-		strategy: strategy,
-		reason:   f.AutoReason,
-	}
-	p.ranges = d.RangeSizes()
+	// Rebuild the cheap derived tables the wire format omits.
+	p := derive(d)
+	p.strategy, p.reason = strategy, f.AutoReason
 	if len(f.Ranges) != len(p.ranges) {
 		return nil, fmt.Errorf("core: plan has %d range entries, machine has %d symbols", len(f.Ranges), len(p.ranges))
 	}
@@ -101,31 +96,6 @@ func UnmarshalPlan(data []byte) (*Plan, error) {
 		if int(f.Ranges[a]) != v {
 			return nil, fmt.Errorf("core: plan range[%d] = %d, machine derives %d: plan does not match machine", a, f.Ranges[a], v)
 		}
-		if v > p.maxRange {
-			p.maxRange = v
-		}
-	}
-
-	// Rebuild the cheap derived tables the wire format omits.
-	p.cols16 = make([][]fsm.State, d.NumSymbols())
-	for a := 0; a < d.NumSymbols(); a++ {
-		p.cols16[a] = d.Column(byte(a))
-	}
-	if p.n <= 256 {
-		p.colsB = make([][]byte, d.NumSymbols())
-		for a := 0; a < d.NumSymbols(); a++ {
-			col := p.cols16[a]
-			b := make([]byte, p.n)
-			for q, s := range col {
-				b[q] = byte(s)
-			}
-			p.colsB[a] = b
-		}
-	}
-	p.nBlocks = (p.n + gather.Width - 1) / gather.Width
-	p.rangeBlocks = make([]int64, len(p.ranges))
-	for a, v := range p.ranges {
-		p.rangeBlocks[a] = int64((v + gather.Width - 1) / gather.Width)
 	}
 
 	needRC := strategy == RangeCoalesced || strategy == RangeConvergence

@@ -14,7 +14,7 @@ import (
 //
 // map names of a to names of b; their width is the range size, not the
 // state count, so even machines with hundreds of states run in one
-// emulated shuffle per symbol when the maximum range is ≤ gather.Width
+// ⊗16 shuffle per symbol when the maximum range is ≤ gather.Width
 // — and names fit a byte whenever the maximum range is ≤ 256 even if
 // |Q| > 256, which is what lets byte-level SIMD run big machines.
 //
@@ -126,96 +126,34 @@ func (r *Runner) noteRCPlain(input []byte, rs *runStats) {
 // i of the first symbol), and the last symbol cur. If phi is non-nil it
 // is invoked at every step with the state reached from start.
 func (r *Runner) rcLoop(input []byte, phi fsm.Phi, off int, start fsm.State, sc *scratch, rs *runStats) (a0 byte, c []byte, cur byte) {
+	rc := r.rc
 	a0 = input[0]
 	cur = a0
-	c = sc.names(len(r.rc.u[a0]))
-	var name0 byte
-	if phi != nil {
-		name0 = r.rc.l[a0][start]
-		phi(off, a0, r.rc.u[a0][name0])
-	}
-	if phi == nil && !r.simd {
-		// Hot paths: the name vector has fixed width |range(a0)|, so
-		// small widths run with lanes held in registers — independent
-		// loads per symbol with no stores or loop control, the scalar
-		// stand-in for the paper's one-shuffle-per-symbol regime.
-		rc := r.rc
-		switch {
-		case len(c) == 1:
-			name := c[0]
-			for i := 1; i < len(input); i++ {
-				b := input[i]
-				t := &rc.fw[cur]
-				name = t.f[int(b)*t.w+int(name)]
-				cur = b
+	_, c, _, _ = vecs[byte](sc, len(rc.u[a0]))
+	switch {
+	case phi == nil && len(c) <= 8:
+		// The name vector has fixed width |range(a0)|, so small widths
+		// run with lanes held in registers — the scalar stand-in for
+		// the paper's one-shuffle-per-symbol regime.
+		cur = r.rcTail(input[1:], cur, c)
+	case phi == nil:
+		for i := 1; i < len(input); i++ {
+			b := input[i]
+			t := &rc.fw[cur]
+			tab := t.f[int(b)*t.w:]
+			for j, v := range c {
+				c[j] = tab[v]
 			}
-			c[0] = name
-		case len(c) <= 4:
-			// Pad to 4 lanes with duplicates of lane 0; pads are
-			// discarded at writeback.
-			c0, c1, c2, c3 := c[0], c[0], c[0], c[0]
-			if len(c) > 1 {
-				c1 = c[1]
-			}
-			if len(c) > 2 {
-				c2 = c[2]
-			}
-			if len(c) > 3 {
-				c3 = c[3]
-			}
-			for i := 1; i < len(input); i++ {
-				b := input[i]
-				t := &rc.fw[cur]
-				f := t.f
-				base := int(b) * t.w
-				c0, c1, c2, c3 = f[base+int(c0)], f[base+int(c1)], f[base+int(c2)], f[base+int(c3)]
-				cur = b
-			}
-			out := [4]byte{c0, c1, c2, c3}
-			copy(c, out[:len(c)])
-		case len(c) <= 8:
-			var lane [8]byte
-			for j := range lane {
-				if j < len(c) {
-					lane[j] = c[j]
-				} else {
-					lane[j] = c[0]
-				}
-			}
-			for i := 1; i < len(input); i++ {
-				b := input[i]
-				t := &rc.fw[cur]
-				f := t.f
-				base := int(b) * t.w
-				lane[0], lane[1], lane[2], lane[3] = f[base+int(lane[0])], f[base+int(lane[1])], f[base+int(lane[2])], f[base+int(lane[3])]
-				lane[4], lane[5], lane[6], lane[7] = f[base+int(lane[4])], f[base+int(lane[5])], f[base+int(lane[6])], f[base+int(lane[7])]
-				cur = b
-			}
-			copy(c, lane[:len(c)])
-		default:
-			for i := 1; i < len(input); i++ {
-				b := input[i]
-				t := &rc.fw[cur]
-				tab := t.f[int(b)*t.w:]
-				for j, v := range c {
-					c[j] = tab[v]
-				}
-				cur = b
-			}
+			cur = b
 		}
-		r.noteRCPlain(input, rs)
-		return a0, c, cur
-	}
-	for i := 1; i < len(input); i++ {
-		b := input[i]
-		if r.simd {
-			gather.SIMDInto(c, c, r.rc.t[cur][b])
-		} else {
-			gather.Into(c, c, r.rc.t[cur][b])
-		}
-		cur = b
-		if phi != nil {
-			phi(off+i, b, r.rc.u[cur][c[name0]])
+	default:
+		name0 := rc.l[a0][start]
+		phi(off, a0, rc.u[a0][name0])
+		for i := 1; i < len(input); i++ {
+			b := input[i]
+			gather.Into(c, c, rc.t[cur][b])
+			cur = b
+			phi(off+i, b, rc.u[cur][c[name0]])
 		}
 	}
 	r.noteRCPlain(input, rs)
@@ -234,7 +172,7 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 	a0 = input[0]
 	cur = a0
 	w0 := len(rc.u[a0])
-	acc, c = sc.namePair(w0)
+	acc, c, l, pos := vecs[byte](sc, w0)
 	m := w0
 	sinceCheck := 0
 	// Unlike rcLoop, the name-vector width shrinks as it converges, so
@@ -248,10 +186,9 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 		shuf = r.rangeBlocks[a0] // first-symbol seed row
 	}
 	mBlocks := int64((m + W - 1) / W)
-	var lbuf, ubuf [256]byte
 	for i := 1; i < len(input); i++ {
 		b := input[i]
-		if m <= 8 && !r.simd {
+		if m <= 8 {
 			if track {
 				// Register-regime tail: ⌈m/W⌉ = 1 output row per
 				// symbol times the width blocks of each step's table.
@@ -263,8 +200,6 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 				rs.note(gathers, shuf, fCalls, fWins, w0, m)
 				rs.noteConverged(i)
 			}
-			// Register regime over names; reuse the plain rcLoop lane
-			// code by running the remainder on the compact vector.
 			sub := r.rcTail(input[i:], cur, c[:m])
 			return a0, acc, c[:m], sub
 		}
@@ -282,24 +217,8 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 		sinceCheck++
 		if m > 1 && sinceCheck >= 4 {
 			fCalls++
-			nu := 0
-			for j := 0; j < m; j++ {
-				v := c[j]
-				k := 0
-				for ; k < nu; k++ {
-					if ubuf[k] == v {
-						break
-					}
-				}
-				if k == nu {
-					ubuf[nu] = v
-					nu++
-				}
-				lbuf[j] = byte(k)
-			}
-			if nu < m {
-				gather.Into(acc, acc, lbuf[:m])
-				copy(c, ubuf[:nu])
+			if nu := factor(c[:m], l, pos); nu < m {
+				gather.Into(acc, acc, l[:m])
 				m = nu
 				fWins++
 				gathers++
@@ -315,9 +234,9 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 	return a0, acc, c[:m], cur
 }
 
-// rcTail advances a compact name vector over the rest of the input
-// with register-resident lanes, returning the final current symbol.
-// c is updated in place.
+// rcTail advances a compact name vector of width ≤ 8 over the rest of
+// the input with register-resident lanes, returning the final current
+// symbol. c is updated in place.
 func (r *Runner) rcTail(input []byte, cur byte, c []byte) byte {
 	rc := r.rc
 	switch {
@@ -330,6 +249,8 @@ func (r *Runner) rcTail(input []byte, cur byte, c []byte) byte {
 		}
 		c[0] = name
 	case len(c) <= 4:
+		// Pad to 4 lanes with duplicates of lane 0; pads are discarded
+		// at writeback.
 		c0, c1, c2, c3 := c[0], c[0], c[0], c[0]
 		if len(c) > 1 {
 			c1 = c[1]
@@ -424,22 +345,11 @@ func (r *Runner) rcCompVec(input []byte, rs *runStats) []fsm.State {
 	return out
 }
 
-// rcFinal returns the final state for one start state.
-func (r *Runner) rcFinal(input []byte, start fsm.State, rs *runStats) fsm.State {
-	if len(input) == 0 {
-		return start
-	}
-	sc := r.getScratch()
-	a0, c, cur := r.rcLoop(input, nil, 0, 0, sc, rs)
-	final := r.rc.u[cur][c[r.rc.l[a0][start]]]
-	r.putScratch(sc)
-	return final
-}
-
-// rcRun runs with φ; the per-step output is the O(1) lookup
-// U_cur[C[name0]] (§5.3: mapping back to states is only needed when
-// calling φ).
-func (r *Runner) rcRun(input []byte, off int, start fsm.State, phi fsm.Phi, rs *runStats) fsm.State {
+// rcFinal returns the final state for one start state. A non-nil φ is
+// invoked at every step, off being the global position of input[0];
+// the per-step output is the O(1) lookup U_cur[C[name0]] (§5.3: mapping
+// back to states is only needed when calling φ).
+func (r *Runner) rcFinal(input []byte, off int, start fsm.State, phi fsm.Phi, rs *runStats) fsm.State {
 	if len(input) == 0 {
 		return start
 	}

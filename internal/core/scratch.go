@@ -2,6 +2,7 @@ package core
 
 import (
 	"dpfsm/internal/fsm"
+	"dpfsm/internal/gather"
 )
 
 // Pooled per-run scratch. The convergence and range-coalescing loops
@@ -19,62 +20,63 @@ import (
 // slices) draw from the pool; buffers are returned only after every
 // read of the run's result, never while a view of them is still live.
 type scratch struct {
-	accB, sB   []byte      // convergence byte path (n ≤ 256)
-	acc16, s16 []fsm.State // convergence uint16 path
-
-	// Name-domain vectors for the range-coalesced strategies. Names
-	// always fit a byte (New enforces max range ≤ 256), so fixed
-	// arrays avoid sizing logic entirely.
-	nameAcc, nameC [256]byte
+	// Lane buffers, one per state width: byte lanes for n ≤ 256 states
+	// and for range-coalesced names, fsm.State lanes above. vecs carves
+	// them into Acc, S and factor's index vector L.
+	b []byte
+	w []fsm.State
+	// pos is factor's position table. It is all zero between factor
+	// calls, so it is never reset as a whole.
+	pos []uint32
 }
 
-// byteVecs returns the identity-filled (Acc, S) pair for an n-state
-// byte-encoded run.
-func (sc *scratch) byteVecs(n int) (acc, s []byte) {
-	if cap(sc.accB) < n {
-		sc.accB = make([]byte, n)
-		sc.sB = make([]byte, n)
+// vecs returns identity-filled Acc and S vectors of width n in T's
+// lanes, an index vector L of the same width, and a position table
+// covering every value below max(n, 256) — every state of an n-state
+// machine and every range-coalesced name — which is everything one
+// factored run needs.
+func vecs[T gather.Elem](sc *scratch, n int) (acc, s, l []T, pos []uint32) {
+	buf, ok := any(&sc.b).(*[]T)
+	if !ok {
+		buf = any(&sc.w).(*[]T)
 	}
-	acc, s = sc.accB[:n], sc.sB[:n]
+	if len(*buf) < 3*n {
+		*buf = make([]T, 3*n)
+	}
+	if len(sc.pos) < max(n, 256) {
+		sc.pos = make([]uint32, max(n, 256))
+	}
+	acc, s, l = (*buf)[:n:n], (*buf)[n:2*n:2*n], (*buf)[2*n:3*n:3*n]
 	for i := range acc {
-		acc[i] = byte(i)
-		s[i] = byte(i)
+		acc[i] = T(i)
+		s[i] = T(i)
 	}
-	return acc, s
+	return acc, s, l, sc.pos
 }
 
-// stateVecs is byteVecs for machines with more than 256 states.
-func (sc *scratch) stateVecs(n int) (acc, s []fsm.State) {
-	if cap(sc.acc16) < n {
-		sc.acc16 = make([]fsm.State, n)
-		sc.s16 = make([]fsm.State, n)
+// factor is §5.1's Factor, in place and linear in len(s): it rewrites
+// s to U, its distinct elements in first-occurrence order, fills
+// l[:len(s)] so that the old s equals L ⊗ U, and returns |U|. pos must
+// cover every value of s and be all zero; factor leaves it all zero
+// again by clearing only the |U| entries it set, so one pooled table
+// serves every call at no cost proportional to its size.
+func factor[T gather.Elem](s, l []T, pos []uint32) int {
+	nu := 0
+	for i, v := range s {
+		p := pos[v]
+		if p == 0 {
+			// nu ≤ i, so this write never clobbers an unread element.
+			s[nu] = v
+			nu++
+			p = uint32(nu)
+			pos[v] = p
+		}
+		l[i] = T(p - 1)
 	}
-	acc, s = sc.acc16[:n], sc.s16[:n]
-	for i := range acc {
-		acc[i] = fsm.State(i)
-		s[i] = fsm.State(i)
+	for _, v := range s[:nu] {
+		pos[v] = 0
 	}
-	return acc, s
-}
-
-// names returns the identity-filled name vector of width w.
-func (sc *scratch) names(w int) []byte {
-	c := sc.nameC[:w]
-	for i := range c {
-		c[i] = byte(i)
-	}
-	return c
-}
-
-// namePair returns identity-filled (Acc, C) name vectors of width w
-// for the RangeConvergence loop.
-func (sc *scratch) namePair(w int) (acc, c []byte) {
-	acc, c = sc.nameAcc[:w], sc.nameC[:w]
-	for i := range acc {
-		acc[i] = byte(i)
-		c[i] = byte(i)
-	}
-	return acc, c
+	return nu
 }
 
 // getScratch takes a scratch from the runner's pool.

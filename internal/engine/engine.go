@@ -83,6 +83,9 @@ var (
 	ErrClosed         = errors.New("engine: closed")
 	ErrUnknownMachine = errors.New("engine: unknown machine")
 	ErrBadStart       = errors.New("engine: start state out of range")
+	// ErrDuplicateMachine is returned by the Register calls when the
+	// name is already taken.
+	ErrDuplicateMachine = errors.New("engine: duplicate machine")
 	// ErrQueueFull is returned by TrySubmit when the bounded queue has
 	// no room — the load-shedding signal for callers that must not
 	// block on backpressure.
@@ -607,7 +610,7 @@ func (e *Engine) Register(name string, d *fsm.DFA, opts ...core.Option) (*Machin
 	_, dup := e.machines[name]
 	e.mu.RUnlock()
 	if dup {
-		return nil, fmt.Errorf("engine: duplicate machine %q", name)
+		return nil, fmt.Errorf("%w %q", ErrDuplicateMachine, name)
 	}
 	p, hit, err := e.planCache.GetOrCompile(d, opts...)
 	if err != nil {
@@ -633,7 +636,7 @@ func (e *Engine) RegisterPlan(name string, p *core.Plan, opts ...core.Option) (*
 	_, dup := e.machines[name]
 	e.mu.RUnlock()
 	if dup {
-		return nil, fmt.Errorf("engine: duplicate machine %q", name)
+		return nil, fmt.Errorf("%w %q", ErrDuplicateMachine, name)
 	}
 	p = e.planCache.Add(p)
 	return e.registerPlan(name, p.Machine(), p, true, opts...)
@@ -679,7 +682,7 @@ func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, hit bool, o
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, dup := e.machines[name]; dup {
-		return nil, fmt.Errorf("engine: duplicate machine %q", name)
+		return nil, fmt.Errorf("%w %q", ErrDuplicateMachine, name)
 	}
 	e.machines[name] = m
 	e.order = append(e.order, name)

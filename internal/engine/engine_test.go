@@ -203,6 +203,36 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// A taken name is ErrDuplicateMachine from every Register call, and
+// only a taken name is: a compile failure for a machine whose name reads
+// "duplicate machine" is not.
+func TestDuplicateMachineIsTyped(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	d := fsm.RandomConverging(rng, 10, 4, 3, 0.3)
+	tr := testTransducer(t, d)
+	e := New(WithWorkers(1), WithProcs(1))
+	defer e.Close()
+	if _, err := e.Register("m", d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RegisterTransducer("tok", tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"m", "tok"} {
+		if _, err := e.Register(name, d); !errors.Is(err, ErrDuplicateMachine) {
+			t.Errorf("Register(%q) err = %v, want ErrDuplicateMachine", name, err)
+		}
+		if _, err := e.RegisterTransducer(name, tr); !errors.Is(err, ErrDuplicateMachine) {
+			t.Errorf("RegisterTransducer(%q) err = %v, want ErrDuplicateMachine", name, err)
+		}
+	}
+	wide := fsm.RandomPermutation(rng, 300, 4, 0.3) // max range 300 > 256: no range plan
+	_, err := e.Register("duplicate machine", wide, core.WithStrategy(core.RangeCoalesced))
+	if err == nil || errors.Is(err, ErrDuplicateMachine) {
+		t.Errorf("compile failure err = %v, want a non-duplicate error", err)
+	}
+}
+
 // TestJobValidation covers the per-job failure modes.
 func TestJobValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))

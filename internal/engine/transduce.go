@@ -44,7 +44,7 @@ func (e *Engine) RegisterTransducer(name string, t *fsm.Transducer, opts ...core
 	_, dup := e.machines[name]
 	e.mu.RUnlock()
 	if dup {
-		return nil, fmt.Errorf("engine: duplicate machine %q", name)
+		return nil, fmt.Errorf("%w %q", ErrDuplicateMachine, name)
 	}
 	p, hit, err := e.planCache.GetOrCompileTransducer(t, opts...)
 	if err != nil {
