@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -67,7 +66,7 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 	if m == nil {
 		return
 	}
-	input, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.maxBody))
+	input, err := readBody(w, req, s.maxBody)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("reading body: %v", err))
 		return

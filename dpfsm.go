@@ -164,7 +164,8 @@ func CompilePlan(d *DFA, opts ...Option) (*Plan, error) { return core.CompilePla
 func NewRunnerFromPlan(p *Plan, opts ...Option) (*Runner, error) { return core.NewFromPlan(p, opts...) }
 
 // UnmarshalPlan decodes a plan serialized with Plan.MarshalBinary,
-// revalidating the embedded machine and bounds-checking every table.
+// revalidating the embedded machine, rebuilding every table from it,
+// and refusing a plan whose stored tables differ.
 func UnmarshalPlan(data []byte) (*Plan, error) { return core.UnmarshalPlan(data) }
 
 // PlanKey computes the cache fingerprint CompilePlan would assign,

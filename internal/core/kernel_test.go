@@ -154,6 +154,29 @@ func raceEnabled() bool {
 	return false
 }
 
+// Range runs account their shuffles without a second walk of the
+// input when every range fits one shuffle block (blockRows' closed
+// form), and by walking when some range is wider; both must equal the
+// Figure 11 model ProfileInput replays, exactly.
+func TestRangeAccountingMatchesProfile(t *testing.T) {
+	for i, maxRange := range []int{12, 40} {
+		rng := rand.New(rand.NewSource(int64(990 + i)))
+		d := fsm.RandomConverging(rng, 120, 8, maxRange, 0.3)
+		input := d.RandomInput(rng, 3000)
+		r := newRunner(t, d, RangeCoalesced, WithTelemetry(new(telemetry.Metrics)))
+		if (r.MaxRange() <= gather.Width) != (maxRange <= gather.Width) {
+			t.Fatalf("max range %d does not exercise the intended path", r.MaxRange())
+		}
+		_, ds, err := r.Drive(context.Background(), input, d.Start(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(ProfileInput(d, input).RangeShuffles); ds.Shuffles != want {
+			t.Errorf("max range %d: Drive accounted %d shuffles, model %d", r.MaxRange(), ds.Shuffles, want)
+		}
+	}
+}
+
 // The register tails must advance every lane count they take, 1 to 8,
 // exactly like the plain per-lane loop: convTail over state columns at
 // both widths, rcTail over name tables. Permutation machines keep
@@ -178,7 +201,7 @@ func TestRegisterTailsEveryWidth(t *testing.T) {
 		want := slices.Clone(c)
 		wcur := cur
 		for _, b := range input {
-			want = gather.New(want, rc.rc.t[wcur][b])
+			want = gather.New(want, rc.rc.fw[wcur].row(b))
 			wcur = b
 		}
 		if got := rc.rcTail(input, cur, c); got != wcur || !slices.Equal(c, want) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/gather"
@@ -194,10 +195,11 @@ func compile(d *fsm.DFA, strategy Strategy) (*Plan, error) {
 	p := derive(d)
 	p.strategy, p.reason = resolveStrategy(strategy, p.maxRange)
 	if p.strategy == RangeCoalesced || p.strategy == RangeConvergence {
-		if p.maxRange > 256 {
-			return nil, fmt.Errorf("core: range coalescing needs max range ≤ 256, machine has %d (use Convergence)", p.maxRange)
+		rc, err := buildRCTables(d, p.ranges)
+		if err != nil {
+			return nil, err
 		}
-		p.rc = buildRCTables(d, p.ranges)
+		p.rc = rc
 	}
 	p.fingerprint = fingerprint(d, nil, p.strategy)
 	return p, nil
@@ -302,7 +304,7 @@ func (p *Plan) TableBytes() int {
 		total += p.out.TableBytes() + 4*len(p.step)
 	}
 	if p.rc != nil {
-		total += p.rc.EntryCount() // t tables (bytes)
+		total += p.rc.EntryCount() // T tables (bytes)
 		for _, l := range p.rc.l {
 			total += len(l)
 		}
@@ -320,13 +322,8 @@ func (p *Plan) equivalent(q *Plan) bool {
 	if p.fingerprint != q.fingerprint || p.strategy != q.strategy || p.n != q.n {
 		return false
 	}
-	if len(p.ranges) != len(q.ranges) {
+	if !slices.Equal(p.ranges, q.ranges) {
 		return false
-	}
-	for a := range p.ranges {
-		if p.ranges[a] != q.ranges[a] {
-			return false
-		}
 	}
 	if (p.rc == nil) != (q.rc == nil) || (p.out == nil) != (q.out == nil) {
 		return false
@@ -335,28 +332,15 @@ func (p *Plan) equivalent(q *Plan) bool {
 		if p.out.Kind() != q.out.Kind() || p.out.NumOutputs() != q.out.NumOutputs() {
 			return false
 		}
-		pl, ql := p.out.Lambda(), q.out.Lambda()
-		if len(pl) != len(ql) {
+		if !slices.Equal(p.out.Lambda(), q.out.Lambda()) {
 			return false
-		}
-		for i := range pl {
-			if pl[i] != ql[i] {
-				return false
-			}
 		}
 	}
 	if p.rc != nil {
 		for a := range p.rc.l {
-			if !bytes.Equal(p.rc.l[a], q.rc.l[a]) || !bytes.Equal(p.rc.tf[a], q.rc.tf[a]) {
+			if !bytes.Equal(p.rc.l[a], q.rc.l[a]) || !bytes.Equal(p.rc.fw[a].f, q.rc.fw[a].f) ||
+				!slices.Equal(p.rc.u[a], q.rc.u[a]) {
 				return false
-			}
-			if len(p.rc.u[a]) != len(q.rc.u[a]) {
-				return false
-			}
-			for i := range p.rc.u[a] {
-				if p.rc.u[a][i] != q.rc.u[a][i] {
-					return false
-				}
 			}
 		}
 	}

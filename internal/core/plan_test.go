@@ -1,8 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -214,11 +218,14 @@ func TestUnmarshalPlanRejectsInconsistent(t *testing.T) {
 			g, _ := planwire.Unmarshal(rcData)
 			f.RC = g.RC
 		}), "unexpected range-coalesced tables"},
-		{"U out of range", retamper(t, rcData, func(f *planwire.File) { f.RC.U[0][0] = 60000 }), "out of range"},
-		{"L out of range", retamper(t, rcData, func(f *planwire.File) { f.RC.L[2][3] = 255 }), "out of range"},
+		{"U out of range", retamper(t, rcData, func(f *planwire.File) { f.RC.U[0][0] = 60000 }), "U[0] does not match machine"},
+		{"L out of range", retamper(t, rcData, func(f *planwire.File) { f.RC.L[2][3] = 255 }), "L[2] does not match machine"},
 		{"T out of range", retamper(t, rcData, func(f *planwire.File) {
 			f.RC.T[1][0] = 255
-		}), "out of range"},
+		}), "T[1] does not match machine"},
+		// Every name stays in range, so only comparing against the
+		// tables the machine derives can tell this plan is wrong.
+		{"T names swapped", retamper(t, rcData, func(f *planwire.File) { swapRowNames(t, f.RC) }), "does not match machine"},
 	}
 	for _, tc := range cases {
 		if _, err := UnmarshalPlan(tc.data); err == nil {
@@ -227,6 +234,26 @@ func TestUnmarshalPlanRejectsInconsistent(t *testing.T) {
 			t.Errorf("%s: error %v does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// swapRowNames swaps two distinct names inside one row T[a][b] of the
+// wire tables, leaving every entry within its range.
+func swapRowNames(t *testing.T, rc *planwire.RC) {
+	t.Helper()
+	k := len(rc.T)
+	for _, flat := range rc.T {
+		w := len(flat) / k
+		for b := 0; b < k; b++ {
+			row := flat[b*w : (b+1)*w]
+			for i := 1; i < w; i++ {
+				if row[i] != row[0] {
+					row[0], row[i] = row[i], row[0]
+					return
+				}
+			}
+		}
+	}
+	t.Fatal("no T row holds two distinct names")
 }
 
 func TestStrategyTextMarshaling(t *testing.T) {
@@ -274,5 +301,54 @@ func TestStrategyTextMarshaling(t *testing.T) {
 	}
 	if _, err := Strategy(99).MarshalText(); err == nil {
 		t.Fatal("MarshalText accepted an invalid strategy value")
+	}
+}
+
+// TestRangePlanWireBytesPinned pins the serialized bytes of range plans
+// over a fixed machine: the wire format and the tables it carries must
+// not drift, or plan files and cluster peers of other builds would
+// stop loading.
+func TestRangePlanWireBytesPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(261))
+	d := fsm.RandomConverging(rng, 64, 256, 8, 0.3)
+	for strat, want := range map[Strategy]string{
+		RangeCoalesced:   "0c40e772283dcc3429f0348c5129d37c47f0f9c10fd57b2ad1f96f204728eb17",
+		RangeConvergence: "a6dfbaf107776dd25606a6dff51a08c1f6a23b8620077a75acfab49acc07a277",
+	} {
+		p, err := CompilePlan(d, WithStrategy(strat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%v: plan bytes hash to %s, want %s", strat, got, want)
+		}
+	}
+}
+
+// TestRangePlanFootprint: compiling a 256-symbol range plan allocates
+// about what the plan keeps — its tables and the machine — and no k×k
+// index of per-row slice headers (1.6 MB at k = 256) beside them.
+func TestRangePlanFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(261))
+	d := fsm.RandomConverging(rng, 64, 256, 8, 0.3)
+	keep := 0
+	alloc := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := CompilePlan(d, WithStrategy(RangeCoalesced))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep = p.TableBytes() + 2*d.NumStates()*d.NumSymbols()
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	if alloc > uint64(2*keep) {
+		t.Fatalf("CompilePlan allocated %d bytes for %d bytes of tables and machine", alloc, keep)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/gather"
 )
@@ -76,29 +78,27 @@ func (p Profile) BestPerSymbol() (perSymbol float64, winner Strategy) {
 func ProfileInput(d *fsm.DFA, input []byte) Profile {
 	n := d.NumStates()
 	p := Profile{Symbols: len(input)}
-	maxRange := d.MaxRangeSize()
-	p.RangeOK = maxRange <= 256
+	ranges := d.RangeSizes()
+	p.RangeOK = slices.Max(ranges) <= 256
+	blocks := func(w int) int { return (w + gather.Width - 1) / gather.Width }
 
-	// Convergence accounting: track the exact active set.
-	s := gather.Identity[fsm.State](n)
+	// Convergence accounting: track the exact active set, stepping and
+	// factoring it in place in one scratch for the whole input.
+	var sc scratch
+	_, s, l, pos := vecs[fsm.State](&sc, n)
 	m := n
-	tmp := make([]fsm.State, n)
-	nBlocks := (n + gather.Width - 1) / gather.Width
+	nBlocks := blocks(n)
 	for i, a := range input {
-		p.ConvShuffles += ((m + gather.Width - 1) / gather.Width) * nBlocks
+		p.ConvShuffles += blocks(m) * nBlocks
 		col := d.Column(a)
-		for j := 0; j < m; j++ {
-			tmp[j] = col[s[j]]
+		for j, q := range s[:m] {
+			s[j] = col[q]
 		}
-		_, u := gather.Factor(tmp[:m])
-		copy(s, u)
-		if len(u) < m {
+		if nu := factor(s[:m], l, pos); nu < m {
 			p.FactorCalls++
+			m = nu
 		}
-		m = len(u)
-		if m > p.MaxActive {
-			p.MaxActive = m
-		}
+		p.MaxActive = max(p.MaxActive, m)
 
 		// Range accounting for the same step.
 		if p.RangeOK {
@@ -107,12 +107,9 @@ func ProfileInput(d *fsm.DFA, input []byte) Profile {
 				// The paper amortizes this as setup; to stay
 				// conservative we charge ⌈|range(a)|/W⌉ — one shuffle
 				// row per block of the seeded name vector.
-				p.RangeShuffles += (d.RangeSize(a) + gather.Width - 1) / gather.Width
+				p.RangeShuffles += blocks(ranges[a])
 			} else {
-				w0 := d.RangeSize(input[0])
-				prev := d.RangeSize(input[i-1])
-				p.RangeShuffles += ((w0 + gather.Width - 1) / gather.Width) *
-					((prev + gather.Width - 1) / gather.Width)
+				p.RangeShuffles += blocks(ranges[input[0]]) * blocks(ranges[input[i-1]])
 			}
 		}
 	}

@@ -96,3 +96,40 @@ func TestProfileHugeRangeDisablesRange(t *testing.T) {
 		t.Error("best should fall back to conv, labelled Convergence")
 	}
 }
+
+// TestProfilePinned pins ProfileInput's counts on a few machines to
+// the values the allocating gather.Factor replay produced, so the
+// in-place factor changes how the model runs but not what it reports.
+func TestProfilePinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(260))
+	ds := []*fsm.DFA{
+		fsm.RandomConverging(rng, 300, 6, 12, 0.3),
+		fsm.RandomPermutation(rng, 40, 4, 0.3),
+		fsm.Random(rng, 50, 8, 0.3),
+		fsm.RandomConverging(rng, 200, 16, 40, 0.3),
+	}
+	want := []Profile{
+		{Symbols: 4096, ConvShuffles: 78166, RangeShuffles: 4096, RangeOK: true, MaxActive: 8, FinalActive: 1, FactorCalls: 5},
+		{Symbols: 4096, ConvShuffles: 36864, RangeShuffles: 36858, RangeOK: true, MaxActive: 40, FinalActive: 40, FactorCalls: 0},
+		{Symbols: 4096, ConvShuffles: 16404, RangeShuffles: 17408, RangeOK: true, MaxActive: 31, FinalActive: 1, FactorCalls: 13},
+		{Symbols: 4096, ConvShuffles: 53417, RangeShuffles: 15964, RangeOK: true, MaxActive: 26, FinalActive: 1, FactorCalls: 9},
+	}
+	for i, d := range ds {
+		if got := ProfileInput(d, d.RandomInput(rng, 4096)); got != want[i] {
+			t.Errorf("machine %d: ProfileInput = %+v, want %+v", i, got, want[i])
+		}
+	}
+}
+
+// TestProfileAllocsFlat: ProfileInput allocates its scratch once per
+// call, not per symbol, so the count does not grow with the input.
+func TestProfileAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(261))
+	d := fsm.RandomConverging(rng, 300, 6, 12, 0.3)
+	short, long := d.RandomInput(rng, 1<<10), d.RandomInput(rng, 64<<10)
+	a := testing.AllocsPerRun(5, func() { ProfileInput(d, short) })
+	b := testing.AllocsPerRun(5, func() { ProfileInput(d, long) })
+	if a != b || b > 16 {
+		t.Fatalf("ProfileInput allocates %v times on 1 KiB and %v on 64 KiB; want one small constant", a, b)
+	}
+}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/gather"
 )
@@ -30,15 +33,11 @@ type rcTables struct {
 	l [][]byte
 	// u[a] maps names of a back to states: u[a][name] = state.
 	u [][]fsm.State
-	// t[a][b] has length |u[a]|: t[a][b][i] = l[b][u[a][i]], the name
-	// of b reached from name i of a on reading b.
-	t [][][]byte
-	// tf[a] is t[a] flattened with stride w[a] (tf[a][int(b)*w[a]+i] =
-	// t[a][b][i]) so the hot loop does one slice index per symbol.
-	tf [][]byte
-	w  []int
-	// fw fuses tf and w so the hot loop touches one cache line for
-	// both.
+	// fw[a] holds the k tables T_a[b] back to back, each |u[a]| wide:
+	// fw[a].f[int(b)*fw[a].w+i] = l[b][u[a][i]], the name of b reached
+	// from name i of a on reading b. One flat slice per symbol with its
+	// stride beside it keeps the set at e·k entries and lets the hot
+	// loop touch one cache line for both.
 	fw []rcFlat
 }
 
@@ -47,55 +46,56 @@ type rcFlat struct {
 	w int
 }
 
-// buildRCTables precomputes the range-coalesced tables. Requires
-// max range ≤ 256 (checked by New).
-func buildRCTables(d *fsm.DFA, ranges []int) *rcTables {
-	k := d.NumSymbols()
+// row returns T_a[b] out of a's flat table.
+func (t *rcFlat) row(b byte) []byte {
+	return t.f[int(b)*t.w : (int(b)+1)*t.w]
+}
+
+// buildRCTables is the only constructor of range-coalesced tables:
+// compile builds them for a fresh plan, and UnmarshalPlan rebuilds
+// them from the decoded machine to check the wire's copy against.
+// ranges are d's per-symbol range sizes; names are bytes, so their
+// maximum must be ≤ 256.
+func buildRCTables(d *fsm.DFA, ranges []int) (*rcTables, error) {
+	if m := slices.Max(ranges); m > 256 {
+		return nil, fmt.Errorf("core: range coalescing needs max range ≤ 256, machine has %d (use Convergence)", m)
+	}
+	n, k := d.NumStates(), d.NumSymbols()
 	rc := &rcTables{
-		l: make([][]byte, k),
-		u: make([][]fsm.State, k),
-		t: make([][][]byte, k),
+		l:  make([][]byte, k),
+		u:  make([][]fsm.State, k),
+		fw: make([]rcFlat, k),
 	}
-	for a := 0; a < k; a++ {
-		l16, u := gather.Factor(d.Column(byte(a)))
-		lb := make([]byte, len(l16))
-		for i, v := range l16 {
-			lb[i] = byte(v)
+	// factor names each column's states in first-occurrence order, as
+	// gather.Factor does, so the tables are a pure function of d.
+	s, l, pos := make([]fsm.State, n), make([]fsm.State, n), make([]uint32, n)
+	for a := range k {
+		copy(s, d.Column(byte(a)))
+		w := factor(s, l, pos)
+		rc.u[a] = slices.Clone(s[:w])
+		rc.l[a] = make([]byte, n)
+		for q, v := range l {
+			rc.l[a][q] = byte(v)
 		}
-		rc.l[a] = lb
-		rc.u[a] = u
 	}
-	rc.tf = make([][]byte, k)
-	rc.w = make([]int, k)
-	rc.fw = make([]rcFlat, k)
-	for a := 0; a < k; a++ {
-		rc.t[a] = make([][]byte, k)
-		ua := rc.u[a]
-		w := len(ua)
-		rc.w[a] = w
-		flat := make([]byte, k*w)
-		for b := 0; b < k; b++ {
-			lb := rc.l[b]
-			tab := flat[b*w : (b+1)*w : (b+1)*w]
-			for i, q := range ua {
-				tab[i] = lb[q]
+	for a, ua := range rc.u {
+		flat := make([]byte, 0, k*len(ua))
+		for _, lb := range rc.l {
+			for _, q := range ua {
+				flat = append(flat, lb[q])
 			}
-			rc.t[a][b] = tab
 		}
-		rc.tf[a] = flat
-		rc.fw[a] = rcFlat{f: flat, w: w}
+		rc.fw[a] = rcFlat{f: flat, w: len(ua)}
 	}
-	return rc
+	return rc, nil
 }
 
 // EntryCount reports the total number of table entries, for the §5.3
 // memory accounting (e·k entries versus the original n·k).
 func (rc *rcTables) EntryCount() int {
 	total := 0
-	for _, ta := range rc.t {
-		for _, tab := range ta {
-			total += len(tab)
-		}
+	for _, t := range rc.fw {
+		total += len(t.f)
 	}
 	return total
 }
@@ -104,7 +104,7 @@ func (rc *rcTables) EntryCount() int {
 // w0 = |range(input[0])| for the whole input, so the Figure 11 shuffle
 // count — ⌈w0/W⌉·⌈|range(prev)|/W⌉ per symbol, the model
 // core.ProfileInput replays offline — is a pure function of the input
-// symbols. It is therefore reconstructed here in one pass only when the
+// symbols. It is therefore reconstructed here (blockRows) only when the
 // run accounts; the hot loop itself carries no accounting at all.
 func (r *Runner) noteRCPlain(input []byte, rs *runStats) {
 	if rs == nil || len(input) == 0 {
@@ -112,12 +112,24 @@ func (r *Runner) noteRCPlain(input []byte, rs *runStats) {
 	}
 	w0 := r.ranges[input[0]]
 	cb := r.rangeBlocks[input[0]]
-	var rows int64
-	for _, b := range input[:len(input)-1] {
-		rows += r.rangeBlocks[b]
-	}
+	rows := r.blockRows(input[:len(input)-1])
 	// cb·rows for the body plus one seed row of the L_{a0} lookup.
 	rs.note(int64(len(input)-1), cb*rows+cb, 0, 0, w0, w0)
+}
+
+// blockRows sums rangeBlocks over syms, the table blocks of each step
+// taken from those symbols. When the max range is ≤ gather.Width —
+// every range plan Auto builds — each symbol has one block, so the sum
+// is len(syms) and only forced range plans with wider ranges walk.
+func (p *Plan) blockRows(syms []byte) int64 {
+	if p.maxRange <= gather.Width {
+		return int64(len(syms))
+	}
+	var rows int64
+	for _, b := range syms {
+		rows += p.rangeBlocks[b]
+	}
+	return rows
 }
 
 // rcLoop runs the coalesced machine over input[1:], starting from the
@@ -151,7 +163,7 @@ func (r *Runner) rcLoop(input []byte, phi fsm.Phi, off int, start fsm.State, sc 
 		phi(off, a0, rc.u[a0][name0])
 		for i := 1; i < len(input); i++ {
 			b := input[i]
-			gather.Into(c, c, rc.t[cur][b])
+			gather.Into(c, c, rc.fw[cur].row(b))
 			cur = b
 			phi(off+i, b, rc.u[cur][c[name0]])
 		}
@@ -191,12 +203,10 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 		if m <= 8 {
 			if track {
 				// Register-regime tail: ⌈m/W⌉ = 1 output row per
-				// symbol times the width blocks of each step's table.
-				prev := cur
-				for _, bb := range input[i:] {
-					shuf += r.rangeBlocks[prev]
-					prev = bb
-				}
+				// symbol times the width blocks of each step's table,
+				// the step into input[j] reading from input[j-1]
+				// (cur = input[i-1]).
+				shuf += r.blockRows(input[i-1 : len(input)-1])
 				rs.note(gathers, shuf, fCalls, fWins, w0, m)
 				rs.noteConverged(i)
 			}

@@ -620,11 +620,11 @@ func (e *Engine) Register(name string, d *fsm.DFA, opts ...core.Option) (*Machin
 }
 
 // RegisterPlan registers a machine from an already compiled plan —
-// the restart path: plans deserialized from a plan-cache directory
-// skip table construction entirely. The plan is entered into the
-// engine's cache under its fingerprint (an already cached equal plan
-// wins, keeping one canonical instance); opts configure the runners
-// and must not force a strategy other than the plan's.
+// the restart path, for plans deserialized from a plan-cache
+// directory. The plan is entered into the engine's cache under its
+// fingerprint (an already cached equal plan wins, keeping one
+// canonical instance); opts configure the runners and must not force
+// a strategy other than the plan's.
 func (e *Engine) RegisterPlan(name string, p *core.Plan, opts ...core.Option) (*Machine, error) {
 	if name == "" {
 		return nil, errors.New("engine: empty machine name")
