@@ -234,11 +234,15 @@ func FromParent(traceparent string) *Trace {
 }
 
 // ParseTraceparent validates a W3C traceparent header and returns its
-// trace-id and parent-id fields.
+// trace-id and parent-id fields. A version-00 header is exactly 55
+// bytes; a later version may append fields after a '-' at offset 55.
 func ParseTraceparent(h string) (traceID, parentID string, err error) {
 	// version(2) "-" trace-id(32) "-" parent-id(16) "-" flags(2)
 	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return "", "", fmt.Errorf("trace: malformed traceparent %q", h)
+	}
+	if len(h) > 55 && (h[:2] == "00" || h[55] != '-') {
+		return "", "", fmt.Errorf("trace: trailing data in traceparent %q", h)
 	}
 	if h[:2] == "ff" {
 		return "", "", fmt.Errorf("trace: invalid traceparent version %q", h[:2])
