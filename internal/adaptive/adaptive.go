@@ -46,9 +46,18 @@ const (
 	// argument, measured instead of assumed).
 	MaxMispredictRate = 0.25
 	// ProbeEvery routes one in this many large jobs to an undersampled
-	// speculative lane, so it can accumulate MinSamples without ever
+	// speculative lane, so it can accumulate samples without ever
 	// carrying more than a sliver of the workload.
 	ProbeEvery = 8
+	// ProbeSamples is how many jobs an unselected speculative lane is
+	// probed for. It is more than MinSamples so that one decision on
+	// MinSamples jobs is not final: a stall that slowed those few
+	// samples (a collector pause, a core taken by another process)
+	// would otherwise hold the lane at a rate it never really had, on
+	// one run and not the next. The further probes run on the
+	// workload's own large jobs, and the re-evaluations every EvalEvery
+	// jobs weigh them.
+	ProbeSamples = 4 * MinSamples
 )
 
 // Lane names. Kept string-identical to the engine's and perfprofile's
@@ -250,8 +259,9 @@ func (s *Selector) Selection() Selection {
 // Refresh re-runs Decide against fresh inputs (the incumbent is the
 // selector's own current lane, overriding in.Incumbent) and installs
 // the result. It also re-derives the probe schedule: the speculative
-// lane is probed while it is unselected, undersampled, not yet
-// disqualified, and the machine has a hot state to guess from.
+// lane is probed while it is unselected, has fewer than ProbeSamples
+// jobs, is not disqualified, and the machine has a hot state to guess
+// from.
 func (s *Selector) Refresh(in Inputs) Selection {
 	if s == nil {
 		return Selection{}
@@ -265,7 +275,7 @@ func (s *Selector) Refresh(in Inputs) Selection {
 	s.probeSpec = s.cur.Lane != LaneSpeculative &&
 		in.Procs > 1 &&
 		in.HasHotState &&
-		in.Speculative.Jobs < MinSamples &&
+		in.Speculative.Jobs < ProbeSamples &&
 		(in.SpecChunks == 0 || in.MispredictRate <= MaxMispredictRate)
 	return s.cur
 }
@@ -290,7 +300,7 @@ func (s *Selector) LaneFor() (string, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.probeSpec && n%ProbeEvery == ProbeEvery-1 {
-		return LaneSpeculative, fmt.Sprintf("probing speculative lane (1 in %d jobs until %d samples)", ProbeEvery, MinSamples)
+		return LaneSpeculative, fmt.Sprintf("probing speculative lane (1 in %d jobs until %d samples)", ProbeEvery, ProbeSamples)
 	}
 	return s.cur.Lane, s.cur.Reason
 }

@@ -215,6 +215,44 @@ func TestSelectorProbesUndersampledSpecLane(t *testing.T) {
 	}
 }
 
+func TestSelectorReprobesLaneLostOnFewSamples(t *testing.T) {
+	// The speculative lane lost its first evaluation on MinSamples
+	// jobs, slowed by a stall: multicore holds, but probing goes on
+	// until ProbeSamples, and once the later probes lift the lane's
+	// rate past the hysteresis band it takes over.
+	in := profiled(0, 5e6, 2e6)
+	in.Speculative.Jobs = MinSamples
+	s := NewSelector(in)
+	if got := s.Selection().Lane; got != LaneMulticore {
+		t.Fatalf("selection %q, want multicore", got)
+	}
+	probes := 0
+	for i := 0; i < 2*ProbeEvery; i++ {
+		if lane, _ := s.LaneFor(); lane == LaneSpeculative {
+			probes++
+		}
+		s.NoteJob()
+	}
+	if probes != 2 {
+		t.Fatalf("probed %d times over %d jobs, want 2", probes, 2*ProbeEvery)
+	}
+	in.Speculative = LaneObs{Jobs: MinSamples + 2, BytesPerSec: 6e6}
+	if sel := s.Refresh(in); sel.Lane != LaneSpeculative {
+		t.Fatalf("re-probed lane at 1.2x did not take over: %+v", sel)
+	}
+
+	// At ProbeSamples the lane has had its chance; probing stops.
+	in = profiled(0, 5e6, 2e6)
+	in.Speculative.Jobs = ProbeSamples
+	s = NewSelector(in)
+	for i := 0; i < 4*ProbeEvery; i++ {
+		if lane, _ := s.LaneFor(); lane == LaneSpeculative {
+			t.Fatal("probed a lane that already has ProbeSamples")
+		}
+		s.NoteJob()
+	}
+}
+
 func TestNilSelectorIsInert(t *testing.T) {
 	var s *Selector
 	if s.Selection() != (Selection{}) {
