@@ -75,7 +75,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,12 +105,11 @@ type server struct {
 	mu   sync.RWMutex
 	meta map[string]machineMeta
 	// strategy is the server-wide default for machines that do not
-	// name one; planDir, when set, round-trips serialized plans.
+	// name one.
 	strategy core.Strategy
-	planDir  string
 	metrics  *telemetry.Metrics
 	// profiles aggregates per-machine observed performance; it persists
-	// into planDir next to the serialized plans and feeds /v1/status.
+	// into the -plan-cache-dir and feeds /v1/status.
 	profiles *perfprofile.Store
 	started  time.Time
 	maxBody  int64
@@ -157,18 +155,21 @@ var defaultPatterns = []string{
 	`nopsled=\x90\x90\x90\x90`,
 }
 
-func newServer(patterns []string, strategy core.Strategy, procs int, maxBody int64, planDir string) (*server, error) {
+func newServer(patterns []string, strategy core.Strategy, procs int, maxBody int64, profileDir string) (*server, error) {
 	source := "file"
 	if len(patterns) == 0 {
 		patterns = defaultPatterns
 		source = "default"
 	}
+	specs, err := compileSpecs(patterns)
+	if err != nil {
+		return nil, err
+	}
 	s := &server{
 		meta:     make(map[string]machineMeta),
 		strategy: strategy,
-		planDir:  planDir,
 		metrics:  new(telemetry.Metrics),
-		profiles: perfprofile.NewStore(planDir),
+		profiles: perfprofile.NewStore(profileDir),
 		started:  time.Now(),
 		maxBody:  maxBody,
 		// main swaps in the configured logger, recorder, and SLO
@@ -187,15 +188,10 @@ func newServer(patterns []string, strategy core.Strategy, procs int, maxBody int
 	// the plan cache, so they are never shipped over the wire; an
 	// evicted plan falls back to plan shipping.
 	s.peer = cluster.NewPeer(s.engine.PlanCache().Get)
-	for _, spec := range patterns {
-		name, pat, ok := strings.Cut(spec, "=")
-		if !ok || name == "" {
+	for _, ms := range specs {
+		if _, err := s.registerMachine(ms, strategy, source); err != nil {
 			s.Close()
-			return nil, fmt.Errorf("pattern %q: want NAME=REGEX", spec)
-		}
-		if _, _, err := s.registerMachine(name, pat, strategy, source); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("pattern %q: %v", name, err)
+			return nil, fmt.Errorf("pattern %q: %v", ms.name, err)
 		}
 	}
 	return s, nil
@@ -217,39 +213,42 @@ func (s *server) enableCluster(peers []string, chunkBytes, minBytes int) error {
 	return nil
 }
 
-// registerMachine compiles pattern and registers it under name,
-// consulting the plan-cache directory first (a machine whose plan was
-// persisted by an earlier process reuses it) and persisting freshly
-// compiled plans back. Returns the machine and whether its plan was
-// reused rather than built.
-func (s *server) registerMachine(name, pattern string, strategy core.Strategy, source string) (*engine.Machine, bool, error) {
-	d, err := regex.Compile(pattern, regex.Options{})
-	if err != nil {
-		return nil, false, err
-	}
-	opts := []core.Option{core.WithStrategy(strategy)}
+// machineSpec is one NAME=REGEX machine with its compiled pattern.
+type machineSpec struct {
+	name, pattern string
+	dfa           *fsm.DFA
+}
 
-	var m *engine.Machine
-	cached := false
-	if p := s.loadPlan(d, opts); p != nil {
-		m, err = s.engine.RegisterPlan(name, p, opts...)
-		cached = true
-	} else {
-		m, err = s.engine.Register(name, d, opts...)
+// compileSpecs splits and compiles NAME=REGEX lines, failing on the
+// first malformed line or bad pattern, so a caller can validate a whole
+// rule set before it touches the registry.
+func compileSpecs(specs []string) ([]machineSpec, error) {
+	out := make([]machineSpec, 0, len(specs))
+	for _, spec := range specs {
+		name, pat, ok := strings.Cut(spec, "=")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("pattern %q: want NAME=REGEX", spec)
+		}
+		d, err := regex.Compile(pat, regex.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("pattern %q: %v", name, err)
+		}
+		out = append(out, machineSpec{name: name, pattern: pat, dfa: d})
 	}
+	return out, nil
+}
+
+// registerMachine registers ms's compiled pattern through the engine's
+// plan cache; the machine's PlanCached reports whether the cache hit.
+func (s *server) registerMachine(ms machineSpec, strategy core.Strategy, source string) (*engine.Machine, error) {
+	m, err := s.engine.Register(ms.name, ms.dfa, core.WithStrategy(strategy))
 	if err != nil {
-		return nil, false, err
-	}
-	if !cached && m.PlanCached() {
-		cached = true
-	}
-	if s.planDir != "" && !cached {
-		s.savePlan(m.Plan())
+		return nil, err
 	}
 	s.mu.Lock()
-	s.meta[name] = machineMeta{pattern: pattern, source: source}
+	s.meta[ms.name] = machineMeta{pattern: ms.pattern, source: source}
 	s.mu.Unlock()
-	return m, cached, nil
+	return m, nil
 }
 
 // unregisterMachine removes name from the engine and its metadata,
@@ -262,72 +261,6 @@ func (s *server) unregisterMachine(name string) bool {
 	delete(s.meta, name)
 	s.mu.Unlock()
 	return true
-}
-
-// planPath names a serialized plan inside the plan-cache directory.
-func (s *server) planPath(fingerprint string) string {
-	return filepath.Join(s.planDir, fingerprint+".plan")
-}
-
-// loadPlan returns the persisted plan for (d, opts) when the plan
-// directory holds a valid one, nil otherwise. Corrupt or mismatched
-// files are logged and ignored — the machine just compiles.
-func (s *server) loadPlan(d *fsm.DFA, opts []core.Option) *core.Plan {
-	if s.planDir == "" {
-		return nil
-	}
-	key, err := core.PlanKey(d, opts...)
-	if err != nil {
-		return nil
-	}
-	data, err := os.ReadFile(s.planPath(key))
-	if err != nil {
-		return nil
-	}
-	p, err := core.UnmarshalPlan(data)
-	if err != nil {
-		s.log.Warn("ignoring bad plan file", "path", s.planPath(key), "err", err)
-		return nil
-	}
-	if p.Fingerprint() != key {
-		s.log.Warn("ignoring mismatched plan file", "path", s.planPath(key), "fingerprint", p.Fingerprint())
-		return nil
-	}
-	return p
-}
-
-// savePlan persists a freshly compiled plan with a tmp+rename write,
-// so a crashed process never leaves a torn file where loadPlan looks.
-// Failures are logged, not fatal: the directory is a cache.
-func (s *server) savePlan(p *core.Plan) {
-	data, err := p.MarshalBinary()
-	if err != nil {
-		s.log.Warn("serializing plan", "fingerprint", p.Fingerprint(), "err", err)
-		return
-	}
-	if err := os.MkdirAll(s.planDir, 0o755); err != nil {
-		s.log.Warn("creating plan dir", "dir", s.planDir, "err", err)
-		return
-	}
-	dst := s.planPath(p.Fingerprint())
-	tmp, err := os.CreateTemp(s.planDir, ".plan-*")
-	if err != nil {
-		s.log.Warn("writing plan", "path", dst, "err", err)
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		s.log.Warn("writing plan", "path", dst, "err", errors.Join(werr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		s.log.Warn("writing plan", "path", dst, "err", err)
-		return
-	}
-	s.log.Info("plan persisted", "path", dst, "bytes", len(data))
 }
 
 // Close releases the engine's workers and flushes the perf profiles
@@ -610,7 +543,11 @@ func (s *server) handleRegister(w http.ResponseWriter, req *http.Request) {
 		strategy = s.strategy
 	}
 	t0 := time.Now()
-	m, cached, err := s.registerMachine(rr.Name, rr.Pattern, strategy, "api")
+	d, err := regex.Compile(rr.Pattern, regex.Options{})
+	var m *engine.Machine
+	if err == nil {
+		m, err = s.registerMachine(machineSpec{name: rr.Name, pattern: rr.Pattern, dfa: d}, strategy, "api")
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, engine.ErrDuplicateMachine) {
@@ -624,12 +561,12 @@ func (s *server) handleRegister(w http.ResponseWriter, req *http.Request) {
 		"source", "api",
 		"strategy", m.Runner().Strategy().String(),
 		"fingerprint", m.Fingerprint(),
-		"plan_cached", cached,
+		"plan_cached", m.PlanCached(),
 	)
 	s.mu.RLock()
 	res := serverapi.RegisterResult{
 		Machine:    s.machineInfo(rr.Name, m),
-		PlanCached: cached,
+		PlanCached: m.PlanCached(),
 		CompileNs:  int64(time.Since(t0)),
 		TableBytes: m.Plan().TableBytes(),
 		AutoReason: m.Plan().AutoReason(),
@@ -726,18 +663,11 @@ func (s *server) reloadPatterns(path string) error {
 	if err != nil {
 		return err
 	}
-	type entry struct{ name, pattern string }
-	desired := make([]entry, 0, len(specs))
-	for _, spec := range specs {
-		name, pat, ok := strings.Cut(spec, "=")
-		if !ok || name == "" {
-			return fmt.Errorf("pattern %q: want NAME=REGEX", spec)
-		}
-		// Compile up front so a bad regex aborts before any mutation.
-		if _, err := regex.Compile(pat, regex.Options{}); err != nil {
-			return fmt.Errorf("pattern %q: %v", name, err)
-		}
-		desired = append(desired, entry{name: name, pattern: pat})
+	// Compile up front so a bad regex aborts before any mutation; the
+	// DFAs compiled here are the ones registered.
+	desired, err := compileSpecs(specs)
+	if err != nil {
+		return err
 	}
 
 	s.mu.RLock()
@@ -759,12 +689,12 @@ func (s *server) reloadPatterns(path string) error {
 			// Unchanged; keep the live machine (and its warm plan).
 		case exists:
 			s.unregisterMachine(e.name)
-			if _, _, err := s.registerMachine(e.name, e.pattern, s.strategy, "file"); err != nil {
+			if _, err := s.registerMachine(e, s.strategy, "file"); err != nil {
 				return fmt.Errorf("pattern %q: %v", e.name, err)
 			}
 			replaced++
 		default:
-			if _, _, err := s.registerMachine(e.name, e.pattern, s.strategy, "file"); err != nil {
+			if _, err := s.registerMachine(e, s.strategy, "file"); err != nil {
 				return fmt.Errorf("pattern %q: %v", e.name, err)
 			}
 			added++
@@ -950,7 +880,7 @@ func main() {
 		procs           = flag.Int("procs", 0, "multicore width for large inputs (0 = NumCPU, 1 = single-core only)")
 		maxBody         = flag.Int64("maxbody", 64<<20, "maximum POSTed body size in bytes")
 		patternsFile    = flag.String("patterns-file", "", "file of NAME=REGEX machines, one per line (default: a small IDS rule set); SIGHUP re-reads it")
-		planDir         = flag.String("plan-cache-dir", "", "directory of serialized compiled plans, reloaded across restarts (loading rebuilds and checks every table against the machine, so it saves no table construction); per-machine perf profiles persist next to them")
+		profileDir      = flag.String("plan-cache-dir", "", "directory where per-machine perf profiles (<fingerprint>.perf.json) persist across restarts; plans are compiled at every start")
 		perfSave        = flag.Duration("perf-save-interval", 30*time.Second, "how often per-machine perf profiles are persisted to -plan-cache-dir (0 disables the periodic save; shutdown always flushes)")
 		logFormat       = flag.String("log-format", "text", `log output format: "text" or "json"`)
 		traceBuf        = flag.Int("trace-buf", trace.DefaultRecorderCapacity, "flight-recorder capacity: completed request traces retained for /v1/traces")
@@ -994,7 +924,7 @@ func main() {
 			fatal("loading -patterns-file", err)
 		}
 	}
-	srv, err := newServer(patterns, strategy, *procs, *maxBody, *planDir)
+	srv, err := newServer(patterns, strategy, *procs, *maxBody, *profileDir)
 	if err != nil {
 		fatal("building server", err)
 	}

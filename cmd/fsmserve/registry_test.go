@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -103,6 +104,14 @@ func TestRegisterEndpoint(t *testing.T) {
 		// A compile failure (max range 513 > 256) is a bad request
 		// whatever the name says.
 		{Name: "duplicate machine", Pattern: "a[ab]{9}b", Strategy: core.RangeCoalesced},
+		// Nested counters multiply: refused by the parser's bound on
+		// expanded size instead of compiling for seconds or minutes.
+		{Name: "nested", Pattern: "(a{100}){100}"},
+		{Name: "nested", Pattern: "(a{300}){300}"},
+		{Name: "nested", Pattern: "((a{3000}){3000}){3000}"},
+		// Past the parser's length bound, which keeps its recursion
+		// off the end of the stack.
+		{Name: "deep", Pattern: strings.Repeat("(", 1<<17) + "a" + strings.Repeat(")", 1<<17)},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/machines", bad)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -161,66 +170,79 @@ func TestRegisterEndpoint(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDirRoundTrip: a second server pointed at the same
-// -plan-cache-dir reloads every plan instead of compiling, and the
-// reloaded machines produce the same results.
+// TestPlanCacheDirRoundTrip: the -plan-cache-dir holds no plans. A
+// second server over the same directory compiles every machine, writes
+// no plan file, and answers exactly as the first; a stray .plan file
+// in the directory does not affect startup.
 func TestPlanCacheDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	patterns := []string{`sqli=UNION\s+SELECT`, `traversal=\.\./\.\./`}
 	inputs := map[string]string{
-		"sqli":      "id=0 UNION  SELECT *",
-		"traversal": "GET ../../etc/passwd",
+		"sqli":      "id=0 UNION  SELECT",
+		"traversal": "GET ../../",
+	}
+	// Each input ends where its match does, so the input accepts and
+	// its one-byte-shorter prefix does not.
+	answers := func(srv *server) map[string][2]bool {
+		out := map[string][2]bool{}
+		for name, in := range inputs {
+			m := srv.engine.Machine(name)
+			if m == nil {
+				t.Fatalf("machine %q missing", name)
+			}
+			if m.PlanCached() {
+				t.Errorf("%q: registration claimed a cached plan in a fresh process", name)
+			}
+			r := m.Runner()
+			out[name] = [2]bool{r.Accepts([]byte(in)), r.Accepts([]byte(in[:len(in)-1]))}
+		}
+		return out
+	}
+	noPlanFiles := func() {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(dir, "*.plan"))
+		if err != nil || len(files) != 0 {
+			t.Fatalf("plan dir holds plan files %v (%v), want none", files, err)
+		}
 	}
 
 	srv1, err := newServer(patterns, core.Auto, 1, 1<<20, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{}
-	for name, in := range inputs {
-		m := srv1.engine.Machine(name)
-		if m == nil {
-			t.Fatalf("machine %q missing", name)
-		}
-		if m.PlanCached() {
-			t.Fatalf("cold start claimed a cached plan for %q", name)
-		}
-		want[name] = m.Runner().Accepts([]byte(in))
-	}
+	want := answers(srv1)
 	srv1.Close()
-	files, err := filepath.Glob(filepath.Join(dir, "*.plan"))
-	if err != nil || len(files) != len(patterns) {
-		t.Fatalf("plan dir holds %d files (%v), want %d", len(files), err, len(patterns))
-	}
+	noPlanFiles()
 
 	srv2, err := newServer(patterns, core.Auto, 1, 1<<20, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.Close()
-	for name, in := range inputs {
-		m := srv2.engine.Machine(name)
-		if !m.PlanCached() {
-			t.Errorf("restart did not reuse the persisted plan for %q", name)
-		}
-		if got := m.Runner().Accepts([]byte(in)); got != want[name] {
-			t.Errorf("%q: reloaded plan accepts=%v, built plan accepts=%v", name, got, want[name])
+	got := answers(srv2)
+	srv2.Close()
+	noPlanFiles()
+	for name := range inputs {
+		if got[name] != want[name] || want[name][0] == want[name][1] {
+			t.Errorf("%q: restart answers %v, first server %v", name, got[name], want[name])
 		}
 	}
 
-	// A corrupt plan file is ignored, not fatal: the machine compiles.
-	if err := os.WriteFile(files[0], []byte("garbage, not a plan"), 0o644); err != nil {
+	// A garbage plan file, named as the machine's plan once was, is
+	// neither read nor removed.
+	stray := filepath.Join(dir, srv2.engine.Machine("sqli").Fingerprint()+".plan")
+	if err := os.WriteFile(stray, []byte("garbage, not a plan"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv3, err := newServer(patterns, core.Auto, 1, 1<<20, dir)
 	if err != nil {
-		t.Fatalf("corrupt plan file broke startup: %v", err)
+		t.Fatalf("stray plan file broke startup: %v", err)
 	}
 	defer srv3.Close()
-	for name, in := range inputs {
-		if got := srv3.engine.Machine(name).Runner().Accepts([]byte(in)); got != want[name] {
-			t.Errorf("%q after corruption: accepts=%v want %v", name, got, want[name])
-		}
+	if got := answers(srv3); !maps.Equal(got, want) {
+		t.Errorf("with a stray plan file: answers %v, want %v", got, want)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Errorf("stray plan file: %v", err)
 	}
 }
 
@@ -422,4 +444,84 @@ func TestReloadSweepsDefaults(t *testing.T) {
 	if names := srv.engine.Machines(); len(names) != 1 || names[0] != "only" {
 		t.Fatalf("registry after sweep: %v", names)
 	}
+}
+
+// FuzzRegisterRequest drives POST /v1/machines bodies through the
+// handler: every answer is 201, 400, 409 or 413, never a 5xx or a
+// panic, and a 201 registered exactly the machine it names, which the
+// fuzzer unregisters again.
+func FuzzRegisterRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"exfil","pattern":"SELECT\\s+.*\\s+INTO\\s+OUTFILE"}`,
+		`{"name":"sqli","pattern":"x"}`,
+		`{"name":"r","pattern":"a[ab]{9}b","strategy":"range-coalesced"}`,
+		`{"name":"n","pattern":"(a{100}){100}"}`,
+		`{"name":"n","pattern":"(unclosed"}`,
+		`{"name":"s","pattern":"x","strategy":"warp"}`,
+		`{"name":"","pattern":"x"}`, `{"pattern":"x"}`, `{not json`, `null`, `[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	srv := fuzzServer(f)
+	h := srv.mux()
+	initial := srv.engine.Machines()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, serverapi.Version+"/machines", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusCreated:
+			var rr serverapi.RegisterResult
+			if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+				t.Fatalf("body %q: 201 with an undecodable result: %v", body, err)
+			}
+			if !srv.unregisterMachine(rr.Machine.Name) {
+				t.Fatalf("body %q: 201 for %q, which is not registered", body, rr.Machine.Name)
+			}
+		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if got := srv.engine.Machines(); !slices.Equal(got, initial) {
+			t.Fatalf("body %q: registry %v after the request, want %v", body, got, initial)
+		}
+	})
+}
+
+// FuzzPatternsFile drives a patterns file through loadPatternsFile and
+// newServer: the result is an error, or a registry whose names are
+// exactly the file's, in file order (the built-in rules when the file
+// names none).
+func FuzzPatternsFile(f *testing.F) {
+	for _, seed := range []string{
+		"alpha=UNION\nbeta=xyz+\n", "", "# comment\n\n  \n", "a=1\na=2\n",
+		"no equals sign", "=x", "x=(((", "x=(a{100}){100}", "x=a=b\ny=", " spaced = y \r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "rules.txt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		specs, err := loadPatternsFile(path)
+		if err != nil {
+			return
+		}
+		srv, err := newServer(specs, core.Auto, 1, 1<<20, "")
+		if err != nil {
+			return
+		}
+		defer srv.Close()
+		if len(specs) == 0 {
+			specs = defaultPatterns
+		}
+		want := make([]string, len(specs))
+		for i, spec := range specs {
+			want[i], _, _ = strings.Cut(spec, "=")
+		}
+		if got := srv.engine.Machines(); !slices.Equal(got, want) {
+			t.Fatalf("file %q: registry %v, want %v", data, got, want)
+		}
+	})
 }

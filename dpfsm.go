@@ -284,7 +284,7 @@ func WithPlanCache(pc *PlanCache) EngineOption { return engine.WithPlanCache(pc)
 // static size-based dispatch.
 type (
 	// PerfProfileStore aggregates per-machine observed performance and
-	// optionally persists it next to serialized plans.
+	// optionally persists it in a directory, keyed by plan fingerprint.
 	PerfProfileStore = perfprofile.Store
 	// PerfProfile is one machine's accumulated performance history:
 	// per-lane throughput, hot final states, speculation outcomes.

@@ -140,6 +140,9 @@ func TestFinalAllocsFlatAcrossWidths(t *testing.T) {
 	}
 }
 
+// RaceEnabled is raceEnabled for the external core_test package.
+var RaceEnabled = raceEnabled
+
 // raceEnabled reports whether the test binary was built with -race.
 func raceEnabled() bool {
 	bi, ok := debug.ReadBuildInfo()

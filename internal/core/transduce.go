@@ -167,10 +167,12 @@ type spanScan struct {
 }
 
 // spanPart is one block's spans in global coordinates after a reserved
-// slot (spans[0]), its last one possibly open.
+// slot (spans[0]), its last one possibly open, in the pooled buffer buf
+// that flush returns once it has emitted them.
 type spanPart struct {
 	off   int
 	spans []Span
+	buf   *[]Span
 }
 
 // stream is the one-chunk ChunkFunc: blocks arrive in input order on the
@@ -191,7 +193,7 @@ func (s *spanScan) stream(off int, block []byte, st fsm.State) fsm.State {
 }
 
 // collect is the multi-chunk ChunkFunc, safe for concurrent calls: it
-// keeps an exact copy of each block's spans for flush, behind a
+// keeps each block's spans for flush in a pooled buffer, behind a
 // reserved first slot.
 func (s *spanScan) collect(off int, block []byte, st fsm.State) fsm.State {
 	buf := getSpanBuf()
@@ -199,20 +201,20 @@ func (s *spanScan) collect(off int, block []byte, st fsm.State) fsm.State {
 	if open.Out != fsm.OutputNone {
 		spans = append(spans, open)
 	}
-	if len(spans) > 1 {
-		part := append([]Span(nil), spans...)
-		s.mu.Lock()
-		s.parts = append(s.parts, spanPart{off: off, spans: part})
-		s.mu.Unlock()
+	if len(spans) <= 1 {
+		putSpanBuf(buf, spans)
+		return q
 	}
-	putSpanBuf(buf, spans)
+	s.mu.Lock()
+	s.parts = append(s.parts, spanPart{off: off, spans: spans, buf: buf})
+	s.mu.Unlock()
 	return q
 }
 
 // spanBufs recycles scan buffers across blocks and runs, so a replay
 // does not regrow its span buffer span by span each time. A buffer is
-// free again once its batch has been emitted (sinks do not keep
-// batches) or copied out.
+// free again once its batch has been emitted: sinks do not keep
+// batches.
 var spanBufs sync.Pool
 
 // getSpanBuf returns an empty pooled span buffer.
@@ -240,7 +242,6 @@ func (s *spanScan) flush() error {
 	sort.Slice(s.parts, func(i, j int) bool { return s.parts[i].off < s.parts[j].off })
 	for i := range s.parts {
 		p := s.parts[i].spans
-		s.parts[i].spans = nil // emitted parts become garbage while the sink runs
 		first := 1
 		if s.open.End == p[1].Start && s.open.Out == p[1].Out {
 			p[1].Start = s.open.Start
@@ -254,6 +255,7 @@ func (s *spanScan) flush() error {
 		if err := s.send(batch); err != nil {
 			return err
 		}
+		putSpanBuf(s.parts[i].buf, p)
 	}
 	return nil
 }

@@ -619,29 +619,6 @@ func (e *Engine) Register(name string, d *fsm.DFA, opts ...core.Option) (*Machin
 	return e.registerPlan(name, d, p, hit, opts...)
 }
 
-// RegisterPlan registers a machine from an already compiled plan —
-// the restart path, for plans deserialized from a plan-cache
-// directory. The plan is entered into the engine's cache under its
-// fingerprint (an already cached equal plan wins, keeping one
-// canonical instance); opts configure the runners and must not force
-// a strategy other than the plan's.
-func (e *Engine) RegisterPlan(name string, p *core.Plan, opts ...core.Option) (*Machine, error) {
-	if name == "" {
-		return nil, errors.New("engine: empty machine name")
-	}
-	if p == nil {
-		return nil, errors.New("engine: nil plan")
-	}
-	e.mu.RLock()
-	_, dup := e.machines[name]
-	e.mu.RUnlock()
-	if dup {
-		return nil, fmt.Errorf("%w %q", ErrDuplicateMachine, name)
-	}
-	p = e.planCache.Add(p)
-	return e.registerPlan(name, p.Machine(), p, true, opts...)
-}
-
 // registerPlan builds the lane runners over p and installs the
 // machine, re-checking the name under the write lock (a concurrent
 // Register for the same name may have won since the pre-check).

@@ -140,14 +140,6 @@ func (c *PlanCache) Get(key string) *core.Plan {
 	return nil
 }
 
-// Add inserts an externally obtained plan (e.g. one deserialized from
-// a plan-cache directory) under its own fingerprint. If the
-// fingerprint is already cached the existing plan wins and is
-// returned, so callers always end up sharing the canonical instance.
-func (c *PlanCache) Add(p *core.Plan) *core.Plan {
-	return c.insert(p.Fingerprint(), p)
-}
-
 // Stats returns current counters and size.
 func (c *PlanCache) Stats() PlanCacheStats {
 	c.mu.Lock()

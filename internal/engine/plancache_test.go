@@ -81,20 +81,21 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestPlanCacheAddCanonicalizes(t *testing.T) {
+// TestPlanCacheInsertCanonicalizes: the plan a losing concurrent miss
+// compiled collapses onto the cached instance.
+func TestPlanCacheInsertCanonicalizes(t *testing.T) {
 	c := NewPlanCache(8, nil)
 	d := cacheMachines(t, 1)[0]
 	cached, _, err := c.GetOrCompile(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A deserialized duplicate must collapse onto the cached instance.
 	dup, err := core.CompilePlan(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Add(dup); got != cached {
-		t.Fatal("Add returned a non-canonical plan for an existing fingerprint")
+	if got := c.insert(dup.Fingerprint(), dup); got != cached {
+		t.Fatal("insert returned a non-canonical plan for an existing fingerprint")
 	}
 	if c.Len() != 1 {
 		t.Fatalf("cache grew to %d entries for one fingerprint", c.Len())
@@ -102,8 +103,8 @@ func TestPlanCacheAddCanonicalizes(t *testing.T) {
 }
 
 // TestEnginePlanReuse: both engine lanes share one plan per machine,
-// re-registration across engines hits the shared cache, and
-// RegisterPlan/Unregister round-trip.
+// re-registration across engines hits the shared cache, and an
+// Unregister/Register round trip reuses the cached plan.
 func TestEnginePlanReuse(t *testing.T) {
 	met := new(telemetry.Metrics)
 	cache := NewPlanCache(0, met)
@@ -144,26 +145,12 @@ func TestEnginePlanReuse(t *testing.T) {
 	if eng.Unregister("m0") {
 		t.Fatal("Unregister returned true for an absent machine")
 	}
-	if _, err := eng.Register("m0", ms[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// RegisterPlan with an externally loaded plan shares the canonical
-	// cached instance.
-	data, err := m0.Plan().MarshalBinary()
+	m, err := eng.Register("m0", ms[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := core.UnmarshalPlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := eng.RegisterPlan("m0-loaded", loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Plan() != m0.Plan() {
-		t.Fatal("RegisterPlan did not canonicalize onto the cached plan")
+	if !m.PlanCached() || m.Plan() != m0.Plan() {
+		t.Fatal("re-registration did not reuse the cached plan")
 	}
 	if _, err := eng.Register("m0", ms[0]); err == nil {
 		t.Fatal("duplicate name accepted")
@@ -172,12 +159,16 @@ func TestEnginePlanReuse(t *testing.T) {
 
 // TestPlanCacheConcurrentRegisterEvict is the race-pass target: a
 // deliberately tiny cache thrashed by concurrent engine registrations,
-// direct compiles, Adds and Unregisters. Run under -race it checks the
+// direct acceptor and transducer compiles, lookups and Unregisters. Run under -race it checks the
 // locking; the final invariant checks the accounting.
 func TestPlanCacheConcurrentRegisterEvict(t *testing.T) {
 	met := new(telemetry.Metrics)
 	cache := NewPlanCache(2, met) // force constant eviction
 	ms := cacheMachines(t, 6)
+	trs := make([]*fsm.Transducer, len(ms))
+	for i, d := range ms {
+		trs[i] = testTransducer(t, d)
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -202,12 +193,11 @@ func TestPlanCacheConcurrentRegisterEvict(t *testing.T) {
 						return
 					}
 				case 2:
-					p, err := core.CompilePlan(d)
+					p, _, err := cache.GetOrCompileTransducer(trs[(w+i)%len(trs)])
 					if err != nil {
-						t.Errorf("CompilePlan: %v", err)
+						t.Errorf("GetOrCompileTransducer: %v", err)
 						return
 					}
-					cache.Add(p)
 					cache.Get(p.Fingerprint())
 				}
 			}

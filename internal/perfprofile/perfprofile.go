@@ -1,8 +1,8 @@
 // Package perfprofile aggregates the observed performance of each
 // registered machine — per-lane throughput, sliding-window job latency,
 // queue-wait share, and the runner-level convergence counters — and
-// persists one versioned JSON profile per compiled plan next to the
-// serialized plan in the plan-cache directory.
+// persists one versioned JSON profile per compiled plan in a profile
+// directory (fsmserve's -plan-cache-dir).
 //
 // This is the observability seam the ROADMAP's "adaptive serving"
 // item needs: the speculative-DFA paper (arXiv 1210.5093) and the SFA
@@ -22,10 +22,10 @@
 // baseline loaded from disk, so counts accumulate across process
 // restarts.
 //
-// Persistence is cache-shaped, exactly like the serialized plans it
-// sits next to: fingerprint-keyed files (<fingerprint>.perf.json),
-// tmp+rename writes so a crash never leaves a torn file, and corrupt
-// or version-skewed files are ignored rather than fatal.
+// Persistence is cache-shaped: fingerprint-keyed files
+// (<fingerprint>.perf.json), tmp+rename writes so a crash never leaves
+// a torn file, and corrupt or version-skewed files are ignored rather
+// than fatal.
 package perfprofile
 
 import (
@@ -50,8 +50,9 @@ import (
 const SchemaVersion = 1
 
 // FileSuffix is appended to the plan fingerprint to name a persisted
-// profile inside the plan-cache directory, next to the plan's own
-// "<fingerprint>.plan".
+// profile inside the profile directory. Plans themselves are not
+// persisted: a restart compiles them, and the fingerprint ties each
+// recompiled plan back to its profile.
 const FileSuffix = ".perf.json"
 
 // Lane names, matching the engine's dispatch vocabulary.
@@ -506,8 +507,8 @@ func (s *Store) path(fingerprint string) string {
 	return filepath.Join(s.dir, fingerprint+FileSuffix)
 }
 
-// save writes one profile with tmp+rename, the same crash-safe
-// discipline the plan files use.
+// save writes one profile with tmp+rename, so a crash never leaves a
+// torn file.
 func (s *Store) save(p Profile) error {
 	if s.dir == "" || p.Fingerprint == "" {
 		return nil

@@ -75,7 +75,7 @@ func (n *nfa) build(node Node) frag {
 
 // buildRepeat expands {min,max} into min required copies followed by
 // either a Kleene star (max < 0) or max-min optional copies. The parser
-// bounds the expansion with maxCounterExpansion.
+// bounds the expansion with maxExpandedSize.
 func (n *nfa) buildRepeat(r *Repeat) frag {
 	star := func(sub Node) frag {
 		s := n.newState()

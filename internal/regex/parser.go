@@ -15,11 +15,21 @@ import (
 // anchoring flags; anywhere else they are an error, as automaton
 // acceptance cannot express mid-pattern anchors.
 
-// maxCounterExpansion bounds how many copies a bounded repeat may
-// expand to in the NFA, preventing pathological {100000} counters from
-// exhausting memory. The bound admits the long run-length counters that
-// produce the Snort corpus's multi-thousand-state tail (Figure 12).
-const maxCounterExpansion = 3000
+// maxExpandedSize bounds the byte positions a pattern expands to in the
+// NFA (expandedSize), and with them compile time and memory: counters
+// copy their bodies, so nested counters multiply, and (a{100}){100}
+// would otherwise compile for seconds. The bound admits the long
+// run-length counters that produce the Snort corpus's
+// multi-thousand-state tail (Figure 12); patterns at the bound compile
+// in one to three seconds.
+const maxExpandedSize = 3000
+
+// maxPatternBytes bounds a pattern's length. The parser and the NFA
+// builder recurse once per nested group or stacked quantifier, so a few
+// megabytes of '(' would overflow the goroutine stack and kill the
+// process; at this length the deepest pattern recurses some 30,000
+// levels, about ten megabytes of stack.
+const maxPatternBytes = 64 << 10
 
 // Parsed is the result of parsing a pattern.
 type Parsed struct {
@@ -37,6 +47,9 @@ type parser struct {
 // Parse parses pattern into an AST. If foldCase is set, literal letters
 // and class letters match both cases (the PCRE /i flag).
 func Parse(pattern string, foldCase bool) (*Parsed, error) {
+	if len(pattern) > maxPatternBytes {
+		return nil, fmt.Errorf("regex: pattern of %d bytes exceeds the %d-byte limit", len(pattern), maxPatternBytes)
+	}
 	p := &parser{src: pattern, foldCase: foldCase}
 	out := &Parsed{}
 	if p.peekByte('^') {
@@ -49,6 +62,9 @@ func Parse(pattern string, foldCase bool) (*Parsed, error) {
 	}
 	if p.pos < len(p.src) {
 		return nil, p.errorf("unexpected %q", p.src[p.pos])
+	}
+	if expandedSize(n) > maxExpandedSize {
+		return nil, p.errorf("pattern expands to more than %d positions (counters multiply their bodies)", maxExpandedSize)
 	}
 	// A trailing $ is consumed by parseAtom as an anchor marker; detect
 	// it via the sentinel.
@@ -79,6 +95,45 @@ func stripEndAnchor(n Node) (Node, bool) {
 		}
 	}
 	return n, false
+}
+
+// expandedSize counts the byte positions n expands to in the NFA, where
+// buildRepeat copies a counter's body once per bound (min+1 times when
+// unbounded): a counter multiplies its body's size, concatenation and
+// alternation add, and an empty expression counts one. The count
+// saturates just past maxExpandedSize, so huge or nested bounds cannot
+// overflow it.
+func expandedSize(n Node) int {
+	const over = maxExpandedSize + 1
+	switch t := n.(type) {
+	case *Concat:
+		return sumSizes(t.Subs)
+	case *Alt:
+		return sumSizes(t.Subs)
+	case *Repeat:
+		copies := t.Max
+		if copies < 0 {
+			copies = min(t.Min, maxExpandedSize) + 1
+		}
+		sub := expandedSize(t.Sub)
+		if copies > over/sub {
+			return over
+		}
+		return max(sub*copies, 1)
+	default:
+		return 1
+	}
+}
+
+// sumSizes is expandedSize over a sequence, saturating like it.
+func sumSizes(subs []Node) int {
+	sum := 0
+	for _, sub := range subs {
+		if sum += expandedSize(sub); sum > maxExpandedSize {
+			return maxExpandedSize + 1
+		}
+	}
+	return sum
 }
 
 func (p *parser) errorf(format string, args ...interface{}) error {
@@ -213,13 +268,6 @@ func (p *parser) tryParseCounter() (min, max int, ok bool, err error) {
 	p.pos++
 	if max >= 0 && max < min {
 		return 0, 0, false, p.errorf("counter {%d,%d} has max < min", min, max)
-	}
-	limit := max
-	if limit < 0 {
-		limit = min
-	}
-	if limit > maxCounterExpansion {
-		return 0, 0, false, p.errorf("counter bound %d exceeds limit %d", limit, maxCounterExpansion)
 	}
 	return min, max, true, nil
 }

@@ -221,6 +221,63 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseBoundsExpandedSize: a counter multiplies its body's
+// expanded size and concatenation and alternation add, so nested or
+// summed counters past maxExpandedSize are refused by Parse (before any
+// NFA is built) and by Compile; patterns at the bound still parse.
+func TestParseBoundsExpandedSize(t *testing.T) {
+	refused := []string{
+		"(a{100}){100}",
+		"(a{300}){300}",
+		"((a{3000}){3000}){3000}",
+		"a{3001}",
+		"a{99999}",
+		"(ab){1501}",
+		"a{1000}b{1000}c{1001}",
+		"(a{1000}|b{1000}|c{1001})",
+		"(a{0}){3001}",
+		"((((((((((((a+)+)+)+)+)+)+)+)+)+)+)+)", // each + copies its body twice
+		"a{9223372036854775807,}",
+		"a{0,9223372036854775807}",
+		"(a{9223372036854775807}){9223372036854775807}",
+	}
+	for _, pat := range refused {
+		if _, err := Parse(pat, false); err == nil || !strings.Contains(err.Error(), "expands to more than") {
+			t.Errorf("Parse(%q) = %v, want the expansion bound", pat, err)
+		}
+		if _, err := Compile(pat, Options{}); err == nil {
+			t.Errorf("Compile(%q) accepted", pat)
+		}
+	}
+	for _, pat := range []string{
+		"a{3000}",
+		"(ab){1500}",
+		"(a|bc){1000}",
+		"a{999,}b{1000}",
+		"(a{50}){60}",
+		`^GET [^\n]{2599,}`,
+	} {
+		if _, err := Parse(pat, false); err != nil {
+			t.Errorf("Parse(%q): %v", pat, err)
+		}
+	}
+}
+
+// TestParseBoundsLength: a pattern past maxPatternBytes is refused
+// before the parser recurses into it, and the deepest nesting that fits
+// the bound parses and compiles without exhausting the stack.
+func TestParseBoundsLength(t *testing.T) {
+	deep := func(n int) string { return strings.Repeat("(", n) + "a" + strings.Repeat(")", n) }
+	if _, err := Parse(deep(maxPatternBytes), false); err == nil || !strings.Contains(err.Error(), "byte limit") {
+		t.Fatalf("Parse of a %d-byte pattern: %v, want the length bound", 2*maxPatternBytes+1, err)
+	}
+	for _, pat := range []string{deep((maxPatternBytes - 1) / 2), "a" + strings.Repeat("*", maxPatternBytes-1)} {
+		if _, err := Compile(pat, Options{}); err != nil {
+			t.Errorf("Compile of a %d-byte nested pattern: %v", len(pat), err)
+		}
+	}
+}
+
 func TestParseAlternationShape(t *testing.T) {
 	p := mustParse(t, "a|b|c", false)
 	a, ok := p.Root.(*Alt)

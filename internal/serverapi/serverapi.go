@@ -169,9 +169,9 @@ type RegisterRequest struct {
 // machine plus what its compilation cost.
 type RegisterResult struct {
 	Machine MachineInfo `json:"machine"`
-	// PlanCached reports whether registration reused a compiled plan
-	// (from the engine's cache or the -plan-cache-dir) instead of
-	// building tables.
+	// PlanCached reports whether registration reused a plan from the
+	// engine's in-memory plan cache (the same machine and strategy
+	// registered earlier in this process) instead of building tables.
 	PlanCached bool `json:"plan_cached"`
 	// CompileNs is the wall time of compile-and-register.
 	CompileNs int64 `json:"compile_ns"`
@@ -333,7 +333,7 @@ type ErrorDetail struct {
 // Status is the response body of GET /v1/status: one document a human
 // or dashboard reads to answer "how is this server doing, and what do
 // its machines look like under the current traffic" — the live
-// counterpart of the profiles persisted in the plan-cache directory.
+// counterpart of the profiles persisted in the -plan-cache-dir.
 type Status struct {
 	Service   string `json:"service"`
 	GoVersion string `json:"go_version"`

@@ -144,6 +144,19 @@ func TestHTTPTrafficShape(t *testing.T) {
 	}
 }
 
+// TestSnortRegexesWithinExpansionBound: the regex parser's bound on a
+// pattern's expanded size admits every rule the corpus generator makes
+// (the largest is a run counter near [^\n]{2599,}).
+func TestSnortRegexesWithinExpansionBound(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, s := range SnortRegexes(seed, 1024) {
+			if _, err := regex.Parse(s.Pattern, s.CaseInsensitive); err != nil {
+				t.Fatalf("seed %d: %q: %v", seed, s.Pattern, err)
+			}
+		}
+	}
+}
+
 func TestHTMLPageShape(t *testing.T) {
 	page := HTMLPage(4, 20000)
 	if len(page) != 20000 {
