@@ -294,13 +294,13 @@ loop:
 			SpecMispredicts:       p.SpecMispredicts,
 			MispredictRate:        p.MispredictRate,
 		}
-		if ls, ok := p.Lanes[perfprofile.LaneSingle]; ok {
+		if ls, ok := p.Lanes[engine.LaneSingle]; ok {
 			m.SingleGBPerS = ls.BytesPerSec / 1e9
 		}
-		if ls, ok := p.Lanes[perfprofile.LaneMulticore]; ok {
+		if ls, ok := p.Lanes[engine.LaneMulticore]; ok {
 			m.MulticoreGBPerS = ls.BytesPerSec / 1e9
 		}
-		if ls, ok := p.Lanes[perfprofile.LaneSpeculative]; ok {
+		if ls, ok := p.Lanes[engine.LaneSpeculative]; ok {
 			m.SpeculativeGBPerS = ls.BytesPerSec / 1e9
 		}
 		// Where the adaptive selector left this machine's dispatch.

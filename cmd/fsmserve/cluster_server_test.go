@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"dpfsm/internal/core"
 	"dpfsm/internal/engine"
 	"dpfsm/internal/serverapi"
 )
@@ -18,7 +17,7 @@ import (
 // and B can resolve shipped plans against its own registry.
 func clusterPair(t *testing.T) (*server, *httptest.Server, *server, *httptest.Server) {
 	t.Helper()
-	srvA, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srvA, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +25,7 @@ func clusterPair(t *testing.T) (*server, *httptest.Server, *server, *httptest.Se
 	tsA := httptest.NewServer(srvA.mux())
 	t.Cleanup(tsA.Close)
 
-	srvB, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srvB, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}

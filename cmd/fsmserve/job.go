@@ -3,9 +3,9 @@ package main
 // The one job decoder: the query string of /v1/run and /v1/transduce
 // and each /v1/batch line decode into an engine.Job here. The decoder
 // checks only what the wire carries (a start state that fits
-// fsm.State, a known strategy name); whether the machine exists and the
-// start state is one of its states are the engine's checks
-// (ErrUnknownMachine, ErrBadStart).
+// fsm.State); whether the machine exists and the start state is one of
+// its states are the engine's checks (ErrUnknownMachine, ErrBadStart).
+// A job picks no strategy: it runs its machine's compiled plan.
 
 import (
 	"encoding/base64"
@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"time"
 
-	"dpfsm/internal/core"
 	"dpfsm/internal/engine"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/serverapi"
@@ -35,9 +34,8 @@ func badRequestf(format string, args ...any) error {
 type jobFields struct {
 	machine string
 	// start is a decimal state number; "" keeps the machine's start.
-	start    string
-	strategy string
-	first    bool
+	start string
+	first bool
 }
 
 // decodeJob turns wire fields into an engine job (Input unset).
@@ -52,26 +50,16 @@ func decodeJob(f jobFields) (engine.Job, error) {
 		}
 		job.Start, job.HasStart = fsm.State(q), true
 	}
-	// "auto" (or absence) keeps the machine's own dispatch; a concrete
-	// name pins the job to that strategy.
-	if f.strategy != "" {
-		st, err := core.ParseStrategy(f.strategy)
-		if err != nil {
-			return engine.Job{}, badRequestf("bad strategy %q: %v", f.strategy, err)
-		}
-		job.Strategy = st
-	}
 	return job, nil
 }
 
-// queryJob decodes the ?machine=&start=&strategy=&first= query of
-// /v1/run and /v1/transduce.
+// queryJob decodes the ?machine=&start=&first= query of /v1/run and
+// /v1/transduce.
 func queryJob(q url.Values) (engine.Job, error) {
 	return decodeJob(jobFields{
-		machine:  q.Get("machine"),
-		start:    q.Get("start"),
-		strategy: q.Get("strategy"),
-		first:    q.Get("first") != "",
+		machine: q.Get("machine"),
+		start:   q.Get("start"),
+		first:   q.Get("first") != "",
 	})
 }
 
@@ -81,7 +69,7 @@ func parseBatchLine(line []byte) (engine.Job, error) {
 	if err := json.Unmarshal(line, &bj); err != nil {
 		return engine.Job{}, badRequestf("bad job line: %v", err)
 	}
-	f := jobFields{machine: bj.Machine, strategy: bj.Strategy}
+	f := jobFields{machine: bj.Machine}
 	if bj.Start != nil {
 		f.start = strconv.Itoa(*bj.Start)
 	}

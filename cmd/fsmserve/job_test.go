@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"dpfsm/internal/core"
 	"dpfsm/internal/engine"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/serverapi"
@@ -84,7 +83,7 @@ func TestRunFirstMatchEveryLane(t *testing.T) {
 
 // fuzzServer is the shared in-process server the fuzz targets drive.
 func fuzzServer(f *testing.F) *server {
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -94,8 +93,7 @@ func fuzzServer(f *testing.F) *server {
 
 // checkDecoded holds the decoder's contract on one outcome: an accepted
 // job's start is the requested number (start, in decimal) and fits
-// fsm.State, and its strategy round-trips through core.ParseStrategy; a
-// rejection answers 400.
+// fsm.State; a rejection answers 400.
 func checkDecoded(t *testing.T, job engine.Job, err error, start string) {
 	t.Helper()
 	if err != nil {
@@ -112,9 +110,6 @@ func checkDecoded(t *testing.T, job engine.Job, err error, start string) {
 		if err != nil || n > uint64(^fsm.State(0)) || n != uint64(job.Start) {
 			t.Fatalf("start %q decoded to state %d", start, job.Start)
 		}
-	}
-	if st, err := core.ParseStrategy(job.Strategy.String()); err != nil || st != job.Strategy {
-		t.Fatalf("strategy %v does not round-trip: %v, %v", job.Strategy, st, err)
 	}
 }
 

@@ -7,10 +7,15 @@
 // cancellation threaded down to the chunk loops — a disconnected
 // client stops its own work.
 //
-// Large inputs on machines with observed history are dispatched by
-// the adaptive selector (internal/adaptive): per-machine profiles
-// pick between the multicore and speculative lanes, and responses
-// carry the lane, resolved strategy, and selection reason.
+// Every machine runs the plan core.Auto compiled for it: range
+// coalescing when each symbol's range fits one shuffle (§5.3),
+// convergence otherwise (§5.2). No request or flag picks another
+// strategy; a ?strategy= parameter or "strategy" field is ignored
+// like any other unknown one. Large inputs on machines with observed
+// history are dispatched by the adaptive selector (internal/adaptive):
+// per-machine profiles pick between the multicore and speculative
+// lanes, and responses carry the lane, the plan's strategy, and the
+// selection reason.
 //
 // The API is versioned under /v1/; request/response shapes live in
 // internal/serverapi. The unversioned aliases of the original routes
@@ -21,8 +26,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/run?machine=NAME[&start=Q][&strategy=S][&first=1][&trace=1]  run one input, JSON result
-//	POST /v1/transduce?machine=NAME[&start=Q][&strategy=S][&trace=1]      run a transducer machine, streamed NDJSON header + token spans + summary
+//	POST /v1/run?machine=NAME[&start=Q][&first=1][&trace=1]  run one input, JSON result
+//	POST /v1/transduce?machine=NAME[&start=Q][&trace=1]      run a transducer machine, streamed NDJSON header + token spans + summary
 //	POST /v1/batch[?trace=1]                       NDJSON jobs in, streamed NDJSON results + summary out
 //	GET  /v1/machines                              list machines + static stats
 //	GET  /v1/machines/{name}                       one machine's registry entry
@@ -50,7 +55,7 @@
 //
 // Usage:
 //
-//	fsmserve -addr :8377 -patterns-file rules.txt -procs 0 -strategy auto
+//	fsmserve -addr :8377 -patterns-file rules.txt -procs 0
 //
 // The patterns file holds one NAME=REGEX per line (Snort-style
 // "contains" semantics; blank lines and #-comments ignored); without
@@ -82,7 +87,6 @@ import (
 	"time"
 
 	"dpfsm/internal/cluster"
-	"dpfsm/internal/core"
 	"dpfsm/internal/engine"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/otlp"
@@ -102,12 +106,9 @@ import (
 type server struct {
 	engine *engine.Engine
 	// mu guards meta, the per-machine pattern/source metadata.
-	mu   sync.RWMutex
-	meta map[string]machineMeta
-	// strategy is the server-wide default for machines that do not
-	// name one.
-	strategy core.Strategy
-	metrics  *telemetry.Metrics
+	mu      sync.RWMutex
+	meta    map[string]machineMeta
+	metrics *telemetry.Metrics
 	// profiles aggregates per-machine observed performance; it persists
 	// into the -plan-cache-dir and feeds /v1/status.
 	profiles *perfprofile.Store
@@ -155,7 +156,7 @@ var defaultPatterns = []string{
 	`nopsled=\x90\x90\x90\x90`,
 }
 
-func newServer(patterns []string, strategy core.Strategy, procs int, maxBody int64, profileDir string) (*server, error) {
+func newServer(patterns []string, procs int, maxBody int64, profileDir string) (*server, error) {
 	source := "file"
 	if len(patterns) == 0 {
 		patterns = defaultPatterns
@@ -167,7 +168,6 @@ func newServer(patterns []string, strategy core.Strategy, procs int, maxBody int
 	}
 	s := &server{
 		meta:     make(map[string]machineMeta),
-		strategy: strategy,
 		metrics:  new(telemetry.Metrics),
 		profiles: perfprofile.NewStore(profileDir),
 		started:  time.Now(),
@@ -189,7 +189,7 @@ func newServer(patterns []string, strategy core.Strategy, procs int, maxBody int
 	// evicted plan falls back to plan shipping.
 	s.peer = cluster.NewPeer(s.engine.PlanCache().Get)
 	for _, ms := range specs {
-		if _, err := s.registerMachine(ms, strategy, source); err != nil {
+		if _, err := s.registerMachine(ms, source); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("pattern %q: %v", ms.name, err)
 		}
@@ -238,10 +238,11 @@ func compileSpecs(specs []string) ([]machineSpec, error) {
 	return out, nil
 }
 
-// registerMachine registers ms's compiled pattern through the engine's
-// plan cache; the machine's PlanCached reports whether the cache hit.
-func (s *server) registerMachine(ms machineSpec, strategy core.Strategy, source string) (*engine.Machine, error) {
-	m, err := s.engine.Register(ms.name, ms.dfa, core.WithStrategy(strategy))
+// registerMachine registers ms's compiled pattern, under the plan Auto
+// compiles, through the engine's plan cache; the machine's PlanCached
+// reports whether the cache hit.
+func (s *server) registerMachine(ms machineSpec, source string) (*engine.Machine, error) {
+	m, err := s.engine.Register(ms.name, ms.dfa)
 	if err != nil {
 		return nil, err
 	}
@@ -538,15 +539,14 @@ func (s *server) handleRegister(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "register request needs name and pattern")
 		return
 	}
-	strategy := rr.Strategy
-	if strategy == core.Auto {
-		strategy = s.strategy
-	}
 	t0 := time.Now()
-	d, err := regex.Compile(rr.Pattern, regex.Options{})
+	// A compile can take seconds; it stops when the client goes away.
+	d, err := regex.CompileContext(req.Context(), rr.Pattern, regex.Options{})
 	var m *engine.Machine
-	if err == nil {
-		m, err = s.registerMachine(machineSpec{name: rr.Name, pattern: rr.Pattern, dfa: d}, strategy, "api")
+	if err != nil {
+		err = fmt.Errorf("pattern %q: %w", rr.Name, err)
+	} else {
+		m, err = s.registerMachine(machineSpec{name: rr.Name, pattern: rr.Pattern, dfa: d}, "api")
 	}
 	if err != nil {
 		status := http.StatusBadRequest
@@ -689,12 +689,12 @@ func (s *server) reloadPatterns(path string) error {
 			// Unchanged; keep the live machine (and its warm plan).
 		case exists:
 			s.unregisterMachine(e.name)
-			if _, err := s.registerMachine(e, s.strategy, "file"); err != nil {
+			if _, err := s.registerMachine(e, "file"); err != nil {
 				return fmt.Errorf("pattern %q: %v", e.name, err)
 			}
 			replaced++
 		default:
-			if _, err := s.registerMachine(e, s.strategy, "file"); err != nil {
+			if _, err := s.registerMachine(e, "file"); err != nil {
 				return fmt.Errorf("pattern %q: %v", e.name, err)
 			}
 			added++
@@ -873,10 +873,29 @@ func loadPatternsFile(path string) ([]string, error) {
 	return out, nil
 }
 
+// Connection bounds: a client has headerTimeout to send its request
+// line and headers, and an idle keep-alive connection closes after
+// idleTimeout, so a stalled or abandoned client does not hold a
+// goroutine without bound.
+const (
+	headerTimeout = 10 * time.Second
+	idleTimeout   = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener's server over handler with the
+// connection bounds.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr            = flag.String("addr", ":8377", "listen address")
-		strat           = flag.String("strategy", "auto", "execution strategy, one of: "+strings.Join(core.Strategies(), " "))
 		procs           = flag.Int("procs", 0, "multicore width for large inputs (0 = NumCPU, 1 = single-core only)")
 		maxBody         = flag.Int64("maxbody", 64<<20, "maximum POSTed body size in bytes")
 		patternsFile    = flag.String("patterns-file", "", "file of NAME=REGEX machines, one per line (default: a small IDS rule set); SIGHUP re-reads it")
@@ -913,18 +932,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	strategy, err := core.ParseStrategy(*strat)
-	if err != nil {
-		fatal("bad -strategy", err)
-	}
 	var patterns []string
+	var err error
 	if *patternsFile != "" {
 		patterns, err = loadPatternsFile(*patternsFile)
 		if err != nil {
 			fatal("loading -patterns-file", err)
 		}
 	}
-	srv, err := newServer(patterns, strategy, *procs, *maxBody, *profileDir)
+	srv, err := newServer(patterns, *procs, *maxBody, *profileDir)
 	if err != nil {
 		fatal("building server", err)
 	}
@@ -1000,7 +1016,7 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.mux()}
+	httpSrv := newHTTPServer(*addr, srv.mux())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Periodic profile persistence, so a crash loses at most one

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dpfsm/internal/core"
 	"dpfsm/internal/engine"
@@ -23,7 +25,7 @@ import (
 
 func testServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,18 +80,23 @@ func TestRunEndpoint(t *testing.T) {
 		t.Errorf("clean input: %+v", res2)
 	}
 
-	// An explicit per-request strategy pin echoes back in the result.
-	resp3, err := http.Post(ts.URL+"/v1/run?machine=sqli&strategy=sequential", "", strings.NewReader("abc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	var res3 serverapi.RunResult
-	if err := json.NewDecoder(resp3.Body).Decode(&res3); err != nil {
-		t.Fatal(err)
-	}
-	if res3.Strategy != "sequential" {
-		t.Errorf("?strategy=sequential echoed %q", res3.Strategy)
+	// The server runs each machine's compiled plan: a ?strategy=, known
+	// or not, is an unknown parameter like any other, and the result
+	// reports the plan's strategy.
+	for _, name := range []string{"sequential", "warp"} {
+		resp3, err := http.Post(ts.URL+"/v1/run?machine=sqli&strategy="+name, "", strings.NewReader("abc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res3 serverapi.RunResult
+		err = json.NewDecoder(resp3.Body).Decode(&res3)
+		resp3.Body.Close()
+		if err != nil || resp3.StatusCode != http.StatusOK {
+			t.Fatalf("?strategy=%s: status %d (%v), want 200", name, resp3.StatusCode, err)
+		}
+		if res3.Strategy != res.Strategy {
+			t.Errorf("?strategy=%s ran %q, want the plan's %q", name, res3.Strategy, res.Strategy)
+		}
 	}
 
 	// Errors carry the shared envelope with a stable code: GET is
@@ -113,8 +120,6 @@ func TestRunEndpoint(t *testing.T) {
 	r, _ = http.Post(ts.URL+"/v1/run?machine=nope", "", strings.NewReader("x"))
 	checkErr(r, http.StatusNotFound, serverapi.CodeNotFound)
 	r, _ = http.Post(ts.URL+"/v1/run?machine=sqli&start=9999", "", strings.NewReader("x"))
-	checkErr(r, http.StatusBadRequest, serverapi.CodeBadRequest)
-	r, _ = http.Post(ts.URL+"/v1/run?machine=sqli&strategy=warp", "", strings.NewReader("x"))
 	checkErr(r, http.StatusBadRequest, serverapi.CodeBadRequest)
 
 	// The unversioned aliases completed their deprecation cycle: gone.
@@ -520,13 +525,13 @@ func TestDebugSurfaces(t *testing.T) {
 }
 
 func TestNewServerErrors(t *testing.T) {
-	if _, err := newServer([]string{"noequals"}, core.Auto, 1, 1<<20, ""); err == nil {
+	if _, err := newServer([]string{"noequals"}, 1, 1<<20, ""); err == nil {
 		t.Error("pattern without NAME= should error")
 	}
-	if _, err := newServer([]string{"a=x(", "b=y"}, core.Auto, 1, 1<<20, ""); err == nil {
+	if _, err := newServer([]string{"a=x(", "b=y"}, 1, 1<<20, ""); err == nil {
 		t.Error("bad regex should error")
 	}
-	if _, err := newServer([]string{"a=x", "a=y"}, core.Auto, 1, 1<<20, ""); err == nil {
+	if _, err := newServer([]string{"a=x", "a=y"}, 1, 1<<20, ""); err == nil {
 		t.Error("duplicate names should error")
 	}
 }
@@ -550,7 +555,7 @@ func TestLoadPatternsFile(t *testing.T) {
 			t.Errorf("pattern %d = %q, want %q", i, patterns[i], want[i])
 		}
 	}
-	srv, err := newServer(patterns, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(patterns, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,5 +690,49 @@ func TestReadBodyGrows(t *testing.T) {
 	short := &stallReader{data: want[:bodyPrealloc+1], step: 1 << 20}
 	if _, err := readBody(httptest.NewRecorder(), declaredRequest(short, int64(len(want))), 1<<30); err != io.ErrUnexpectedEOF {
 		t.Fatalf("body short of its declared length: err %v, want unexpected EOF", err)
+	}
+}
+
+// TestHeaderStallBounded: a client that writes half a request line and
+// stalls is disconnected once the header deadline passes. The server's
+// connection bounds are set; the test shortens the header deadline on
+// its own copy.
+func TestHeaderStallBounded(t *testing.T) {
+	hs := newHTTPServer("", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != headerTimeout || hs.IdleTimeout != idleTimeout || headerTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("connection bounds: header %v idle %v", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	const deadline = 100 * time.Millisecond
+	hs.ReadHeaderTimeout = deadline
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+
+	// The server's deadline starts once it accepts, which is after t0.
+	t0 := time.Now()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/run?mach"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := io.ReadAll(conn)
+	took := time.Since(t0)
+	if err != nil {
+		t.Fatalf("stalled client still connected: %v", err)
+	}
+	// net/http answers a half-read request line with a 400 before it
+	// hangs up; the handler never runs.
+	if len(reply) > 0 && !bytes.HasPrefix(reply, []byte("HTTP/1.1 400 ")) {
+		t.Fatalf("stalled client got %q, want no reply or a 400", reply)
+	}
+	if took < deadline || took > deadline+2*time.Second {
+		t.Fatalf("stalled client disconnected after %v, want just past %v", took, deadline)
 	}
 }

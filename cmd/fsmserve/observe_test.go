@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"dpfsm/internal/core"
 	"dpfsm/internal/otlp"
 	"dpfsm/internal/serverapi"
 	"dpfsm/internal/slo"
@@ -159,7 +158,7 @@ func TestSLOObservesHTTPBoundary(t *testing.T) {
 // path with every outcome class and checks the retention policy:
 // tails (slow, error, shed) are kept 100%, the rest head-sampled.
 func TestSamplerRetentionThroughInstrument(t *testing.T) {
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +281,7 @@ func TestOTLPExportEndToEnd(t *testing.T) {
 	colSrv := httptest.NewServer(col.handler(t))
 	defer colSrv.Close()
 
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +514,7 @@ func waitAccessLines(t *testing.T, log *syncBuffer, routes ...string) map[string
 }
 
 func TestAccessLogCarriesTraceID(t *testing.T) {
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +553,7 @@ func TestStatusReportsObservability(t *testing.T) {
 	colSrv := httptest.NewServer(col.handler(t))
 	defer colSrv.Close()
 
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"dpfsm/internal/core"
 	"dpfsm/internal/serverapi"
 )
 
@@ -101,9 +100,9 @@ func TestRegisterEndpoint(t *testing.T) {
 		{Name: "", Pattern: "x"},
 		{Name: "nopat", Pattern: ""},
 		{Name: "badre", Pattern: "(unclosed"},
-		// A compile failure (max range 513 > 256) is a bad request
-		// whatever the name says.
-		{Name: "duplicate machine", Pattern: "a[ab]{9}b", Strategy: core.RangeCoalesced},
+		// A compile failure is a bad request whatever the name says,
+		// even when the error text names a duplicate.
+		{Name: "duplicate machine", Pattern: "a[ab]{2,1}b"},
 		// Nested counters multiply: refused by the parser's bound on
 		// expanded size instead of compiling for seconds or minutes.
 		{Name: "nested", Pattern: "(a{100}){100}"},
@@ -206,7 +205,7 @@ func TestPlanCacheDirRoundTrip(t *testing.T) {
 		}
 	}
 
-	srv1, err := newServer(patterns, core.Auto, 1, 1<<20, dir)
+	srv1, err := newServer(patterns, 1, 1<<20, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestPlanCacheDirRoundTrip(t *testing.T) {
 	srv1.Close()
 	noPlanFiles()
 
-	srv2, err := newServer(patterns, core.Auto, 1, 1<<20, dir)
+	srv2, err := newServer(patterns, 1, 1<<20, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestPlanCacheDirRoundTrip(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("garbage, not a plan"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv3, err := newServer(patterns, core.Auto, 1, 1<<20, dir)
+	srv3, err := newServer(patterns, 1, 1<<20, dir)
 	if err != nil {
 		t.Fatalf("stray plan file broke startup: %v", err)
 	}
@@ -263,7 +262,7 @@ func TestReloadPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(specs, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(specs, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +351,7 @@ func TestReloadFailurePathsKeepRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(specs, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(specs, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +430,7 @@ func TestReloadFailurePathsKeepRegistry(t *testing.T) {
 // TestReloadSweepsDefaults: a server started on the built-in rule set
 // converges fully onto the file at first reload.
 func TestReloadSweepsDefaults(t *testing.T) {
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +507,7 @@ func FuzzPatternsFile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		srv, err := newServer(specs, core.Auto, 1, 1<<20, "")
+		srv, err := newServer(specs, 1, 1<<20, "")
 		if err != nil {
 			return
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"dpfsm/internal/core"
 	"dpfsm/internal/serverapi"
 )
 
@@ -96,7 +95,7 @@ func TestStatusProfilesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	boot := func() (*server, *httptest.Server) {
-		srv, err := newServer(nil, core.Auto, 1, 1<<20, dir)
+		srv, err := newServer(nil, 1, 1<<20, dir)
 		if err != nil {
 			t.Fatal(err)
 		}

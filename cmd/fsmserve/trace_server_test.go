@@ -19,7 +19,7 @@ import (
 // multicore lane).
 func tracedServer(t *testing.T, procs int, maxBody int64) (*server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServer(nil, core.Auto, procs, maxBody, "")
+	srv, err := newServer(nil, procs, maxBody, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ package main
 // and written and flushed once. A failure after the first byte ends the
 // stream with an error trailer instead of the summary. Dispatch,
 // tracing, and metering match /v1/run: the engine picks the lane
-// (single/multicore/speculative, honoring ?strategy= overrides), and
-// every lane produces the exact sequential span list.
+// (single/multicore/speculative) and runs the machine's Auto-compiled
+// plan on it, and every lane produces the exact sequential span list.
 
 import (
 	"encoding/json"
@@ -45,7 +45,7 @@ func (s *server) registerBuiltinTransducers() {
 		if s.engine.Machine(b.name) != nil {
 			continue
 		}
-		if _, err := s.engine.RegisterTransducer(b.name, b.t, core.WithStrategy(s.strategy)); err != nil {
+		if _, err := s.engine.RegisterTransducer(b.name, b.t); err != nil {
 			s.log.Warn("registering builtin transducer", "machine", b.name, "err", err)
 			continue
 		}
@@ -55,7 +55,7 @@ func (s *server) registerBuiltinTransducers() {
 	}
 }
 
-// handleTransduce is POST /v1/transduce?machine=NAME[&start=Q][&strategy=S][&trace=1].
+// handleTransduce is POST /v1/transduce?machine=NAME[&start=Q][&trace=1].
 func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST an input body to /v1/transduce")

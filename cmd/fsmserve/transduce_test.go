@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"dpfsm/internal/core"
 	"dpfsm/internal/engine"
 	"dpfsm/internal/htmltok"
 	"dpfsm/internal/serverapi"
@@ -71,7 +70,7 @@ func transduceNDJSON(t *testing.T, ts *httptest.Server, query, body string) (ser
 }
 
 func TestTransduceEndpoint(t *testing.T) {
-	srv, err := newServer(nil, core.Auto, 2, 1<<20, "")
+	srv, err := newServer(nil, 2, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +108,11 @@ func TestTransduceEndpoint(t *testing.T) {
 		t.Fatalf("summary output_bytes %d, spans cover %d", trailer.Summary.OutputBytes, covered)
 	}
 
-	// ?strategy= override is honored and reported.
-	_, _, tr2 := transduceNDJSON(t, ts, "?machine=htmltok&strategy=base", doc)
-	if tr2.Summary.Strategy != "base" {
-		t.Fatalf("override strategy reported %q", tr2.Summary.Strategy)
+	// A ?strategy= is ignored: the summary reports the plan's strategy
+	// and the spans are the same.
+	_, spans2, tr2 := transduceNDJSON(t, ts, "?machine=htmltok&strategy=base", doc)
+	if plan := srv.engine.Machine("htmltok").Plan().Strategy().String(); tr2.Summary.Strategy != plan || tr2.Summary.Spans != len(spans) || len(spans2) != len(spans) {
+		t.Fatalf("?strategy=base ran %q with %d spans, want the plan's %q with %d", tr2.Summary.Strategy, len(spans2), plan, len(spans))
 	}
 
 	// Acceptor machines reject transduce with a bad_request envelope.
@@ -134,7 +134,7 @@ func TestTransduceEndpoint(t *testing.T) {
 // status document's per-machine selections and /v1/machines entries
 // must distinguish acceptors from transducers and size the λ table.
 func TestStatusReportsMachineKind(t *testing.T) {
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func htmlPage(n int) []byte {
 // json.Encoder writes for the same values, for an empty page, a small
 // one, and one the single lane streams in several blocks.
 func TestTransduceBodyGolden(t *testing.T) {
-	srv, err := newServer(nil, core.Auto, 1, 1<<20, "")
+	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +231,13 @@ func TestTransduceBodyGolden(t *testing.T) {
 	}
 }
 
-// TestTransduceShutdownMidStream pins a page far larger than the socket
-// buffers to the single lane, reads the first span line, shuts the
+// TestTransduceShutdownMidStream runs a page far larger than the socket
+// buffers on the single lane (procs=1), reads the first span line, shuts the
 // engine down and reads on: the stream must end with one error trailer
 // and no summary, and the access log must record the 503 the failure
 // would have had instead of the 200 already sent.
 func TestTransduceShutdownMidStream(t *testing.T) {
-	srv, err := newServer(nil, core.Auto, 2, 64<<20, "")
+	srv, err := newServer(nil, 1, 64<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestTransduceShutdownMidStream(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	page := htmlPage(12 << 20) // about 4 output bytes per input byte
-	resp, err := http.Post(ts.URL+"/v1/transduce?machine=htmltok&strategy=base", "text/html", bytes.NewReader(page))
+	resp, err := http.Post(ts.URL+"/v1/transduce?machine=htmltok", "text/html", bytes.NewReader(page))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,12 +60,16 @@ const (
 	ProbeSamples = 4 * MinSamples
 )
 
-// Lane names. Kept string-identical to the engine's and perfprofile's
-// vocabulary so selections can be compared and logged without mapping.
+// Lane names: the one definition of the dispatch vocabulary. The
+// engine's Result.Lane, perfprofile's per-lane stats and the selector's
+// choices all use these, so a lane cannot be renamed in one and not the
+// others. The selector never picks LaneCluster; the engine takes that
+// lane by input size when a coordinator is attached.
 const (
 	LaneSingle      = "single"
 	LaneMulticore   = "multicore"
 	LaneSpeculative = "speculative"
+	LaneCluster     = "cluster"
 )
 
 // LaneObs is one lane's observed history, lifted from the machine's

@@ -64,10 +64,10 @@ func TestAdaptiveProfileFlipReroutes(t *testing.T) {
 	// multicore lane with a negligible mispredict rate, and re-evaluate.
 	rec := m.Recorder()
 	for i := 0; i < adaptive.MinSamples; i++ {
-		rec.Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want)})
-		rec.Observe(perfprofile.Job{Lane: perfprofile.LaneMulticore, Bytes: 1 << 20, Exec: 10 * time.Millisecond, Final: int(want)})
+		rec.Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want)})
+		rec.Observe(perfprofile.Job{Lane: LaneMulticore, Bytes: 1 << 20, Exec: 10 * time.Millisecond, Final: int(want)})
 	}
-	rec.Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want),
+	rec.Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want),
 		Stats: core.DriveStats{Chunks: 100, Misses: 1}})
 	if sel := m.Reselect(); sel.Lane != adaptive.LaneSpeculative {
 		t.Fatalf("post-flip selection %+v, want speculative", sel)
@@ -93,8 +93,8 @@ func TestAdaptiveProfileFlipReroutes(t *testing.T) {
 	if p.SpecChunks <= 100 {
 		t.Errorf("spec chunks %d did not grow past the injected 100", p.SpecChunks)
 	}
-	if p.Lanes[perfprofile.LaneSpeculative].Jobs <= int64(adaptive.MinSamples) {
-		t.Errorf("speculative lane jobs %d did not grow", p.Lanes[perfprofile.LaneSpeculative].Jobs)
+	if p.Lanes[LaneSpeculative].Jobs <= int64(adaptive.MinSamples) {
+		t.Errorf("speculative lane jobs %d did not grow", p.Lanes[LaneSpeculative].Jobs)
 	}
 	snap := met.Snapshot()
 	if snap.EngineSpeculative == 0 || snap.SpecChunks == 0 {
@@ -103,7 +103,7 @@ func TestAdaptiveProfileFlipReroutes(t *testing.T) {
 
 	// Poison the mispredict rate past the disqualification bound; the
 	// next re-evaluation must abandon the lane.
-	rec.Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want),
+	rec.Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond, Final: int(want),
 		Stats: core.DriveStats{Chunks: 1000, Misses: 900, ReplayBytes: 50 << 20}})
 	if sel := m.Reselect(); sel.Lane == adaptive.LaneSpeculative {
 		t.Fatalf("selection stayed speculative despite mispredict poisoning: %+v", sel)
@@ -138,7 +138,7 @@ func TestSpeculativeLaneExactOnHostileMachine(t *testing.T) {
 	// is what executes.
 	rec := m.Recorder()
 	for i := 0; i < adaptive.MinSamples; i++ {
-		rec.Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
+		rec.Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
 	}
 	if sel := m.Reselect(); sel.Lane != adaptive.LaneSpeculative {
 		t.Fatalf("could not force speculative lane: %+v", sel)
@@ -161,59 +161,44 @@ func TestSpeculativeLaneExactOnHostileMachine(t *testing.T) {
 	}
 }
 
-// TestJobStrategyOverride pins single jobs to explicit strategies and
-// checks they run on the single-core lane under that strategy, with
-// results identical to the machine's default path.
+// TestJobStrategyOverride: a job picks no strategy. Every job of a
+// machine registered with core.WithStrategy(s) runs s, on every lane —
+// single, multicore and speculative — with the oracle's answer.
 func TestJobStrategyOverride(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	d := fsm.RandomConverging(rng, 40, 8, 6, 0.3)
-	e := New(WithWorkers(2), WithProcs(4), WithLargeInput(4096),
-		WithTelemetry(new(telemetry.Metrics)))
-	defer e.Close()
-	m, err := e.Register("m", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planStrat := m.Plan().Strategy()
-
-	// Large input: an override to a *different* strategy beats the
-	// large-input dispatch and stays single-core; an override naming
-	// the plan's own strategy is a no-op request and dispatches
-	// normally.
-	input := d.RandomInput(rng, 32<<10)
-	want := d.Run(input, d.Start())
+	small := d.RandomInput(rng, 1<<10)
+	large := d.RandomInput(rng, 32<<10)
 	for _, s := range []core.Strategy{core.Sequential, core.Convergence, core.RangeCoalesced, core.BaseILP} {
-		res := e.Run(context.Background(), Job{Machine: "m", Input: input, Strategy: s})
-		if res.Err != nil {
-			t.Fatalf("%v: %v", s, res.Err)
+		e := New(WithWorkers(2), WithProcs(4), WithLargeInput(4096),
+			WithTelemetry(new(telemetry.Metrics)), WithPerfProfiles(perfprofile.NewStore("")))
+		t.Cleanup(e.Close)
+		m, err := e.Register("m", d, core.WithStrategy(s))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Final != want {
-			t.Fatalf("%v: final %d, want %d", s, res.Final, want)
-		}
-		if res.Strategy != s.String() {
-			t.Errorf("%v: result strategy %q", s, res.Strategy)
-		}
-		if s == planStrat {
-			if res.Lane != LaneMulticore {
-				t.Errorf("%v (= plan strategy): lane %q, want normal multicore dispatch", s, res.Lane)
+		run := func(lane string, input []byte) {
+			t.Helper()
+			res := e.Run(context.Background(), Job{Machine: "m", Input: input})
+			if res.Err != nil || res.Lane != lane {
+				t.Fatalf("%v: lane %q err %v, want lane %q", s, res.Lane, res.Err, lane)
 			}
-			continue
+			if want := d.Run(input, d.Start()); res.Final != want {
+				t.Fatalf("%v on %s: final %d, want %d", s, lane, res.Final, want)
+			}
+			if res.Strategy != s.String() {
+				t.Errorf("%v on %s: result strategy %q", s, lane, res.Strategy)
+			}
 		}
-		if res.Lane != LaneSingle || res.Multicore {
-			t.Errorf("%v: override did not pin single lane: lane=%q", s, res.Lane)
+		run(LaneSingle, small)
+		run(LaneMulticore, large)
+		for i := 0; i < adaptive.MinSamples; i++ {
+			m.Recorder().Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
 		}
-		if !strings.Contains(res.Reason, "override") {
-			t.Errorf("%v: reason %q", s, res.Reason)
+		if sel := m.Reselect(); sel.Lane != adaptive.LaneSpeculative {
+			t.Fatalf("%v: could not force the speculative lane: %+v", s, sel)
 		}
-	}
-
-	// Auto (the zero value) keeps the machine's own dispatch.
-	res := e.Run(context.Background(), Job{Machine: "m", Input: input})
-	if res.Err != nil || res.Lane != LaneMulticore {
-		t.Fatalf("auto job: lane %q err %v", res.Lane, res.Err)
-	}
-	if res.Strategy == "" || res.Strategy == core.Auto.String() {
-		t.Errorf("auto job reported strategy %q", res.Strategy)
+		run(LaneSpeculative, large)
 	}
 }
 

@@ -68,13 +68,13 @@ const (
 	AttrMispredict = "mispredict"
 )
 
-// Lane names, re-exported from perfprofile so engine callers need not
-// import both packages to compare Result.Lane.
+// Lane names, re-exported from adaptive (their one definition) so
+// engine callers need not import it to compare Result.Lane.
 const (
-	LaneSingle      = perfprofile.LaneSingle
-	LaneMulticore   = perfprofile.LaneMulticore
-	LaneSpeculative = perfprofile.LaneSpeculative
-	LaneCluster     = perfprofile.LaneCluster
+	LaneSingle      = adaptive.LaneSingle
+	LaneMulticore   = adaptive.LaneMulticore
+	LaneSpeculative = adaptive.LaneSpeculative
+	LaneCluster     = adaptive.LaneCluster
 )
 
 // Errors returned by Submit/Run. Per-job failures are reported in
@@ -197,14 +197,6 @@ type Machine struct {
 	// its historical static dispatch (deterministic, which the
 	// conformance harness relies on).
 	sel *adaptive.Selector
-	// opts are the registration's core options, kept so explicit
-	// per-job strategy overrides can build alternate runners lazily.
-	opts []core.Option
-
-	// altMu guards alt, the lazily compiled single-core runners for
-	// per-job strategy overrides (Job.Strategy != plan strategy).
-	altMu sync.Mutex
-	alt   map[core.Strategy]*core.Runner
 }
 
 // Name returns the registration name.
@@ -283,44 +275,10 @@ func (m *Machine) adaptiveInputs() adaptive.Inputs {
 		ls := p.Lanes[lane]
 		return adaptive.LaneObs{Jobs: ls.Jobs, BytesPerSec: ls.BytesPerSec}
 	}
-	in.Single = obs(perfprofile.LaneSingle)
-	in.Multicore = obs(perfprofile.LaneMulticore)
-	in.Speculative = obs(perfprofile.LaneSpeculative)
+	in.Single = obs(LaneSingle)
+	in.Multicore = obs(LaneMulticore)
+	in.Speculative = obs(LaneSpeculative)
 	return in
-}
-
-// altRunner returns (building lazily on first use) the single-core
-// runner for an explicit per-job strategy override. The override's
-// plan goes through the engine's plan cache, so repeated overrides of
-// the same machine+strategy compile once; a transducer's override plan
-// carries its output table (keyed over λ), so it serves both job kinds.
-func (m *Machine) altRunner(s core.Strategy) (*core.Runner, error) {
-	m.altMu.Lock()
-	defer m.altMu.Unlock()
-	if r, ok := m.alt[s]; ok {
-		return r, nil
-	}
-	opts := append(m.opts, core.WithStrategy(s))
-	var p *core.Plan
-	var err error
-	if t := m.Transducer(); t != nil {
-		p, _, err = m.eng.planCache.GetOrCompileTransducer(t, opts...)
-	} else {
-		p, _, err = m.eng.planCache.GetOrCompile(m.dfa, opts...)
-	}
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.NewFromPlan(p, append(m.opts, core.WithStrategy(s),
-		core.WithProcs(1), core.WithTelemetry(m.eng.runTel))...)
-	if err != nil {
-		return nil, err
-	}
-	if m.alt == nil {
-		m.alt = make(map[core.Strategy]*core.Runner, 2)
-	}
-	m.alt[s] = r
-	return r, nil
 }
 
 // Job is one unit of work: run Input through Machine.
@@ -333,11 +291,6 @@ type Job struct {
 	// Timeout, when positive, bounds this job alone; it nests inside
 	// whatever context the batch was submitted with.
 	Timeout time.Duration
-	// Strategy, when not Auto, pins this job to a specific strategy on
-	// the single-core lane regardless of the machine's plan — the
-	// explicit escape hatch from adaptive selection. Auto (the zero
-	// value) defers to the machine's plan and the dispatch policy.
-	Strategy core.Strategy
 	// First asks for Result.FirstMatch: the first-accept scan
 	// (core.FirstAccept) runs as the schedule's phase 3, in the same
 	// pass as the final state, on whatever lane dispatch picks.
@@ -640,7 +593,7 @@ func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, hit bool, o
 		}
 	}
 	m := &Machine{name: name, eng: e, dfa: d, plan: p, single: single, multi: multi,
-		planHit: hit, rec: rec, opts: opts[:len(opts):len(opts)]}
+		planHit: hit, rec: rec}
 	if e.procs > 1 {
 		// The speculative lane fans out like the multicore one: its
 		// guesses feed the multicore runner's schedule as phase 1.
@@ -1019,16 +972,15 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		defer cancel()
 	}
 
-	// Lane selection. Four tiers:
+	// Lane selection. Every lane runs the machine's compiled plan; three
+	// tiers pick the lane:
 	//
-	//   1. an explicit per-job strategy override pins the job to the
-	//      single-core lane under that strategy;
-	//   2. with a coordinator attached, inputs of at least the cluster
+	//   1. with a coordinator attached, inputs of at least the cluster
 	//      threshold fan out over the peer set (the networked §3.4
 	//      decomposition);
-	//   3. small inputs always run single-core (fan-out overhead
+	//   2. small inputs always run single-core (fan-out overhead
 	//      dominates below the threshold);
-	//   4. large inputs take the lane the adaptive selector holds —
+	//   3. large inputs take the lane the adaptive selector holds —
 	//      or, without a profile store, the historical static
 	//      heuristic (multicore whenever it exists).
 	r := m.single
@@ -1037,16 +989,7 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 	res.Reason = fmt.Sprintf("input %d B < large-input threshold %d B", len(job.Input), e.largeInput)
 
 	co := e.clusterCo.Load()
-	if job.Strategy != core.Auto && job.Strategy != m.plan.Strategy() {
-		alt, err := m.altRunner(job.Strategy)
-		if err != nil {
-			res.Err = fmt.Errorf("engine: machine %q: strategy override %v: %w", name, job.Strategy, err)
-			return m, res
-		}
-		r = alt
-		res.Strategy = job.Strategy.String()
-		res.Reason = fmt.Sprintf("explicit strategy override (%v); single-core lane", job.Strategy)
-	} else if co != nil && len(job.Input) >= e.ClusterMinBytes() {
+	if co != nil && len(job.Input) >= e.ClusterMinBytes() {
 		res.Lane = LaneCluster
 		res.Reason = fmt.Sprintf("input %d B >= cluster threshold %d B; fanning out over %d peers",
 			len(job.Input), e.ClusterMinBytes(), len(co.Peers()))

@@ -33,11 +33,11 @@ func zerosWithOne(n, pos int) []byte {
 	return in
 }
 
-// TestFirstJobEveryLane runs First jobs on every local lane — single,
-// strategy override, multicore, speculative — with no match, a match
-// in the first chunk and a match in the last chunk, and checks the
-// answer against core.Runner.FirstAccepting and the final state
-// against the sequential walk.
+// TestFirstJobEveryLane runs First jobs on every local lane — single
+// (under the Auto plan and under a Base plan), multicore, speculative —
+// with no match, a match in the first chunk and a match in the last
+// chunk, and checks the answer against core.Runner.FirstAccepting and
+// the final state against the sequential walk.
 func TestFirstJobEveryLane(t *testing.T) {
 	d := stickyDFA()
 	store := perfprofile.NewStore("")
@@ -46,6 +46,9 @@ func TestFirstJobEveryLane(t *testing.T) {
 	defer e.Close()
 	m, err := e.Register("sticky", d, core.WithMinChunk(512))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Register("sticky-base", d, core.WithStrategy(core.Base)); err != nil {
 		t.Fatal(err)
 	}
 	oracle := m.Runner()
@@ -72,13 +75,13 @@ func TestFirstJobEveryLane(t *testing.T) {
 		}
 	}
 	run(LaneSingle, Job{Machine: "sticky", Input: make([]byte, 1000)})
-	run(LaneSingle, Job{Machine: "sticky", Input: make([]byte, 1000), Strategy: core.Base})
+	run(LaneSingle, Job{Machine: "sticky-base", Input: make([]byte, 1000)})
 	run(LaneMulticore, Job{Machine: "sticky", Input: make([]byte, 64<<10)})
 
 	// Force the selector onto the speculative lane: its guesses feed
 	// phase 1, and the first-accept scan still runs as phase 3.
 	for i := 0; i < adaptive.MinSamples; i++ {
-		m.Recorder().Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
+		m.Recorder().Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
 	}
 	if sel := m.Reselect(); sel.Lane != adaptive.LaneSpeculative {
 		t.Fatalf("could not force speculative lane: %+v", sel)
@@ -120,12 +123,17 @@ func TestFirstJobCanceled(t *testing.T) {
 		}
 	}
 
-	// 1 MiB of zeros on the single lane is 16 blocks of 64 KiB, each
-	// polling the context: the cancel lands mid-scan.
+	// 1 MiB of zeros on the single lane (procs=1) is 16 blocks of 64 KiB,
+	// each polling the context: the cancel lands mid-scan.
+	single := New(WithWorkers(1), WithProcs(1))
+	defer single.Close()
+	if _, err := single.Register("sticky", d); err != nil {
+		t.Fatal(err)
+	}
 	live, stop := context.WithCancel(context.Background())
 	defer stop()
 	ctx := &pollCtx{Context: live, after: 4}
-	res := e.Run(ctx, Job{Machine: "sticky", Input: make([]byte, 1<<20), First: true, Strategy: core.Base})
+	res := single.Run(ctx, Job{Machine: "sticky", Input: make([]byte, 1<<20), First: true})
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("canceled mid-scan: err %v", res.Err)
 	}

@@ -145,7 +145,7 @@ func TestRecordViewsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < adaptive.MinSamples; i++ {
-		spec.Recorder().Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
+		spec.Recorder().Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
 	}
 	if sel := spec.Reselect(); sel.Lane != adaptive.LaneSpeculative {
 		t.Fatalf("could not force the speculative lane: %+v", sel)

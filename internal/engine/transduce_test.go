@@ -62,8 +62,9 @@ func spansEqual(a, b []core.Span) bool {
 }
 
 // TestEngineTransduceAllLanes pushes inputs through every dispatch
-// lane — single, multicore, speculative, and an explicit strategy
-// override — and checks each span list against the scalar oracle.
+// lane — single, multicore, and the single lane of a machine registered
+// under a Base plan — and checks each span list against the scalar
+// oracle.
 func TestEngineTransduceAllLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := fsm.RandomConverging(rng, 60, 8, 6, 0.3)
@@ -82,12 +83,15 @@ func TestEngineTransduceAllLanes(t *testing.T) {
 	if m.Transducer() == nil {
 		t.Fatal("Transducer() = nil on a transducer machine")
 	}
+	if _, err := e.RegisterTransducer("tok-base", tr, core.WithStrategy(core.Base)); err != nil {
+		t.Fatal(err)
+	}
 
 	jobs := []Job{
-		{Machine: "tok", Input: d.RandomInput(rng, 100)},                      // single lane
-		{Machine: "tok", Input: d.RandomInput(rng, 64<<10)},                   // multicore lane
-		{Machine: "tok", Input: d.RandomInput(rng, 200), Strategy: core.Base}, // override
-		{Machine: "tok", Input: nil},                                          // empty input
+		{Machine: "tok", Input: d.RandomInput(rng, 100)},      // single lane
+		{Machine: "tok", Input: d.RandomInput(rng, 64<<10)},   // multicore lane
+		{Machine: "tok-base", Input: d.RandomInput(rng, 200)}, // Base plan
+		{Machine: "tok", Input: nil},                          // empty input
 	}
 	for i, job := range jobs {
 		want, wantFinal := scalarSpans(tr, job.Input, d.Start())
@@ -108,9 +112,9 @@ func TestEngineTransduceAllLanes(t *testing.T) {
 	if big.Lane == LaneSingle {
 		t.Errorf("large transduce stayed on the single lane: %+v", big.Reason)
 	}
-	over := e.Transduce(context.Background(), jobs[2])
-	if over.Strategy != core.Base.String() {
-		t.Errorf("override strategy recorded %q", over.Strategy)
+	base := e.Transduce(context.Background(), jobs[2])
+	if base.Strategy != core.Base.String() {
+		t.Errorf("Base plan recorded strategy %q", base.Strategy)
 	}
 
 	snap := met.Snapshot()

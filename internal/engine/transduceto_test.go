@@ -70,7 +70,7 @@ func checkTransduceTo(t *testing.T, e *Engine, ctx context.Context, tr *fsm.Tran
 }
 
 // TestEngineTransduceToEveryLane streams through every dispatch lane —
-// single (pinned by a strategy override), multicore, speculative on a
+// single (an engine at procs=1), multicore, speculative on a
 // machine that never converges (so guesses miss), and cluster with
 // healthy and dead peers — under a plain context (whole-input blocks)
 // and a cancelable one (64 KiB blocks).
@@ -91,17 +91,22 @@ func TestEngineTransduceToEveryLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < adaptive.MinSamples; i++ {
-		spec.Recorder().Observe(perfprofile.Job{Lane: perfprofile.LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
+		spec.Recorder().Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
 	}
 	if sel := spec.Reselect(); sel.Lane != adaptive.LaneSpeculative {
 		t.Fatalf("could not force the speculative lane: %+v", sel)
+	}
+	single := New(WithWorkers(1), WithProcs(1))
+	defer single.Close()
+	if _, err := single.RegisterTransducer("tok", tr, core.WithMinChunk(512)); err != nil {
+		t.Fatal(err)
 	}
 
 	cancelable, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	big := d.RandomInput(rng, 200<<10)
 	for _, ctx := range []context.Context{context.Background(), cancelable} {
-		checkTransduceTo(t, e, ctx, tr, Job{Machine: "tok", Input: big, Strategy: core.Base}, LaneSingle)
+		checkTransduceTo(t, single, ctx, tr, Job{Machine: "tok", Input: big}, LaneSingle)
 		checkTransduceTo(t, e, ctx, tr, Job{Machine: "tok", Input: big}, LaneMulticore)
 		checkTransduceTo(t, e, ctx, tr, Job{Machine: "spec", Input: big}, LaneSpeculative)
 	}
@@ -137,20 +142,21 @@ func TestEngineTransduceToEmitErrorStops(t *testing.T) {
 	d := fsm.RandomConverging(rng, 60, 8, 6, 0.3)
 	tr := testTransducer(t, d)
 	met := new(telemetry.Metrics)
-	e := New(WithWorkers(4), WithProcs(4), WithLargeInput(4096), WithTelemetry(met))
-	defer e.Close()
-	if _, err := e.RegisterTransducer("tok", tr, core.WithMinChunk(512)); err != nil {
-		t.Fatal(err)
-	}
+	// The single lane (procs=1) streams; the multicore lane (procs=4)
+	// releases its slot after the fan-out.
+	single := New(WithWorkers(1), WithProcs(1), WithTelemetry(met))
+	defer single.Close()
+	multi := New(WithWorkers(4), WithProcs(4), WithLargeInput(4096), WithTelemetry(met))
+	defer multi.Close()
 	errWrite := errors.New("write failed")
 	input := d.RandomInput(rng, 200<<10)
-	for _, job := range []Job{
-		{Machine: "tok", Input: input, Strategy: core.Base}, // single lane, streamed
-		{Machine: "tok", Input: input},                      // multicore lane, released after the fan-out
-	} {
+	for _, e := range []*Engine{single, multi} {
+		if _, err := e.RegisterTransducer("tok", tr, core.WithMinChunk(512)); err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		calls := 0
-		res := e.TransduceTo(ctx, job, func([]core.Span) error {
+		res := e.TransduceTo(ctx, Job{Machine: "tok", Input: input}, func([]core.Span) error {
 			calls++
 			return errWrite
 		})

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dpfsm/internal/adaptive"
 	"dpfsm/internal/core"
 	"dpfsm/internal/telemetry"
 )
@@ -54,14 +55,6 @@ const SchemaVersion = 1
 // persisted: a restart compiles them, and the fingerprint ties each
 // recompiled plan back to its profile.
 const FileSuffix = ".perf.json"
-
-// Lane names, matching the engine's dispatch vocabulary.
-const (
-	LaneSingle      = "single"
-	LaneMulticore   = "multicore"
-	LaneSpeculative = "speculative"
-	LaneCluster     = "cluster"
-)
 
 // hotStateCap bounds the hot-state histogram: the speculative lane's
 // predictor only ever needs the few dominant final states, and an
@@ -187,11 +180,11 @@ const (
 // fall back to the single-core slot rather than dropping the sample.
 func laneIdx(lane string) int {
 	switch lane {
-	case LaneMulticore:
+	case adaptive.LaneMulticore:
 		return laneIdxMulticore
-	case LaneSpeculative:
+	case adaptive.LaneSpeculative:
 		return laneIdxSpeculative
-	case LaneCluster:
+	case adaptive.LaneCluster:
 		return laneIdxCluster
 	default:
 		return laneIdxSingle
@@ -227,7 +220,7 @@ func (r *MachineRecorder) Observe(j Job) {
 	r.factorWins.Add(ds.FactorWins)
 	r.activeFinalSum.Add(ds.ActiveFinalSum)
 	r.activeFinalChunks.Add(int64(ds.ActiveFinalChunks))
-	if j.Lane == LaneSpeculative {
+	if j.Lane == adaptive.LaneSpeculative {
 		r.specChunks.Add(int64(ds.Chunks))
 		r.specMispredicts.Add(int64(ds.Misses))
 		r.specReRunBytes.Add(int64(ds.ReplayBytes))
@@ -331,7 +324,7 @@ func (r *MachineRecorder) Profile() Profile {
 		p.ActiveFinalMean = float64(r.activeFinalSum.Load()) / float64(n)
 	}
 	p.Lanes = make(map[string]LaneStats, laneCount)
-	for i, name := range [laneCount]string{LaneSingle, LaneMulticore, LaneSpeculative, LaneCluster} {
+	for i, name := range [laneCount]string{adaptive.LaneSingle, adaptive.LaneMulticore, adaptive.LaneSpeculative, adaptive.LaneCluster} {
 		ls := LaneStats{
 			Jobs:   r.laneJobs[i].Load(),
 			Bytes:  r.laneBytes[i].Load(),

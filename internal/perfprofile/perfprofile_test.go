@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dpfsm/internal/adaptive"
 	"dpfsm/internal/core"
 )
 
@@ -14,12 +15,12 @@ import (
 // two carrying the runs' core accounting), and one failed job.
 func observe(r *MachineRecorder) {
 	for i := 0; i < 3; i++ {
-		r.Observe(Job{Lane: LaneSingle, Bytes: 100, Exec: time.Millisecond, QueueWait: 100 * time.Microsecond,
+		r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 100, Exec: time.Millisecond, QueueWait: 100 * time.Microsecond,
 			Stats: core.DriveStats{Symbols: 100, Shuffles: 200}})
 	}
-	r.Observe(Job{Lane: LaneMulticore, Bytes: 1000, Exec: 2 * time.Millisecond,
+	r.Observe(Job{Lane: adaptive.LaneMulticore, Bytes: 1000, Exec: 2 * time.Millisecond,
 		Stats: core.DriveStats{Symbols: 1000, Shuffles: 2000, FactorCalls: 10, FactorWins: 9}})
-	r.Observe(Job{Lane: LaneSingle, Bytes: 50, Failed: true})
+	r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 50, Failed: true})
 }
 
 // install registers a recorder the way the engine does: NewRecorder,
@@ -45,7 +46,7 @@ func TestProfileAggregation(t *testing.T) {
 	if p.Bytes != 1300 {
 		t.Fatalf("bytes = %d, want 1300", p.Bytes)
 	}
-	single, multi := p.Lanes[LaneSingle], p.Lanes[LaneMulticore]
+	single, multi := p.Lanes[adaptive.LaneSingle], p.Lanes[adaptive.LaneMulticore]
 	if single.Jobs != 3 || single.Bytes != 300 {
 		t.Fatalf("single lane = %+v", single)
 	}
@@ -160,17 +161,17 @@ func TestSpeculationAndHotStates(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)
 	r := install(s, "m", "fpS", "auto")
-	r.Observe(Job{Lane: LaneSpeculative, Bytes: 4096, Exec: time.Millisecond, Final: 3,
+	r.Observe(Job{Lane: adaptive.LaneSpeculative, Bytes: 4096, Exec: time.Millisecond, Final: 3,
 		Stats: core.DriveStats{Chunks: 8, Misses: 2, ReplayBytes: 1024}})
 	for i := 0; i < 4; i++ {
-		r.Observe(Job{Lane: LaneSingle, Bytes: 1, Final: 3})
+		r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 1, Final: 3})
 	}
-	r.Observe(Job{Lane: LaneSingle, Bytes: 1, Final: 1})
+	r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 1, Final: 1})
 	// A failed job's final state is not an observation.
-	r.Observe(Job{Lane: LaneSingle, Bytes: 1, Final: 1, Failed: true})
+	r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 1, Final: 1, Failed: true})
 
 	p := r.Profile()
-	spec := p.Lanes[LaneSpeculative]
+	spec := p.Lanes[adaptive.LaneSpeculative]
 	if spec.Jobs != 1 || spec.Bytes != 4096 {
 		t.Fatalf("speculative lane = %+v", spec)
 	}
@@ -197,7 +198,7 @@ func TestSpeculationAndHotStates(t *testing.T) {
 	if st, ok := r2.HotState(); !ok || st != 3 {
 		t.Fatalf("reloaded HotState = %d/%v, want 3/true", st, ok)
 	}
-	r2.Observe(Job{Lane: LaneSpeculative, Failed: true, Stats: core.DriveStats{Chunks: 2, Misses: 2}})
+	r2.Observe(Job{Lane: adaptive.LaneSpeculative, Failed: true, Stats: core.DriveStats{Chunks: 2, Misses: 2}})
 	p2 := r2.Profile()
 	if p2.SpecChunks != 10 || p2.SpecMispredicts != 4 {
 		t.Fatalf("reloaded spec counters = %d/%d, want 10/4", p2.SpecChunks, p2.SpecMispredicts)
@@ -230,7 +231,7 @@ func TestNilSafety(t *testing.T) {
 	if r != nil {
 		t.Fatal("nil store returned non-nil recorder")
 	}
-	r.Observe(Job{Lane: LaneSpeculative, Bytes: 1, Exec: time.Millisecond, Final: 3}) // must not panic
+	r.Observe(Job{Lane: adaptive.LaneSpeculative, Bytes: 1, Exec: time.Millisecond, Final: 3}) // must not panic
 	if _, ok := r.HotState(); ok {
 		t.Fatal("nil recorder reported a hot state")
 	}
@@ -301,10 +302,10 @@ func TestLegacyProfileSeedsRecorder(t *testing.T) {
 	if st, ok := r.HotState(); !ok || st != 3 {
 		t.Fatalf("HotState = %d/%v, want 3/true", st, ok)
 	}
-	r.Observe(Job{Lane: LaneSingle, Bytes: 100, Exec: time.Millisecond,
+	r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 100, Exec: time.Millisecond,
 		Stats: core.DriveStats{Symbols: 100, Shuffles: 100, ActiveFinalSum: 2, ActiveFinalChunks: 1}})
 	p = r.Profile()
-	if p.Jobs != 7 || p.Symbols != 1400 || p.Shuffles != 2700 || p.Lanes[LaneSingle].Jobs != 4 {
+	if p.Jobs != 7 || p.Symbols != 1400 || p.Shuffles != 2700 || p.Lanes[adaptive.LaneSingle].Jobs != 4 {
 		t.Fatalf("live job not folded onto the baseline: %+v", p)
 	}
 	if p.ActiveFinalMean != 2 {

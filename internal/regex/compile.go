@@ -1,6 +1,7 @@
 package regex
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -33,11 +34,18 @@ const DefaultMaxStates = 50000
 // Compile parses pattern and produces a minimized DFA over the 256-byte
 // alphabet. See Options for the matching semantics.
 func Compile(pattern string, opts Options) (*fsm.DFA, error) {
+	return CompileContext(context.Background(), pattern, opts)
+}
+
+// CompileContext is Compile under ctx: subset construction checks ctx
+// once per DFA state and returns ctx.Err() once it is done, so a caller
+// that goes away stops a compile that would run for seconds.
+func CompileContext(ctx context.Context, pattern string, opts Options) (*fsm.DFA, error) {
 	parsed, err := Parse(pattern, opts.CaseInsensitive)
 	if err != nil {
 		return nil, err
 	}
-	return compileParsed(parsed, opts)
+	return compileParsed(ctx, parsed, opts)
 }
 
 // MustCompile is Compile but panics on error; for tests and static
@@ -50,7 +58,7 @@ func MustCompile(pattern string, opts Options) *fsm.DFA {
 	return d
 }
 
-func compileParsed(parsed *Parsed, opts Options) (*fsm.DFA, error) {
+func compileParsed(ctx context.Context, parsed *Parsed, opts Options) (*fsm.DFA, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
@@ -60,7 +68,7 @@ func compileParsed(parsed *Parsed, opts Options) (*fsm.DFA, error) {
 	anchorEnd := opts.Anchored || parsed.AnchorEnd
 
 	n := fromAST(parsed.Root, !anchorStart)
-	d, err := determinize(n, maxStates, !anchorEnd)
+	d, err := determinize(ctx, n, maxStates, !anchorEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +125,7 @@ func byteClasses(n *nfa) (classOf [256]int, reps []byte) {
 	return classOf, reps
 }
 
-func determinize(n *nfa, maxStates int, stickyAccept bool) (*fsm.DFA, error) {
+func determinize(ctx context.Context, n *nfa, maxStates int, stickyAccept bool) (*fsm.DFA, error) {
 	mark := make([]bool, len(n.states))
 	clear := func(set []int) {
 		for _, s := range set {
@@ -158,6 +166,9 @@ func determinize(n *nfa, maxStates int, stickyAccept bool) (*fsm.DFA, error) {
 	}
 
 	for qi := 0; qi < len(states); qi++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		cur := states[qi]
 		var row [256]fsm.State
 		if cur.accept && stickyAccept {

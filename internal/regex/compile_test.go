@@ -1,8 +1,11 @@
 package regex
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dpfsm/internal/fsm"
 )
@@ -153,6 +156,22 @@ func TestMaxStatesEnforced(t *testing.T) {
 	}
 	if _, err := Compile("(a|b)*a(a|b){12}", Options{Anchored: true}); err != nil {
 		t.Errorf("default limit should admit 2^13 states: %v", err)
+	}
+}
+
+// TestCompileContextCanceled: a compile that would run for seconds
+// stops soon after its context is done and returns the context's error.
+func TestCompileContextCanceled(t *testing.T) {
+	const after, bound = 50 * time.Millisecond, 250 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), after)
+	defer cancel()
+	t0 := time.Now()
+	d, err := CompileContext(ctx, "(a|b){1500}", Options{})
+	if took := time.Since(t0); took > after+bound {
+		t.Errorf("compile returned %v after the deadline, want at most %v", took-after, bound)
+	}
+	if d != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("CompileContext under a done context: DFA %v, err %v, want %v", d != nil, err, context.DeadlineExceeded)
 	}
 }
 

@@ -16,6 +16,7 @@ package regex
 // start (leftmost-longest-start for the fixed end).
 
 import (
+	"context"
 	"fmt"
 
 	"dpfsm/internal/core"
@@ -86,7 +87,7 @@ func NewFinder(pattern string, opts Options, runnerOpts ...core.Option) (*Finder
 	if parsed.AnchorStart || parsed.AnchorEnd {
 		return nil, fmt.Errorf("regex: Finder does not support ^/$ anchors")
 	}
-	fwd, err := compileParsed(parsed, opts)
+	fwd, err := compileParsed(context.Background(), parsed, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -106,13 +107,13 @@ func NewFinder(pattern string, opts Options, runnerOpts ...core.Option) (*Finder
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	rev, err := determinize(n, maxStates, false)
+	rev, err := determinize(context.Background(), n, maxStates, false)
 	if err != nil {
 		return nil, err
 	}
 	rev = rev.Minimize()
 
-	exact, err := compileParsed(parsed, Options{
+	exact, err := compileParsed(context.Background(), parsed, Options{
 		CaseInsensitive: opts.CaseInsensitive,
 		Anchored:        true,
 		MaxStates:       opts.MaxStates,
@@ -130,7 +131,7 @@ func NewFinder(pattern string, opts Options, runnerOpts ...core.Option) (*Finder
 	// sticky accept, so entering an accepting state at position i means
 	// a match ends at i+1 — exactly the Mealy emission λ(q, a) =
 	// MatchEnd iff δ(q, a) accepts.
-	ends, err := determinize(fromAST(parsed.Root, true), maxStates, false)
+	ends, err := determinize(context.Background(), fromAST(parsed.Root, true), maxStates, false)
 	if err != nil {
 		return nil, err
 	}

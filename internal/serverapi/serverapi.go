@@ -66,8 +66,8 @@ type RunResult struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Strategy is the strategy that actually executed — the resolved
 	// one, never "auto". SelectionReason is the dispatch policy's
-	// stated reason for the lane choice (adaptive selection, static
-	// heuristic, or an explicit per-request override).
+	// stated reason for the lane choice (adaptive selection or static
+	// heuristic).
 	Strategy        string  `json:"strategy,omitempty"`
 	SelectionReason string  `json:"selection_reason,omitempty"`
 	DurationNs      int64   `json:"duration_ns"`
@@ -158,11 +158,12 @@ type MachineInfo struct {
 }
 
 // RegisterRequest is the body of POST /v1/machines: compile Pattern
-// and register it under Name. Strategy is optional (empty = auto).
+// and register it under Name. The server compiles every machine with
+// the Auto strategy (core.Auto); it ignores unknown fields, a
+// "strategy" among them.
 type RegisterRequest struct {
-	Name     string        `json:"name"`
-	Pattern  string        `json:"pattern"`
-	Strategy core.Strategy `json:"strategy,omitempty"`
+	Name    string `json:"name"`
+	Pattern string `json:"pattern"`
 }
 
 // RegisterResult is the response of POST /v1/machines: the registered
@@ -177,14 +178,17 @@ type RegisterResult struct {
 	CompileNs int64 `json:"compile_ns"`
 	// TableBytes approximates the compiled plan's table footprint.
 	TableBytes int `json:"table_bytes"`
-	// AutoReason explains the auto-strategy decision, empty when the
-	// request forced a strategy.
+	// AutoReason explains the Auto strategy decision: why the plan runs
+	// the strategy Machine.Strategy names.
 	AutoReason string `json:"auto_reason,omitempty"`
 }
 
 // BatchJob is one request line of POST /v1/batch (NDJSON: one JSON
 // object per line). Exactly one of Input and InputB64 should be set;
 // InputB64 carries binary payloads that are not valid JSON strings.
+// A job runs its machine's compiled plan on the lane the engine picks;
+// a line names neither, and the server ignores unknown fields, a
+// "strategy" among them.
 type BatchJob struct {
 	Machine  string `json:"machine,omitempty"`
 	Input    string `json:"input,omitempty"`
@@ -194,10 +198,6 @@ type BatchJob struct {
 	// TimeoutMs bounds this job alone, nested inside the request
 	// context.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Strategy overrides the machine's strategy for this job alone.
-	// Empty or "auto" keeps the machine's own dispatch; a concrete
-	// name pins the job to that strategy on the single-core lane.
-	Strategy string `json:"strategy,omitempty"`
 }
 
 // BatchResult is one response line of POST /v1/batch. Results stream
