@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"dpfsm/internal/core"
-	"dpfsm/internal/engine"
-	"dpfsm/internal/telemetry"
 	"dpfsm/internal/workload"
 )
 
@@ -16,12 +14,9 @@ import (
 // a plan costs per strategy, what loading the same plan from its
 // serialized form costs instead, and whether a reloaded plan is
 // observationally identical to a freshly built one (byte-identical
-// final states over a shared input, from every start state). It then
-// drives the engine's plan cache through repeated registrations of
-// the same rule set — the fsmserve reload/restart pattern — and
-// reports the hit rate (the acceptance bar is ≥ 99%).
+// final states over a shared input, from every start state).
 func compileExperiment(opt *options) {
-	header("compile — plan build vs serialized reload, and engine plan-cache reuse")
+	header("compile — plan build vs serialized reload")
 
 	ms, _ := corpus(opt)
 	sample := sampleMachines(ms, opt.sample)
@@ -40,7 +35,7 @@ func compileExperiment(opt *options) {
 		"strategy", "machines", "build(µs)", "load(µs)", "speedup", "plan(KB)", "identical")
 	for _, strat := range strategies {
 		var machines int
-		var buildNs, loadNs, planBytes int64
+		var buildNs, loadNs, wireBytes int64
 		identical := true
 		for _, d := range sample {
 			plan, err := core.CompilePlan(d, core.WithStrategy(strat))
@@ -59,7 +54,7 @@ func compileExperiment(opt *options) {
 				fmt.Fprintf(os.Stderr, "compile experiment: marshal: %v\n", err)
 				return
 			}
-			planBytes += int64(len(data))
+			wireBytes += int64(len(data))
 			loadNs += int64(timeIt(2*time.Millisecond, func() {
 				_, _ = core.UnmarshalPlan(data)
 			}))
@@ -76,62 +71,20 @@ func compileExperiment(opt *options) {
 			float64(buildNs)/float64(machines)/1e3,
 			float64(loadNs)/float64(machines)/1e3,
 			speedup,
-			float64(planBytes)/float64(machines)/1e3,
+			float64(wireBytes)/float64(machines)/1e3,
 			identical)
 		recordRow(reportRow{
 			Experiment: "compile",
 			Machine:    fmt.Sprintf("corpus-%d", machines),
 			Strategy:   strat.String(),
 			Workload:   "plan-roundtrip",
-			Bytes:      int(planBytes),
+			Bytes:      int(wireBytes),
 			NsPerOp:    buildNs / int64(machines),
 		})
 		if !identical {
 			fmt.Fprintf(os.Stderr, "compile experiment: strategy %s: reloaded plan diverged from built plan\n", strat)
 			os.Exit(1)
 		}
-	}
-
-	// Plan-cache reuse: register the same rule set into fresh engines
-	// sharing one cache, the way a reloading/restarting server would.
-	// Round 1 compiles every machine (misses); every later round must
-	// hit.
-	met := new(telemetry.Metrics)
-	cache := engine.NewPlanCache(0, met)
-	const rounds = 200
-	regSample := sample
-	if len(regSample) > 16 {
-		regSample = regSample[:16]
-	}
-	t0 := time.Now()
-	for round := 0; round < rounds; round++ {
-		eng := engine.New(engine.WithProcs(1), engine.WithPlanCache(cache))
-		for i, d := range regSample {
-			if _, err := eng.Register(fmt.Sprintf("m%d", i), d); err != nil {
-				fmt.Fprintf(os.Stderr, "compile experiment: register: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		eng.Close()
-	}
-	elapsed := time.Since(t0)
-	stats := cache.Stats()
-	snap := met.Snapshot()
-	fmt.Printf("\nplan cache: %d registrations, %d hits, %d misses, hit rate %.2f%% (%d plans, %d rounds, %v)\n",
-		stats.Hits+stats.Misses, stats.Hits, stats.Misses, 100*stats.HitRate(),
-		stats.Entries, rounds, elapsed.Round(time.Millisecond))
-	recordRow(reportRow{
-		Experiment: "compile",
-		Machine:    fmt.Sprintf("cache-%d", len(regSample)),
-		Strategy:   "auto",
-		Workload:   "register-rounds",
-		Bytes:      int(stats.Hits + stats.Misses),
-		NsPerOp:    int64(elapsed) / rounds,
-		Telemetry:  &snap,
-	})
-	if stats.HitRate() < 0.99 {
-		fmt.Fprintf(os.Stderr, "compile experiment: plan cache hit rate %.2f%% below 99%%\n", 100*stats.HitRate())
-		os.Exit(1)
 	}
 }
 

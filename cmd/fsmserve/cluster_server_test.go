@@ -54,7 +54,7 @@ func clusterInput() []byte {
 }
 
 func TestServerClusterLaneOverHTTP(t *testing.T) {
-	srvA, tsA, _, tsB := clusterPair(t)
+	srvA, tsA, srvB, tsB := clusterPair(t)
 	input := clusterInput()
 	d := srvA.engine.Machine("sqli").DFA()
 	wantAccepts := d.Accepting(d.Run(input, d.Start()))
@@ -103,6 +103,41 @@ func TestServerClusterLaneOverHTTP(t *testing.T) {
 	}
 	if st.Cluster.Peers[0].Peer != tsB.URL {
 		t.Fatalf("peer %q, want %q", st.Cluster.Peers[0].Peer, tsB.URL)
+	}
+	// B serves sqli itself: it ran A's chunks on its registered runner
+	// and kept no copy of the plan A shipped.
+	if got := srvB.peer.Stats(); got.Plans != 0 || got.Tasks == 0 {
+		t.Fatalf("peer B stats %+v, want tasks served from its registry and no stored plan", got)
+	}
+
+	// Once B no longer serves sqli, A's shipped plan is what B runs: the
+	// rerun answers the same, and B holds exactly that one plan.
+	req, err := http.NewRequest(http.MethodDelete, tsB.URL+"/v1/machines/sqli", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusOK && dresp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE on B: status %d", dresp.StatusCode)
+	}
+	rresp, err := http.Post(tsA.URL+"/v1/run?machine=sqli", "application/octet-stream", bytes.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rresp.Body.Close()
+	var rerun serverapi.RunResult
+	if err := json.NewDecoder(rresp.Body).Decode(&rerun); err != nil {
+		t.Fatal(err)
+	}
+	if rerun.Lane != engine.LaneCluster || rerun.Accepts != res.Accepts || rerun.Final != res.Final || rerun.Degraded {
+		t.Fatalf("rerun after DELETE on B: %+v, first run %+v", rerun, res)
+	}
+	if got := srvB.peer.Stats().Plans; got != 1 {
+		t.Fatalf("peer B holds %d plans after the rerun, want 1", got)
 	}
 }
 

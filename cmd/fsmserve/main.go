@@ -33,7 +33,7 @@
 //	GET  /v1/machines/{name}                       one machine's registry entry
 //	GET  /v1/machines/{name}/profile               observed perf profile + current adaptive selection
 //	GET  /v1/snapshot                              telemetry snapshot (JSON)
-//	GET  /v1/status                                live status: queue depth, shed rate, plan-cache hit ratio, per-machine perf profiles + adaptive selections, uptime, build info
+//	GET  /v1/status                                live status: queue depth, shed rate, per-machine perf profiles + adaptive selections, uptime, build info
 //	GET  /v1/metrics                               Prometheus text format (FSM + runtime/metrics series)
 //	GET  /v1/traces[?machine=NAME&min_ms=N]        flight recorder: recent request traces
 //	GET  /v1/traces/{id}                           one retained trace's full span tree
@@ -110,7 +110,7 @@ type server struct {
 	meta    map[string]machineMeta
 	metrics *telemetry.Metrics
 	// profiles aggregates per-machine observed performance; it persists
-	// into the -plan-cache-dir and feeds /v1/status.
+	// into the -profile-dir and feeds /v1/status.
 	profiles *perfprofile.Store
 	started  time.Time
 	maxBody  int64
@@ -133,8 +133,9 @@ type server struct {
 	draining atomic.Bool
 	// peer is this node's serving side of the cluster protocol, always
 	// mounted (a node with no -peers can still serve chunks for other
-	// coordinators). Its resolver consults the local registry, so plans
-	// both nodes already compiled are never shipped over the wire.
+	// coordinators). Its resolver is the engine registry: a machine this
+	// node serves runs chunk tasks on its own runner, and a shipped copy
+	// of its plan is acknowledged without being decoded or kept.
 	peer *cluster.Peer
 }
 
@@ -184,10 +185,11 @@ func newServer(patterns []string, procs int, maxBody int64, profileDir string) (
 		engine.WithTelemetry(s.metrics),
 		engine.WithPerfProfiles(s.profiles),
 	)
-	// The cluster peer resolves plans this node already compiled from
-	// the plan cache, so they are never shipped over the wire; an
-	// evicted plan falls back to plan shipping.
-	s.peer = cluster.NewPeer(s.engine.PlanCache().Get)
+	// The cluster peer resolves a fingerprint through the registry: a
+	// plan this node serves runs on the registered machine's runner,
+	// and the coordinator's shipped copy of it is not kept. Plans of
+	// machines this node does not serve go to the peer's bounded store.
+	s.peer = cluster.NewPeer(s.engine.PlanRunner)
 	for _, ms := range specs {
 		if _, err := s.registerMachine(ms, source); err != nil {
 			s.Close()
@@ -238,9 +240,8 @@ func compileSpecs(specs []string) ([]machineSpec, error) {
 	return out, nil
 }
 
-// registerMachine registers ms's compiled pattern, under the plan Auto
-// compiles, through the engine's plan cache; the machine's PlanCached
-// reports whether the cache hit.
+// registerMachine registers ms's compiled pattern under the plan Auto
+// compiles for it.
 func (s *server) registerMachine(ms machineSpec, source string) (*engine.Machine, error) {
 	m, err := s.engine.Register(ms.name, ms.dfa)
 	if err != nil {
@@ -265,7 +266,7 @@ func (s *server) unregisterMachine(name string) bool {
 }
 
 // Close releases the engine's workers and flushes the perf profiles
-// to the plan-cache directory (best effort) so observations survive
+// to the -profile-dir (best effort) so observations survive
 // into the next process.
 func (s *server) Close() {
 	s.engine.Close()
@@ -561,12 +562,10 @@ func (s *server) handleRegister(w http.ResponseWriter, req *http.Request) {
 		"source", "api",
 		"strategy", m.Runner().Strategy().String(),
 		"fingerprint", m.Fingerprint(),
-		"plan_cached", m.PlanCached(),
 	)
 	s.mu.RLock()
 	res := serverapi.RegisterResult{
 		Machine:    s.machineInfo(rr.Name, m),
-		PlanCached: m.PlanCached(),
 		CompileNs:  int64(time.Since(t0)),
 		TableBytes: m.Plan().TableBytes(),
 		AutoReason: m.Plan().AutoReason(),
@@ -899,8 +898,8 @@ func main() {
 		procs           = flag.Int("procs", 0, "multicore width for large inputs (0 = NumCPU, 1 = single-core only)")
 		maxBody         = flag.Int64("maxbody", 64<<20, "maximum POSTed body size in bytes")
 		patternsFile    = flag.String("patterns-file", "", "file of NAME=REGEX machines, one per line (default: a small IDS rule set); SIGHUP re-reads it")
-		profileDir      = flag.String("plan-cache-dir", "", "directory where per-machine perf profiles (<fingerprint>.perf.json) persist across restarts; plans are compiled at every start")
-		perfSave        = flag.Duration("perf-save-interval", 30*time.Second, "how often per-machine perf profiles are persisted to -plan-cache-dir (0 disables the periodic save; shutdown always flushes)")
+		profileDir      = flag.String("profile-dir", "", "directory where per-machine perf profiles (<fingerprint>.perf.json) persist across restarts")
+		perfSave        = flag.Duration("perf-save-interval", 30*time.Second, "how often per-machine perf profiles are persisted to -profile-dir (0 disables the periodic save; shutdown always flushes)")
 		logFormat       = flag.String("log-format", "text", `log output format: "text" or "json"`)
 		traceBuf        = flag.Int("trace-buf", trace.DefaultRecorderCapacity, "flight-recorder capacity: completed request traces retained for /v1/traces")
 		traceSample     = flag.Float64("trace-sample", 0, "head-sample rate in traces/second: trace every request, retain this many representative ones per second plus all slow/error/shed/mispredict tails (0 = trace only on request)")
@@ -997,7 +996,6 @@ func main() {
 			"max_range", stats.MaxRange,
 			"strategy", m.Runner().Strategy().String(),
 			"fingerprint", m.Fingerprint(),
-			"plan_cached", m.PlanCached(),
 			"procs", srv.engine.Procs(),
 		)
 	}

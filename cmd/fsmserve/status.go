@@ -14,7 +14,7 @@ import (
 
 // GET /v1/status: the one-page live view of the server. Everything in
 // it exists elsewhere — /v1/snapshot has the raw counters, /v1/metrics
-// the scrapeable series, the plan-cache dir the persisted profiles —
+// the scrapeable series, the -profile-dir the persisted profiles —
 // but an operator answering "is this server healthy and which machine
 // is expensive" should not have to join three surfaces by hand.
 
@@ -45,10 +45,6 @@ func (s *server) status() serverapi.Status {
 		QueueCap:       s.engine.QueueCap(),
 		QueueHighWater: snap.EngineQueueHighWater,
 		ShedTotal:      snap.EngineQueueRejects,
-
-		PlanCacheHits:    snap.PlanCacheHits,
-		PlanCacheMisses:  snap.PlanCacheMisses,
-		PlanCacheHitRate: snap.PlanCacheHitRate,
 
 		Profiles: s.profiles.Profiles(),
 		Runtime:  telemetry.ReadRuntime(),

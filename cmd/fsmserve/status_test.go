@@ -53,11 +53,6 @@ func TestStatusEndpoint(t *testing.T) {
 	if st.Machines != len(st.Profiles) || st.Machines == 0 {
 		t.Fatalf("machines=%d profiles=%d", st.Machines, len(st.Profiles))
 	}
-	// The default registrations compiled (all misses) → hit rate field
-	// present and in range.
-	if st.PlanCacheHitRate < 0 || st.PlanCacheHitRate > 1 {
-		t.Fatalf("plan-cache hit rate %g", st.PlanCacheHitRate)
-	}
 	if st.ShedRate < 0 || st.ShedRate > 1 {
 		t.Fatalf("shed rate %g", st.ShedRate)
 	}
@@ -88,7 +83,7 @@ func TestStatusEndpoint(t *testing.T) {
 }
 
 // TestStatusProfilesSurviveRestart is the acceptance-criteria
-// integration test: profiles persisted into the plan-cache directory
+// integration test: profiles persisted into the -profile-dir
 // seed the next process's recorders, so lifetime counters keep
 // accumulating across a restart.
 func TestStatusProfilesSurviveRestart(t *testing.T) {
@@ -116,7 +111,7 @@ func TestStatusProfilesSurviveRestart(t *testing.T) {
 	ts1.Close()
 	srv1.Close() // flushes profiles into dir
 
-	// "Restart": a fresh server over the same plan-cache directory.
+	// "Restart": a fresh server over the same profile directory.
 	srv2, ts2 := boot()
 	defer srv2.Close()
 	defer ts2.Close()

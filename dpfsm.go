@@ -168,10 +168,6 @@ func NewRunnerFromPlan(p *Plan, opts ...Option) (*Runner, error) { return core.N
 // and refusing a plan whose stored tables differ.
 func UnmarshalPlan(data []byte) (*Plan, error) { return core.UnmarshalPlan(data) }
 
-// PlanKey computes the cache fingerprint CompilePlan would assign,
-// without building tables — the membership probe for plan caches.
-func PlanKey(d *DFA, opts ...Option) (string, error) { return core.PlanKey(d, opts...) }
-
 // WithStrategy pins the execution strategy instead of Auto selection.
 func WithStrategy(s Strategy) Option { return core.WithStrategy(s) }
 
@@ -213,12 +209,6 @@ type (
 	TransduceResult = engine.TransduceResult
 	// BatchStats aggregates one RunBatch call.
 	BatchStats = engine.BatchStats
-	// PlanCache is a bounded LRU of compiled plans keyed by
-	// fingerprint; engines use one so registrations reuse compiled
-	// artifacts instead of rebuilding tables.
-	PlanCache = engine.PlanCache
-	// PlanCacheStats reports a cache's hit/miss/eviction counters.
-	PlanCacheStats = engine.PlanCacheStats
 )
 
 // Engine failure modes, returned inside Result.Err or from Submit.
@@ -265,16 +255,6 @@ func WithEngineProcs(p int) EngineOption { return engine.WithProcs(p) }
 // runner it builds.
 func WithEngineTelemetry(m *Metrics) EngineOption { return engine.WithTelemetry(m) }
 
-// NewPlanCache builds a plan cache bounded to max entries (max <= 0
-// selects the default); m, when non-nil, receives hit/miss/eviction
-// telemetry.
-func NewPlanCache(max int, m *Metrics) *PlanCache { return engine.NewPlanCache(max, m) }
-
-// WithPlanCache shares a plan cache across engines (or between an
-// engine and a direct CompilePlan caller); the default is a private
-// per-engine cache.
-func WithPlanCache(pc *PlanCache) EngineOption { return engine.WithPlanCache(pc) }
-
 // Adaptive execution (internal/perfprofile + internal/adaptive).
 // Attaching a perf-profile store to an engine closes the selection
 // loop: every job's lane, throughput, and speculation outcome feeds a
@@ -296,8 +276,8 @@ type (
 )
 
 // NewPerfProfileStore builds a profile store; dir may be empty for a
-// purely in-memory store, or name a directory (typically the plan
-// cache's) where profiles persist across restarts.
+// purely in-memory store, or name a directory where profiles persist
+// across restarts.
 func NewPerfProfileStore(dir string) *PerfProfileStore { return perfprofile.NewStore(dir) }
 
 // WithEnginePerfProfiles attaches a perf-profile store to the engine,

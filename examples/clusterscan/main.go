@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	p, err := core.CompilePlan(d)
+	r, err := core.New(d)
 	if err != nil {
 		panic(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		final, stats, err := co.Exec(context.Background(), p, traffic, d.Start())
+		final, stats, err := co.Exec(context.Background(), r, traffic, d.Start())
 		if err != nil {
 			panic(err)
 		}

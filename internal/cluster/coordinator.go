@@ -131,12 +131,6 @@ type Coordinator struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	// planMu guards planBytes (marshaled-plan cache) and local
-	// (fallback runner cache), both keyed by fingerprint.
-	planMu    sync.Mutex
-	planBytes map[string][]byte
-	local     map[string]*core.Runner
 }
 
 // NewCoordinator validates cfg and builds the coordinator.
@@ -160,8 +154,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cooldown:    cfg.BreakerCooldown,
 		tel:         cfg.Telemetry,
 		now:         time.Now,
-		planBytes:   make(map[string][]byte),
-		local:       make(map[string]*core.Runner),
 	}
 	if c.transport == nil {
 		c.transport = NewHTTPTransport(nil)
@@ -233,15 +225,17 @@ type ExecStats struct {
 	VectorBytes  int `json:"vector_bytes"`
 }
 
-// Exec runs input through p's machine from start, fanning chunks out
+// Exec runs input through r's machine from start, fanning chunks out
 // over the peer set and walking the returned composition vectors in
-// chunk order. The only error it returns is the context's: every
-// network failure degrades to local re-execution instead.
-func (c *Coordinator) Exec(ctx context.Context, p *core.Plan, input []byte, start fsm.State) (fsm.State, ExecStats, error) {
+// chunk order on r. r also computes the chunks that fall back to local
+// re-execution, so a single-core runner (the engine's batch-lane
+// runner) fits it best. The only error Exec returns is the context's:
+// every network failure degrades to local re-execution instead.
+func (c *Coordinator) Exec(ctx context.Context, r *core.Runner, input []byte, start fsm.State) (fsm.State, ExecStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	job := c.NewJob(p, len(input))
+	job := c.NewJob(r, len(input))
 	if len(job.tasks) == 0 {
 		return start, ExecStats{}, nil
 	}
@@ -249,12 +243,12 @@ func (c *Coordinator) Exec(ctx context.Context, p *core.Plan, input []byte, star
 	defer sp.End()
 	if sp != nil {
 		sp.SetAttrs(
-			trace.Str("fingerprint", p.Fingerprint()),
+			trace.Str("fingerprint", r.PlanRef().Fingerprint()),
 			trace.Int(AttrChunks, int64(len(job.tasks))),
 			trace.Int("bytes", int64(len(input))),
 		)
 	}
-	final, _, err := c.localRunner(p).Drive(ctx, input, start, job, nil)
+	final, _, err := r.Drive(ctx, input, start, job, nil)
 	stats := job.Stats()
 	if err != nil {
 		return start, stats, err
@@ -272,18 +266,19 @@ func (c *Coordinator) Exec(ctx context.Context, p *core.Plan, input []byte, star
 // the run is over.
 type Job struct {
 	c        *Coordinator
-	p        *core.Plan
+	r        *core.Runner // the job's plan; computes fallback vectors
 	prefs    []string
 	tasks    []taskStats
 	degraded atomic.Bool
 }
 
-// NewJob prepares a distributed run of p over an n-byte input.
-func (c *Coordinator) NewJob(p *core.Plan, n int) *Job {
+// NewJob prepares a distributed run of r's plan over an n-byte input;
+// chunks whose peer cannot answer are re-executed on r.
+func (c *Coordinator) NewJob(r *core.Runner, n int) *Job {
 	return &Job{
 		c:     c,
-		p:     p,
-		prefs: c.ring.Prefs(p.Fingerprint()),
+		r:     r,
+		prefs: c.ring.Prefs(r.PlanRef().Fingerprint()),
 		tasks: make([]taskStats, (n+c.chunkBytes-1)/c.chunkBytes),
 	}
 }
@@ -296,12 +291,12 @@ func (j *Job) ChunkBytes() int { return j.c.chunkBytes }
 // when its peer cannot answer.
 func (j *Job) Compose(ctx context.Context, ch core.Chunk) core.Comp {
 	task := &plan.ClusterTask{
-		Fingerprint: j.p.Fingerprint(),
+		Fingerprint: j.r.PlanRef().Fingerprint(),
 		ChunkIndex:  uint32(ch.Index),
 		TotalChunks: uint32(len(j.tasks)),
 		Input:       ch.Input,
 	}
-	vec, ts := j.c.execChunk(ctx, j.p, task, j.prefs)
+	vec, ts := j.c.execChunk(ctx, j.r, task, j.prefs)
 	ts.bytes = len(ch.Input)
 	j.tasks[ch.Index] = ts
 	if !ts.remote && ctx.Err() == nil && j.degraded.CompareAndSwap(false, true) {
@@ -323,7 +318,7 @@ func (j *Job) Stats() ExecStats {
 		case ts.remote:
 			stats.RemoteChunks++
 			stats.BytesToPeers += ts.bytes
-			stats.VectorBytes += 2 * j.p.States()
+			stats.VectorBytes += 2 * j.r.PlanRef().States()
 		case ts.bytes > 0:
 			stats.LocalChunks++
 			stats.Degraded = true
@@ -344,7 +339,8 @@ type taskStats struct {
 // retry/backoff against the chunk's assigned peer, local re-execution
 // when the peer is down, the breaker is open, or retries are
 // exhausted. It always returns a correct vector.
-func (c *Coordinator) execChunk(ctx context.Context, p *core.Plan, task *plan.ClusterTask, prefs []string) ([]fsm.State, taskStats) {
+func (c *Coordinator) execChunk(ctx context.Context, r *core.Runner, task *plan.ClusterTask, prefs []string) ([]fsm.State, taskStats) {
+	p := r.PlanRef()
 	peer := prefs[int(task.ChunkIndex)%len(prefs)]
 	ps := c.states[peer]
 	var ts taskStats
@@ -417,7 +413,7 @@ func (c *Coordinator) execChunk(ctx context.Context, p *core.Plan, task *plan.Cl
 	if tm := c.tel; tm != nil {
 		tm.ClusterLocalFallbacks.Inc()
 	}
-	return c.localVector(p, task.Input), ts
+	return r.CompositionVector(task.Input), ts
 }
 
 // tryPeer makes one remote attempt: ensure the plan is installed,
@@ -431,10 +427,10 @@ func (c *Coordinator) tryPeer(ctx context.Context, peer string, p *core.Plan, ta
 	}
 	vec, err := c.transport.ExecChunk(actx, peer, task)
 	if errors.Is(err, ErrUnknownPlan) {
-		// The peer restarted (or never had the plan despite our cached
-		// installed flag): re-ship once within the same attempt. The
-		// epoch guard makes the invalidation a no-op if a sibling chunk
-		// already re-shipped.
+		// The peer restarted, evicted the plan from its store, or no
+		// longer serves the machine it resolved the plan to: re-ship
+		// once within the same attempt. The epoch guard makes the
+		// invalidation a no-op if a sibling chunk already re-shipped.
 		c.states[peer].invalidatePlan(task.Fingerprint, epoch)
 		if _, err := c.ensureInstalled(actx, peer, p); err != nil {
 			return nil, err
@@ -472,8 +468,9 @@ func (c *Coordinator) validateVector(p *core.Plan, task *plan.ClusterTask, vec *
 
 // ensureInstalled ships p to peer once per (peer, fingerprint) —
 // single-flighted under the peer's install lock, so a job's concurrent
-// chunks produce one ship, not one per chunk. Returns the epoch of the
-// install the caller may rely on (for invalidatePlan on a later 404).
+// chunks produce one serialization and one ship, not one per chunk.
+// Returns the epoch of the install the caller may rely on (for
+// invalidatePlan on a later 404).
 func (c *Coordinator) ensureInstalled(ctx context.Context, peer string, p *core.Plan) (uint64, error) {
 	ps := c.states[peer]
 	fp := p.Fingerprint()
@@ -482,9 +479,9 @@ func (c *Coordinator) ensureInstalled(ctx context.Context, peer string, p *core.
 	if e := ps.installedEpoch(fp); e != 0 {
 		return e, nil
 	}
-	data, err := c.marshaledPlan(p)
+	data, err := p.MarshalBinary()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("cluster: serializing plan: %w", err)
 	}
 	if err := c.transport.InstallPlan(ctx, peer, fp, data); err != nil {
 		return 0, err
@@ -495,52 +492,6 @@ func (c *Coordinator) ensureInstalled(ctx context.Context, peer string, p *core.
 		tm.ClusterPlanShips.Inc()
 	}
 	return ps.installedEpoch(fp), nil
-}
-
-// marshaledPlan caches MarshalBinary per fingerprint — the bytes are
-// shipped to up to every peer, but serialized once.
-func (c *Coordinator) marshaledPlan(p *core.Plan) ([]byte, error) {
-	fp := p.Fingerprint()
-	c.planMu.Lock()
-	data, ok := c.planBytes[fp]
-	c.planMu.Unlock()
-	if ok {
-		return data, nil
-	}
-	data, err := p.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: serializing plan: %w", err)
-	}
-	c.planMu.Lock()
-	c.planBytes[fp] = data
-	c.planMu.Unlock()
-	return data, nil
-}
-
-// localVector computes one chunk's composition vector on the
-// coordinator — the degradation path.
-func (c *Coordinator) localVector(p *core.Plan, chunk []byte) []fsm.State {
-	r := c.localRunner(p)
-	return r.CompositionVector(chunk)
-}
-
-// localRunner caches a single-core fallback runner per fingerprint.
-func (c *Coordinator) localRunner(p *core.Plan) *core.Runner {
-	fp := p.Fingerprint()
-	c.planMu.Lock()
-	defer c.planMu.Unlock()
-	if r, ok := c.local[fp]; ok {
-		return r
-	}
-	// NewFromPlan over an already validated plan cannot fail for the
-	// option set used here; a failure would mean the plan the engine is
-	// actively executing is invalid, which is a programming error.
-	r, err := core.NewFromPlan(p, core.WithProcs(1))
-	if err != nil {
-		panic("cluster: fallback runner from live plan: " + err.Error())
-	}
-	c.local[fp] = r
-	return r
 }
 
 // sleepBackoff waits the attempt's exponential backoff with jitter;

@@ -93,7 +93,7 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 
 func (tc *testCluster) exec(p *core.Plan, input []byte, start fsm.State) (fsm.State, ExecStats) {
 	tc.t.Helper()
-	got, stats, err := tc.coord.Exec(context.Background(), p, input, start)
+	got, stats, err := tc.coord.Exec(context.Background(), single(tc.t, p), input, start)
 	if err != nil {
 		tc.t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestCoordinatorRejectsWrongChunkEcho(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(71))
 	input := d.RandomInput(rng, 1000)
-	got, stats, err := coord.Exec(context.Background(), p, input, d.Start())
+	got, stats, err := coord.Exec(context.Background(), single(t, p), input, d.Start())
 	if err != nil {
 		t.Fatal(err)
 	}

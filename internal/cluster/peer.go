@@ -12,24 +12,32 @@ import (
 	"dpfsm/internal/plan"
 )
 
-// Peer is the serving side of the cluster protocol: it holds compiled
-// plans by fingerprint and answers chunk tasks with composition
-// vectors. fsmserve mounts Handler into its mux so every node is
-// simultaneously a coordinator (for its own requests) and a peer (for
-// everyone else's); tests mount the same handler on httptest servers.
+// Peer is the serving side of the cluster protocol: it answers chunk
+// tasks with composition vectors, by plan fingerprint. fsmserve mounts
+// Handler into its mux so every node is simultaneously a coordinator
+// (for its own requests) and a peer (for everyone else's); tests mount
+// the same handler on httptest servers.
 //
-// Plans arrive two ways: shipped by a coordinator over PlansPath
-// (fingerprint-keyed, verified against the decoded plan's own
-// fingerprint, 409 on mismatch), or resolved locally through an
-// optional Resolver — fsmserve wires one that consults its own
-// registry, so plans both nodes already compiled are never re-shipped.
+// A task's plan comes from one of two places. The optional resolver
+// maps a fingerprint to a runner the node already holds — fsmserve
+// wires its engine registry, so a machine both nodes serve runs on the
+// peer's own registered runner. A coordinator still ships every plan
+// before its first task there; Install accepts a plan the resolver
+// knows without decoding or storing it. Any other plan is decoded,
+// verified against its declared fingerprint (409 on mismatch) and kept
+// in a store of at most maxShippedPlans runners, oldest evicted first;
+// a coordinator whose plan was evicted gets unknown-plan and re-ships.
 type Peer struct {
 	mu      sync.Mutex
-	runners map[string]*core.Runner // fingerprint → single-core runner
+	runners map[string]*core.Runner // shipped plans: fingerprint → single-core runner
+	order   []string                // runners' keys, oldest install first
 
-	// resolver, when set, is consulted for fingerprints not yet
-	// installed before answering unknown-plan.
-	resolver func(fingerprint string) *core.Plan
+	// resolver, when set, resolves fingerprints of plans the node
+	// already holds; nil when it holds none of them.
+	resolver func(fingerprint string) *core.Runner
+
+	// maxMessage bounds a request body (maxWireMessage).
+	maxMessage int64
 
 	tasks     atomic.Int64
 	installs  atomic.Int64
@@ -37,14 +45,19 @@ type Peer struct {
 	taskBytes atomic.Int64
 }
 
+// maxShippedPlans bounds a peer's store of shipped plans. A worker
+// needs each machine once and then only its chunks, so the store is a
+// working set; a coordinator whose plan was evicted re-ships it.
+const maxShippedPlans = 256
+
 // NewPeer builds an empty peer. resolver may be nil.
-func NewPeer(resolver func(fingerprint string) *core.Plan) *Peer {
-	return &Peer{runners: make(map[string]*core.Runner), resolver: resolver}
+func NewPeer(resolver func(fingerprint string) *core.Runner) *Peer {
+	return &Peer{runners: make(map[string]*core.Runner), resolver: resolver, maxMessage: maxWireMessage}
 }
 
 // PeerStats is a point-in-time view of one peer's served traffic.
 type PeerStats struct {
-	// Plans is the number of installed plans; Tasks the chunk tasks
+	// Plans is the number of shipped plans held; Tasks the chunk tasks
 	// served; Installs the plans accepted over the wire; Rejects the
 	// protocol rejections (mismatch, bad message); TaskBytes the chunk
 	// bytes executed.
@@ -71,13 +84,10 @@ func (p *Peer) Stats() PeerStats {
 
 // Install decodes and installs a serialized plan under fingerprint.
 // The decoded plan's own fingerprint must match the declared one
-// (ErrPlanMismatch otherwise); installing an already-present
-// fingerprint is an idempotent no-op.
+// (ErrPlanMismatch otherwise); installing a fingerprint the peer
+// already holds or resolves is an idempotent no-op.
 func (p *Peer) Install(fingerprint string, data []byte) error {
-	p.mu.Lock()
-	_, have := p.runners[fingerprint]
-	p.mu.Unlock()
-	if have {
+	if p.runner(fingerprint) != nil {
 		return nil
 	}
 	cp, err := core.UnmarshalPlan(data)
@@ -90,46 +100,41 @@ func (p *Peer) Install(fingerprint string, data []byte) error {
 	return p.install(fingerprint, cp)
 }
 
-// install builds the runner and publishes it. Chunk tasks run
-// single-core on the peer: parallelism across a job comes from the
-// fan-out over peers (and each peer's concurrent HTTP handlers), not
-// from a second fan-out inside each chunk.
+// install builds the runner and publishes it, evicting the oldest
+// shipped plan past maxShippedPlans. Chunk tasks run single-core on
+// the peer: parallelism across a job comes from the fan-out over peers
+// (and each peer's concurrent HTTP handlers), not from a second
+// fan-out inside each chunk.
 func (p *Peer) install(fingerprint string, cp *core.Plan) error {
 	r, err := core.NewFromPlan(cp, core.WithProcs(1))
 	if err != nil {
 		return fmt.Errorf("cluster: building runner for shipped plan: %w", err)
 	}
 	p.mu.Lock()
-	if _, have := p.runners[fingerprint]; !have {
-		p.runners[fingerprint] = r
-		p.installs.Add(1)
+	defer p.mu.Unlock()
+	if _, have := p.runners[fingerprint]; have {
+		return nil
 	}
-	p.mu.Unlock()
+	if len(p.order) == maxShippedPlans {
+		delete(p.runners, p.order[0])
+		p.order = p.order[1:]
+	}
+	p.runners[fingerprint] = r
+	p.order = append(p.order, fingerprint)
+	p.installs.Add(1)
 	return nil
 }
 
-// runner resolves the runner for fingerprint, consulting the local
-// resolver on a miss. nil when the plan is unknown.
+// runner resolves the runner for fingerprint: a shipped plan, else
+// whatever the resolver holds (used in place, not copied into the
+// store). nil when the plan is unknown.
 func (p *Peer) runner(fingerprint string) *core.Runner {
 	p.mu.Lock()
 	r := p.runners[fingerprint]
 	p.mu.Unlock()
-	if r != nil {
-		return r
+	if r == nil && p.resolver != nil {
+		r = p.resolver(fingerprint)
 	}
-	if p.resolver == nil {
-		return nil
-	}
-	cp := p.resolver(fingerprint)
-	if cp == nil || cp.Fingerprint() != fingerprint {
-		return nil
-	}
-	if err := p.install(fingerprint, cp); err != nil {
-		return nil
-	}
-	p.mu.Lock()
-	r = p.runners[fingerprint]
-	p.mu.Unlock()
 	return r
 }
 
@@ -170,18 +175,34 @@ func (p *Peer) Handler() http.Handler {
 	})
 }
 
-// maxWireMessage bounds request reads: a plan or chunk can be large,
+// maxWireMessage bounds request bodies: a plan or chunk can be large,
 // but not unbounded.
 const maxWireMessage = 128 << 20
+
+// readBody reads a request body of at most p.maxMessage bytes, writing
+// 413 for a larger one and 400 for a failed read; ok reports whether
+// the caller may go on.
+func (p *Peer) readBody(w http.ResponseWriter, req *http.Request, what string) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, p.maxMessage))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading "+what+": "+err.Error(), status)
+		return nil, false
+	}
+	return body, true
+}
 
 func (p *Peer) handleExec(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST a cluster task", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxWireMessage))
-	if err != nil {
-		http.Error(w, "reading task: "+err.Error(), http.StatusBadRequest)
+	body, ok := p.readBody(w, req, "task")
+	if !ok {
 		return
 	}
 	task, err := plan.UnmarshalClusterTask(body)
@@ -219,9 +240,8 @@ func (p *Peer) handleInstall(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "missing ?fingerprint=", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxWireMessage))
-	if err != nil {
-		http.Error(w, "reading plan: "+err.Error(), http.StatusBadRequest)
+	body, ok := p.readBody(w, req, "plan")
+	if !ok {
 		return
 	}
 	if err := p.Install(fingerprint, body); err != nil {

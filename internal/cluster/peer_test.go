@@ -24,6 +24,16 @@ func testMachine(t *testing.T, seed int64) (*fsm.DFA, *core.Plan) {
 	return d, p
 }
 
+// single builds the single-core runner a coordinator job runs on.
+func single(t *testing.T, p *core.Plan) *core.Runner {
+	t.Helper()
+	r, err := core.NewFromPlan(p, core.WithProcs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func marshalPlan(t *testing.T, p *core.Plan) []byte {
 	t.Helper()
 	data, err := p.MarshalBinary()
@@ -81,11 +91,17 @@ func TestPeerInstallMismatch(t *testing.T) {
 	}
 }
 
+// TestPeerResolver: a plan the resolver knows runs on the resolved
+// runner itself; neither a task nor a shipped copy of that plan adds
+// it to the peer's store.
 func TestPeerResolver(t *testing.T) {
 	d, p := testMachine(t, 4)
-	peer := NewPeer(func(fp string) *core.Plan {
+	r := single(t, p)
+	resolved := 0
+	peer := NewPeer(func(fp string) *core.Runner {
 		if fp == p.Fingerprint() {
-			return p
+			resolved++
+			return r
 		}
 		return nil
 	})
@@ -95,16 +111,71 @@ func TestPeerResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := d.Run(input, 0); fsm.State(vec.States[0]) != want {
-		t.Fatalf("resolver-installed plan computes %d, want %d", vec.States[0], want)
+		t.Fatalf("resolved runner computes %d, want %d", vec.States[0], want)
 	}
 	if _, err := peer.Exec(&plan.ClusterTask{Fingerprint: "unknown", ChunkIndex: 0, TotalChunks: 1, Input: input}); !errors.Is(err, ErrUnknownPlan) {
 		t.Fatalf("unknown fingerprint through resolver: got %v", err)
+	}
+	// A shipped copy of a resolvable plan is accepted without decoding:
+	// even bytes that do not decode succeed.
+	if err := peer.Install(p.Fingerprint(), []byte("not a plan")); err != nil {
+		t.Fatalf("install of a resolvable plan: %v", err)
+	}
+	if st := peer.Stats(); st.Plans != 0 || st.Installs != 0 {
+		t.Fatalf("resolvable plan was stored: %+v", st)
+	}
+	if resolved != 2 {
+		t.Fatalf("resolver consulted %d times, want 2 (task, install)", resolved)
+	}
+}
+
+// TestPeerShippedPlanBound: the store of shipped plans holds at most
+// maxShippedPlans, evicting the oldest, and a coordinator whose plan
+// was evicted re-ships it once and still answers exactly.
+func TestPeerShippedPlanBound(t *testing.T) {
+	d, p := testMachine(t, 6)
+	tc := newTestCluster(t, 1, Config{ChunkBytes: 256})
+	input := d.RandomInput(rand.New(rand.NewSource(60)), 2000)
+	want := d.Run(input, d.Start())
+	if got, stats := tc.exec(p, input, d.Start()); got != want || stats.Degraded {
+		t.Fatalf("first job: %d (want %d), %+v", got, want, stats)
+	}
+	peer := tc.boxes[0].peer()
+	rng := rand.New(rand.NewSource(61))
+	for installed := 1; installed <= maxShippedPlans; {
+		other, err := core.CompilePlan(fsm.RandomConverging(rng, 2+rng.Intn(30), 4, 5, 0.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other.Fingerprint() == p.Fingerprint() {
+			continue
+		}
+		before := peer.Stats().Installs
+		if err := peer.Install(other.Fingerprint(), marshalPlan(t, other)); err != nil {
+			t.Fatal(err)
+		}
+		if peer.Stats().Installs > before {
+			installed++
+		}
+	}
+	if st := peer.Stats(); st.Plans != maxShippedPlans || st.Installs != maxShippedPlans+1 {
+		t.Fatalf("after %d installs: %+v, want %d plans held", maxShippedPlans+1, st, maxShippedPlans)
+	}
+	if _, err := peer.Exec(&plan.ClusterTask{Fingerprint: p.Fingerprint(), TotalChunks: 1, Input: input}); !errors.Is(err, ErrUnknownPlan) {
+		t.Fatalf("oldest plan still held: %v", err)
+	}
+	ships := tc.tel.ClusterPlanShips.Load()
+	if got, stats := tc.exec(p, input, d.Start()); got != want || stats.Degraded || stats.RemoteChunks != stats.Chunks {
+		t.Fatalf("job on the evicted plan: %d (want %d), %+v", got, want, stats)
+	}
+	if n := tc.tel.ClusterPlanShips.Load() - ships; n != 1 {
+		t.Fatalf("evicted plan re-shipped %d times, want 1", n)
 	}
 }
 
 // The full HTTP surface: 404 before install, 201 on install, 409 on
 // mismatched install, 200 with a decodable vector on exec, 400 on a
-// torn task, 405 on GET.
+// torn task, 413 on an oversized body, 405 on GET.
 func TestPeerHandlerHTTP(t *testing.T) {
 	d, p := testMachine(t, 5)
 	fp := p.Fingerprint()
@@ -153,6 +224,21 @@ func TestPeerHandlerHTTP(t *testing.T) {
 
 	if resp := post(ExecPath, taskBytes[:10]); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("torn task: status %d, want 400", resp.StatusCode)
+	}
+	// Bodies past the wire bound are refused whole, not truncated.
+	small := NewPeer(nil)
+	small.maxMessage = int64(len(taskBytes)) - 1
+	smallSrv := httptest.NewServer(small.Handler())
+	defer smallSrv.Close()
+	for _, path := range []string{ExecPath, PlansPath + "?fingerprint=" + fp} {
+		resp, err := http.Post(smallSrv.URL+path, "application/octet-stream", bytes.NewReader(taskBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body got status %d, want 413", path, resp.StatusCode)
+		}
 	}
 	getResp, err := http.Get(srv.URL + ExecPath)
 	if err != nil {

@@ -38,7 +38,7 @@ func (c *checker) checkCluster(inputs [][]byte) *Divergence {
 	if len(c.strategies) == 0 || len(inputs) == 0 {
 		return nil
 	}
-	p := c.singles[c.strategies[0]].PlanRef()
+	r := c.singles[c.strategies[0]]
 	fail := func(check string, input []byte, start, want, got fsm.State, detail string) *Divergence {
 		return c.divergence(check, "", input, start, want, got, detail)
 	}
@@ -76,7 +76,7 @@ func (c *checker) checkCluster(inputs [][]byte) *Divergence {
 	for _, in := range inputs {
 		want := OracleFinal(c.d, in, start)
 		for chunk, co := range coords {
-			got, stats, err := co.Exec(ctx, p, in, start)
+			got, stats, err := co.Exec(ctx, r, in, start)
 			if err != nil {
 				return fail("cluster-final", in, start, want, got,
 					fmt.Sprintf("chunk=%d: %v", chunk, err))
@@ -102,7 +102,7 @@ func (c *checker) checkCluster(inputs [][]byte) *Divergence {
 	}
 	in := pickLongest(inputs)
 	want := OracleFinal(c.d, in, start)
-	got, stats, err := coords[clusterFineChunk].Exec(ctx, p, in, start)
+	got, stats, err := coords[clusterFineChunk].Exec(ctx, r, in, start)
 	if err != nil {
 		return fail("cluster-degraded", in, start, want, got, "fault leg: "+err.Error())
 	}
@@ -128,7 +128,7 @@ func (c *checker) checkClusterTransduce(co *cluster.Coordinator, in []byte, star
 		}
 		kind := probe.kind.String()
 		wantTape, wantFinal := OracleTransduce(probe.t, in, start)
-		job := co.NewJob(probe.single.PlanRef(), len(in))
+		job := co.NewJob(probe.single, len(in))
 		var spans []core.Span
 		got, _, err := probe.single.DriveSpans(context.Background(), in, start, job, nil, func(batch []core.Span) error {
 			spans = append(spans, batch...)

@@ -18,8 +18,8 @@ import (
 // range-coalesced table set, and the shuffle-cost block tables. The
 // paper frames exactly this work as an FSM *compiler* step (§6.1);
 // isolating it makes the artifact shareable (every pooled Runner for a
-// machine references one Plan), cacheable (internal/engine keys a
-// cache by Fingerprint), and serializable (MarshalBinary /
+// machine references one Plan), addressable (cluster peers and perf
+// profiles key it by Fingerprint), and serializable (MarshalBinary /
 // UnmarshalPlan, via internal/plan).
 //
 // A Plan is immutable after CompilePlan and safe for any number of
@@ -75,7 +75,7 @@ func CompilePlan(d *fsm.DFA, opts ...Option) (*Plan, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return compile(d, cfg.strategy)
+	return compile(d, nil, cfg.strategy)
 }
 
 // resolveStrategy applies the Auto decision rule (§6.1) to a machine
@@ -94,28 +94,6 @@ func resolveStrategy(s Strategy, maxRange int) (Strategy, string) {
 		fmt.Sprintf("max range %d > shuffle width %d: rely on convergence (§5.2)", maxRange, gather.Width)
 }
 
-// PlanKey computes the fingerprint CompilePlan would assign to d under
-// opts — the cache key — without building any tables: one range scan
-// to resolve Auto plus one hash over the machine encoding. Plan caches
-// use it to test membership before paying for compilation.
-func PlanKey(d *fsm.DFA, opts ...Option) (string, error) {
-	if err := d.Validate(); err != nil {
-		return "", err
-	}
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	maxRange := 0
-	for _, v := range d.RangeSizes() {
-		if v > maxRange {
-			maxRange = v
-		}
-	}
-	s, _ := resolveStrategy(cfg.strategy, maxRange)
-	return fingerprint(d, nil, s), nil
-}
-
 // CompileTransducer compiles an output-bearing machine: the same plan
 // CompilePlan builds for t's DFA, carrying t's λ table so transducing
 // runners (Runner.TransduceOutputs / TransduceSpans) can replay
@@ -132,13 +110,7 @@ func CompileTransducer(t *fsm.Transducer, opts ...Option) (*Plan, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	p, err := compile(t.DFA(), cfg.strategy)
-	if err != nil {
-		return nil, err
-	}
-	p.out, p.step = t, fuseStep(t)
-	p.fingerprint = fingerprint(p.d, t, p.strategy)
-	return p, nil
+	return compile(t.DFA(), t, cfg.strategy)
 }
 
 // fuseStep builds the row-major replay table of t:
@@ -164,34 +136,12 @@ func fuseStep(t *fsm.Transducer) []uint32 {
 	return step
 }
 
-// TransducerPlanKey is PlanKey for transducer plans: the fingerprint
-// CompileTransducer would assign, without building tables.
-func TransducerPlanKey(t *fsm.Transducer, opts ...Option) (string, error) {
-	if t == nil {
-		return "", fmt.Errorf("core: nil transducer")
-	}
-	if err := t.Validate(); err != nil {
-		return "", err
-	}
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	d := t.DFA()
-	maxRange := 0
-	for _, v := range d.RangeSizes() {
-		if v > maxRange {
-			maxRange = v
-		}
-	}
-	s, _ := resolveStrategy(cfg.strategy, maxRange)
-	return fingerprint(d, t, s), nil
-}
-
 // compile is CompilePlan after validation and option folding; every
 // compiling path (New, CompilePlan, CompileTransducer) funnels through
-// it, and UnmarshalPlan shares its derive step.
-func compile(d *fsm.DFA, strategy Strategy) (*Plan, error) {
+// it, and UnmarshalPlan shares its derive step. t, when non-nil, is the
+// output table of a transducer plan over d; the machine is hashed once,
+// with t when present.
+func compile(d *fsm.DFA, t *fsm.Transducer, strategy Strategy) (*Plan, error) {
 	p := derive(d)
 	p.strategy, p.reason = resolveStrategy(strategy, p.maxRange)
 	if p.strategy == RangeCoalesced || p.strategy == RangeConvergence {
@@ -201,7 +151,10 @@ func compile(d *fsm.DFA, strategy Strategy) (*Plan, error) {
 		}
 		p.rc = rc
 	}
-	p.fingerprint = fingerprint(d, nil, p.strategy)
+	if t != nil {
+		p.out, p.step = t, fuseStep(t)
+	}
+	p.fingerprint = fingerprint(d, t, p.strategy)
 	return p, nil
 }
 
@@ -236,16 +189,15 @@ func derive(d *fsm.DFA) *Plan {
 	return p
 }
 
-// fingerprint derives the cache identity of a compiled machine:
-// sha256 over the machine's canonical binary encoding, the output
-// table's encoding when t is non-nil (transducer plans), and the
-// resolved strategy name, truncated to 128 bits and hex-encoded.
-// Runner-level knobs (procs, convergence cadence, telemetry) are
-// deliberately excluded — plans are invariant under
-// them, which is what lets a single-core and a multicore runner pair
-// share one cache entry. Acceptor fingerprints are unchanged from
-// before transduction existed, so persisted plan directories keyed by
-// the old scheme stay valid.
+// fingerprint derives the identity of a compiled machine: sha256 over
+// the machine's canonical binary encoding, the output table's encoding
+// when t is non-nil (transducer plans), and the resolved strategy name,
+// truncated to 128 bits and hex-encoded. Runner-level knobs (procs,
+// convergence cadence, telemetry) are deliberately excluded — plans
+// are invariant under them, which is what lets a single-core and a
+// multicore runner pair share one plan. Persisted perf profiles and
+// cluster peers are keyed by this value, so the scheme is pinned by
+// TestFingerprintGolden.
 func fingerprint(d *fsm.DFA, t *fsm.Transducer, s Strategy) string {
 	h := sha256.New()
 	// DFA.WriteTo into a hash never fails.
@@ -293,8 +245,8 @@ func (p *Plan) MaxRange() int { return p.maxRange }
 func (p *Plan) States() int { return p.n }
 
 // TableBytes reports the approximate size of the strategy-dependent
-// tables this plan precomputed — what a cache entry costs to keep and
-// what a cache miss costs to rebuild.
+// tables this plan precomputed — what a registered machine costs to
+// keep and what its compile rebuilds.
 func (p *Plan) TableBytes() int {
 	total := 0
 	for _, c := range p.colsB {

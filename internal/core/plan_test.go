@@ -133,35 +133,30 @@ func TestNewFromPlanStrategyMismatch(t *testing.T) {
 	}
 }
 
-// TestPlanKeyMatchesCompile: the cheap fingerprint must agree with the
-// one CompilePlan assigns, for auto-selected and forced strategies, and
-// distinguish strategies on the same machine.
+// TestPlanKeyMatchesCompile: a plan's fingerprint is its machine and
+// resolved strategy. Forcing a different strategy on the same machine
+// changes it; the runtime-only options (procs, convergence cadence) do
+// not, so every lane of a machine runs under one identity.
 func TestPlanKeyMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	fp := func(d *fsm.DFA, opts ...Option) string {
+		t.Helper()
+		p, err := CompilePlan(d, opts...)
+		if err != nil {
+			t.Fatalf("CompilePlan: %v", err)
+		}
+		return p.Fingerprint()
+	}
 	for mi, d := range machines(t, rng) {
-		for _, opts := range [][]Option{nil, {WithStrategy(Base)}, {WithStrategy(Convergence)}} {
-			key, err := PlanKey(d, opts...)
-			if err != nil {
-				t.Fatalf("machine %d: PlanKey: %v", mi, err)
-			}
-			p, err := CompilePlan(d, opts...)
-			if err != nil {
-				t.Fatalf("machine %d: CompilePlan: %v", mi, err)
-			}
-			if key != p.Fingerprint() {
-				t.Fatalf("machine %d: PlanKey %q != CompilePlan fingerprint %q", mi, key, p.Fingerprint())
-			}
+		kb := fp(d, WithStrategy(Base))
+		if kc := fp(d, WithStrategy(Convergence)); kb == kc {
+			t.Fatalf("machine %d: different strategies share a fingerprint", mi)
 		}
-		kb, _ := PlanKey(d, WithStrategy(Base))
-		kc, _ := PlanKey(d, WithStrategy(Convergence))
-		if kb == kc {
-			t.Fatalf("machine %d: different strategies share a plan key", mi)
+		if again := fp(d.Clone(), WithStrategy(Base)); again != kb {
+			t.Fatalf("machine %d: recompiling an equal machine moved its fingerprint", mi)
 		}
-		// Runtime-only options must not change the key: the plan is
-		// procs-invariant by design.
-		kp, _ := PlanKey(d, WithStrategy(Base), WithProcs(7), WithConvCheckEvery(3))
-		if kp != kb {
-			t.Fatalf("machine %d: runtime options changed the plan key", mi)
+		if kp := fp(d, WithStrategy(Base), WithProcs(7), WithConvCheckEvery(3)); kp != kb {
+			t.Fatalf("machine %d: runtime options changed the fingerprint", mi)
 		}
 	}
 }

@@ -234,8 +234,9 @@ func TestTransducerPlanRoundTrip(t *testing.T) {
 	}
 }
 
-// Transducer fingerprints must separate plans that differ only in λ,
-// while acceptor fingerprints stay as before (cache compatibility).
+// λ changes the fingerprint: transducer plans that differ only in
+// their output tables, and a transducer and the acceptor over its δ,
+// get distinct identities.
 func TestTransducerFingerprintCoversLambda(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	d := fsm.RandomConverging(rng, 16, 4, 4, 0.3)
@@ -259,12 +260,5 @@ func TestTransducerFingerprintCoversLambda(t *testing.T) {
 	}
 	if pAcc.Fingerprint() == pa.Fingerprint() {
 		t.Fatal("acceptor and transducer plans share a fingerprint")
-	}
-	key, err := TransducerPlanKey(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != pa.Fingerprint() {
-		t.Fatalf("TransducerPlanKey %s != compiled fingerprint %s", key, pa.Fingerprint())
 	}
 }

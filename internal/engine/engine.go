@@ -102,7 +102,6 @@ type config struct {
 	procs      int
 	tel        *telemetry.Metrics
 	sink       trace.Sink
-	planCache  *PlanCache
 	profiles   *perfprofile.Store
 }
 
@@ -151,14 +150,6 @@ func WithTraceSink(s trace.Sink) Option {
 	return func(c *config) { c.sink = s }
 }
 
-// WithPlanCache shares an externally constructed plan cache with the
-// engine, so several engines (or an engine and a plan-directory
-// loader) reuse one compiled-plan pool. nil (the default) gives the
-// engine a private cache of DefaultPlanCacheSize entries.
-func WithPlanCache(pc *PlanCache) Option {
-	return func(c *config) { c.planCache = pc }
-}
-
 // WithPerfProfiles attaches a per-machine performance-profile store:
 // every registration gets a MachineRecorder (seeded from the store's
 // persisted baseline for the plan's fingerprint, if any), and every
@@ -173,8 +164,8 @@ func WithPerfProfiles(s *perfprofile.Store) Option {
 // Machine is one compiled DFA registered with the engine: a shared
 // compiled plan plus the runners the dispatch policy chooses between.
 // The single and multicore runners execute the same *core.Plan — the
-// tables are derived once (or fetched from the plan cache), never per
-// lane; the speculative lane runs the raw DFA (its per-chunk work is
+// tables are derived once, at registration, never per lane; the
+// speculative lane runs the raw DFA (its per-chunk work is
 // the plain sequential walk, §7).
 type Machine struct {
 	name   string
@@ -187,8 +178,6 @@ type Machine struct {
 	// the machine's hot-state profile, verify, re-run on mispredict.
 	// nil when procs == 1 (like multi, it is pure fan-out).
 	spec *speculative.Runner
-	// planHit records whether registration found the plan in the cache.
-	planHit bool
 	// rec accumulates this machine's perf profile (nil when the engine
 	// has no profile store); every exec observes into it.
 	rec *perfprofile.MachineRecorder
@@ -212,12 +201,8 @@ func (m *Machine) Runner() *core.Runner { return m.single }
 // Plan returns the compiled plan both lanes share.
 func (m *Machine) Plan() *core.Plan { return m.plan }
 
-// Fingerprint returns the plan's cache identity.
+// Fingerprint returns the plan's identity.
 func (m *Machine) Fingerprint() string { return m.plan.Fingerprint() }
-
-// PlanCached reports whether registration reused a cached plan
-// instead of compiling.
-func (m *Machine) PlanCached() bool { return m.planHit }
 
 // Recorder returns the machine's perf-profile recorder (nil when the
 // engine has no profile store).
@@ -420,10 +405,9 @@ type Engine struct {
 	// runTel is the runners' sink: tel, or a private one when only the
 	// perf profiles need the runs' core accounting (core keeps it only
 	// for a runner with a sink).
-	runTel    *telemetry.Metrics
-	sink      trace.Sink
-	planCache *PlanCache
-	profiles  *perfprofile.Store
+	runTel   *telemetry.Metrics
+	sink     trace.Sink
+	profiles *perfprofile.Store
 	// clusterCo, when non-nil, enables the cluster lane: jobs of at
 	// least clusterMin bytes fan their chunks out over the peer set.
 	// Both atomic so fsmserve can attach them after construction and
@@ -460,9 +444,6 @@ func New(opts ...Option) *Engine {
 	if gate < 1 {
 		gate = 1
 	}
-	if cfg.planCache == nil {
-		cfg.planCache = NewPlanCache(DefaultPlanCacheSize, cfg.tel)
-	}
 	e := &Engine{
 		machines:   make(map[string]*Machine),
 		queue:      make(chan task, cfg.queueDepth),
@@ -475,7 +456,6 @@ func New(opts ...Option) *Engine {
 		tel:        cfg.tel,
 		runTel:     cfg.tel,
 		sink:       cfg.sink,
-		planCache:  cfg.planCache,
 		profiles:   cfg.profiles,
 	}
 	if e.runTel == nil && e.profiles != nil {
@@ -543,12 +523,10 @@ func (e *Engine) noteDepth(depth int64) {
 	}
 }
 
-// Register compiles d into the engine under name — or, when an equal
-// machine+strategy is already in the plan cache, reuses its compiled
-// plan with zero table construction — and builds the runner pair over
-// the shared plan: a single-core runner for the batch lane and, when
-// the engine's procs exceed one, a multicore runner for the input
-// lane. opts are forwarded to compilation and both runners (strategy,
+// Register compiles d into the engine under name and builds the runner
+// pair over the one compiled plan: a single-core runner for the batch
+// lane and, when the engine's procs exceed one, a multicore runner for
+// the input lane. opts are forwarded to compilation and both runners (strategy,
 // convergence cadence, ...); the engine appends its own WithProcs and
 // WithTelemetry last, so per-runner procs and telemetry cannot be
 // overridden.
@@ -557,25 +535,35 @@ func (e *Engine) Register(name string, d *fsm.DFA, opts ...core.Option) (*Machin
 		return nil, errors.New("engine: empty machine name")
 	}
 	// Reject duplicates before paying for compilation: a dup is a
-	// caller bug, and compiling first would also pollute the cache
-	// stats with a lookup for a registration that cannot land.
+	// caller bug.
 	e.mu.RLock()
 	_, dup := e.machines[name]
 	e.mu.RUnlock()
 	if dup {
 		return nil, fmt.Errorf("%w %q", ErrDuplicateMachine, name)
 	}
-	p, hit, err := e.planCache.GetOrCompile(d, opts...)
+	sp := e.compileSpan()
+	p, err := core.CompilePlan(d, opts...)
+	sp.Stop()
 	if err != nil {
 		return nil, fmt.Errorf("engine: machine %q: %w", name, err)
 	}
-	return e.registerPlan(name, d, p, hit, opts...)
+	return e.registerPlan(name, d, p, opts...)
+}
+
+// compileSpan times one registration's compile into PlanCompileTime
+// (a no-op span without a telemetry sink).
+func (e *Engine) compileSpan() telemetry.Span {
+	if e.tel == nil {
+		return telemetry.Span{}
+	}
+	return e.tel.PlanCompileTime.Start()
 }
 
 // registerPlan builds the lane runners over p and installs the
 // machine, re-checking the name under the write lock (a concurrent
 // Register for the same name may have won since the pre-check).
-func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, hit bool, opts ...core.Option) (*Machine, error) {
+func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, opts ...core.Option) (*Machine, error) {
 	// The per-machine recorder (nil without a profile store) folds every
 	// job's Result, core accounting included (observe).
 	rec := e.profiles.NewRecorder(name, p.Fingerprint(), p.Strategy().String())
@@ -592,8 +580,7 @@ func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, hit bool, o
 			return nil, fmt.Errorf("engine: machine %q: %w", name, err)
 		}
 	}
-	m := &Machine{name: name, eng: e, dfa: d, plan: p, single: single, multi: multi,
-		planHit: hit, rec: rec}
+	m := &Machine{name: name, eng: e, dfa: d, plan: p, single: single, multi: multi, rec: rec}
 	if e.procs > 1 {
 		// The speculative lane fans out like the multicore one: its
 		// guesses feed the multicore runner's schedule as phase 1.
@@ -625,8 +612,8 @@ func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, hit bool, o
 // Unregister removes a machine by name, reporting whether it was
 // registered. In-flight jobs holding the machine finish normally (the
 // runner pair stays valid); new jobs naming it fail with
-// ErrUnknownMachine. The compiled plan stays in the plan cache, so a
-// re-registration of the same machine is a cache hit.
+// ErrUnknownMachine. The machine's plan goes with it: a later
+// registration of the same machine compiles again.
 func (e *Engine) Unregister(name string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -646,8 +633,22 @@ func (e *Engine) Unregister(name string) bool {
 	return true
 }
 
-// PlanCache returns the engine's compiled-plan cache.
-func (e *Engine) PlanCache() *PlanCache { return e.planCache }
+// PlanRunner resolves a plan fingerprint to the single-core runner of
+// a registered machine compiled to that plan, or nil when no
+// registered machine has it. The registry is the one store of a
+// process's compiled plans, so this is a scan of it, not a second
+// index: cluster peers call it once per chunk task, against a registry
+// of rule-set size.
+func (e *Engine) PlanRunner(fingerprint string) *core.Runner {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, m := range e.machines {
+		if m.plan.Fingerprint() == fingerprint {
+			return m.single
+		}
+	}
+	return nil
+}
 
 // Machine looks up a registered machine by name — the engine's one
 // name resolution: "" is the default, the first registered machine.
@@ -1050,7 +1051,7 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		r = m.multi
 		src = m.spec.Source()
 	case LaneCluster:
-		cjob = co.NewJob(m.plan, len(job.Input))
+		cjob = co.NewJob(m.single, len(job.Input))
 		src = cjob
 	}
 

@@ -1,8 +1,7 @@
 package engine
 
 // Transduction through the engine: output-bearing machines register
-// like acceptors (same plan cache, same lane runners, same perf
-// profile) and Transduce goes through the same dispatch as Run, with
+// like acceptors (same compile, same lane runners, same perf profile) and Transduce goes through the same dispatch as Run, with
 // core's span scan as the schedule's phase 3. Every lane — single-core,
 // multicore, speculative, cluster — produces the exact sequential span
 // list: phase 3 replays chunks from start states the schedule resolved
@@ -29,7 +28,7 @@ func (m *Machine) Transducer() *fsm.Transducer { return m.plan.Outputs() }
 func (m *Machine) Kind() fsm.Kind { return m.plan.Kind() }
 
 // RegisterTransducer registers an output-bearing machine under name.
-// The compiled plan carries the λ table (its cache key covers λ, so
+// The compiled plan carries the λ table (its fingerprint covers λ, so
 // transducers over a shared δ never collide with each other or with
 // the acceptor plan), and the machine serves both Run — outputs simply
 // unused — and Transduce.
@@ -46,11 +45,13 @@ func (e *Engine) RegisterTransducer(name string, t *fsm.Transducer, opts ...core
 	if dup {
 		return nil, fmt.Errorf("%w %q", ErrDuplicateMachine, name)
 	}
-	p, hit, err := e.planCache.GetOrCompileTransducer(t, opts...)
+	sp := e.compileSpan()
+	p, err := core.CompileTransducer(t, opts...)
+	sp.Stop()
 	if err != nil {
 		return nil, fmt.Errorf("engine: machine %q: %w", name, err)
 	}
-	return e.registerPlan(name, t.DFA(), p, hit, opts...)
+	return e.registerPlan(name, t.DFA(), p, opts...)
 }
 
 // TransduceResult is what Transduce returns: the job's Result, whose

@@ -2,7 +2,7 @@
 // registered machine — per-lane throughput, sliding-window job latency,
 // queue-wait share, and the runner-level convergence counters — and
 // persists one versioned JSON profile per compiled plan in a profile
-// directory (fsmserve's -plan-cache-dir).
+// directory (fsmserve's -profile-dir).
 //
 // This is the observability seam the ROADMAP's "adaptive serving"
 // item needs: the speculative-DFA paper (arXiv 1210.5093) and the SFA
@@ -11,8 +11,8 @@
 // observed behavior, the observations have to exist, survive restarts,
 // and be comparable over time. The aggregate telemetry
 // (internal/telemetry.Metrics) answers "how is the process doing";
-// this package answers "how does machine X behave", keyed by the same
-// plan fingerprint the plan cache uses.
+// this package answers "how does machine X behave", keyed by the
+// machine's plan fingerprint.
 //
 // Data flow: the engine attaches one MachineRecorder per registered
 // machine and folds every job's record into it with one Observe call:
@@ -22,7 +22,7 @@
 // baseline loaded from disk, so counts accumulate across process
 // restarts.
 //
-// Persistence is cache-shaped: fingerprint-keyed files
+// Persistence: fingerprint-keyed files
 // (<fingerprint>.perf.json), tmp+rename writes so a crash never leaves
 // a torn file, and corrupt or version-skewed files are ignored rather
 // than fatal.
@@ -74,8 +74,8 @@ type LaneStats struct {
 }
 
 // Profile is the versioned per-machine performance document: what
-// /v1/status serves live and what SaveAll persists next to the cached
-// plan. All counter fields are lifetime totals (including any baseline
+// /v1/status serves live and what SaveAll persists under the plan's
+// fingerprint. All counter fields are lifetime totals (including any baseline
 // reloaded from a previous process); the latency quantiles are the
 // exact order statistics of the most recent jobs in this process, or
 // the persisted values when this process has not yet run any.

@@ -4,13 +4,13 @@
 // conventions exactly — little-endian framing, a magic + version
 // header, length-validated fields, and a trailing CRC-64/ECMA checksum
 // verified before any parsing — so the same strict-decoder guarantees
-// hold on the network boundary as on the plan-cache one.
+// hold on the network boundary as on the plan container's.
 //
 // ClusterTask layout:
 //
 //	magic        [8]byte  "DPFSMTSK"
 //	version      uint16
-//	fingerprint  uint16 len + bytes   plan cache identity the task runs under
+//	fingerprint  uint16 len + bytes   identity of the plan the task runs under
 //	chunk_index  uint32               position of this chunk in the input
 //	total_chunks uint32               fan-out width (cross-checkable by peers)
 //	input        uint32 len + bytes   the chunk's raw input bytes
@@ -55,7 +55,7 @@ const (
 // ClusterTask asks a peer to run one input chunk through the plan
 // identified by Fingerprint and return its composition vector.
 type ClusterTask struct {
-	// Fingerprint is the compiled plan's cache identity; the peer must
+	// Fingerprint is the compiled plan's identity; the peer must
 	// already hold the matching plan (or answer unknown-plan so the
 	// coordinator ships it).
 	Fingerprint string

@@ -170,10 +170,6 @@ type RegisterRequest struct {
 // machine plus what its compilation cost.
 type RegisterResult struct {
 	Machine MachineInfo `json:"machine"`
-	// PlanCached reports whether registration reused a plan from the
-	// engine's in-memory plan cache (the same machine and strategy
-	// registered earlier in this process) instead of building tables.
-	PlanCached bool `json:"plan_cached"`
 	// CompileNs is the wall time of compile-and-register.
 	CompileNs int64 `json:"compile_ns"`
 	// TableBytes approximates the compiled plan's table footprint.
@@ -333,7 +329,7 @@ type ErrorDetail struct {
 // Status is the response body of GET /v1/status: one document a human
 // or dashboard reads to answer "how is this server doing, and what do
 // its machines look like under the current traffic" — the live
-// counterpart of the profiles persisted in the -plan-cache-dir.
+// counterpart of the profiles persisted in the -profile-dir.
 type Status struct {
 	Service   string `json:"service"`
 	GoVersion string `json:"go_version"`
@@ -355,11 +351,6 @@ type Status struct {
 	// shed/(executed+shed), the live load-shedding fraction.
 	ShedTotal int64   `json:"shed_total"`
 	ShedRate  float64 `json:"shed_rate"`
-
-	// Plan-cache effectiveness.
-	PlanCacheHits    int64   `json:"plan_cache_hits"`
-	PlanCacheMisses  int64   `json:"plan_cache_misses"`
-	PlanCacheHitRate float64 `json:"plan_cache_hit_rate"`
 
 	// Per-machine observed performance, sorted by machine name.
 	Machines int                   `json:"machines"`

@@ -114,10 +114,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	pg("engine_queue_high_water", "deepest bounded-queue backlog observed", m.EngineQueueHighWater.Load())
 	pc("engine_queue_rejects_total", "TrySubmit jobs refused because the queue was full", m.EngineQueueRejects.Load())
 
-	pc("plan_cache_hits_total", "plan-cache lookups served from cache", m.PlanCacheHits.Load())
-	pc("plan_cache_misses_total", "plan-cache lookups that compiled", m.PlanCacheMisses.Load())
-	pc("plan_cache_evictions_total", "plans evicted from the cache", m.PlanCacheEvictions.Load())
-
 	pc("engine_cluster_total", "jobs dispatched to the cluster lane", m.EngineCluster.Load())
 	pc("cluster_tasks_total", "chunk tasks answered by remote peers", m.ClusterTasks.Load())
 	pc("cluster_task_errors_total", "failed remote chunk attempts", m.ClusterTaskErrors.Load())
@@ -135,7 +131,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	writeHistogram(w, "phase2_ns", "per-run phase-2 scan wall time", &m.Phase2Time.Histogram)
 	writeHistogram(w, "phase3_ns", "per-chunk phase-3 wall time", &m.Phase3Time.Histogram)
 	writeHistogramExemplars(w, "engine_job_ns", "engine job wall time", &m.EngineJobTime.Histogram, &m.EngineJobExemplars)
-	writeHistogram(w, "plan_compile_ns", "plan compilation wall time on cache misses", &m.PlanCompileTime.Histogram)
+	writeHistogram(w, "plan_compile_ns", "plan compilation wall time", &m.PlanCompileTime.Histogram)
 
 	// Sliding-window latency quantiles, in the summary-style
 	// quantile-label convention. Gauges, not a summary: the window

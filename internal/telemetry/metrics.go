@@ -106,15 +106,9 @@ type Metrics struct {
 	// recorder. Only traced jobs record exemplars.
 	EngineJobExemplars Exemplars
 
-	// Plan-cache counters (engine.PlanCache). The compile/execute
-	// split makes table construction a cacheable compiler step; these
-	// series expose whether registrations actually reuse compiled
-	// plans (the hit rate the acceptance bar sets at ≥ 99%) and what a
-	// miss costs (PlanCompileTime).
-	PlanCacheHits      Counter
-	PlanCacheMisses    Counter
-	PlanCacheEvictions Counter
-	PlanCompileTime    Timer
+	// PlanCompileTime times each plan compile: the compiler step
+	// (§6.1) every registration pays once.
+	PlanCompileTime Timer
 
 	// Cluster counters (cluster.Coordinator): the networked §3.4
 	// decomposition. EngineCluster counts jobs the engine routed
@@ -212,12 +206,7 @@ type Snapshot struct {
 	EngineJobLatencyP90 int64 `json:"engine_job_latency_p90_ns"`
 	EngineJobLatencyP99 int64 `json:"engine_job_latency_p99_ns"`
 
-	PlanCacheHits      int64 `json:"plan_cache_hits"`
-	PlanCacheMisses    int64 `json:"plan_cache_misses"`
-	PlanCacheEvictions int64 `json:"plan_cache_evictions"`
-	// PlanCacheHitRate is hits/(hits+misses); 0 before any lookup.
-	PlanCacheHitRate float64       `json:"plan_cache_hit_rate"`
-	PlanCompile      PhaseSnapshot `json:"plan_compile"`
+	PlanCompile PhaseSnapshot `json:"plan_compile"`
 
 	EngineCluster         int64 `json:"engine_cluster"`
 	ClusterTasks          int64 `json:"cluster_tasks"`
@@ -277,10 +266,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		EngineJobBytesP50:    m.EngineJobBytes.Quantile(0.5),
 		EngineJobTime:        phaseSnapshot(&m.EngineJobTime),
 
-		PlanCacheHits:      m.PlanCacheHits.Load(),
-		PlanCacheMisses:    m.PlanCacheMisses.Load(),
-		PlanCacheEvictions: m.PlanCacheEvictions.Load(),
-		PlanCompile:        phaseSnapshot(&m.PlanCompileTime),
+		PlanCompile: phaseSnapshot(&m.PlanCompileTime),
 
 		EngineCluster:         m.EngineCluster.Load(),
 		ClusterTasks:          m.ClusterTasks.Load(),
@@ -296,9 +282,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.EngineJobLatencyP50, s.EngineJobLatencyP90, s.EngineJobLatencyP99 = lat[0], lat[1], lat[2]
 	if s.Symbols > 0 {
 		s.ShufflesPerSymbol = float64(s.Shuffles) / float64(s.Symbols)
-	}
-	if lookups := s.PlanCacheHits + s.PlanCacheMisses; lookups > 0 {
-		s.PlanCacheHitRate = float64(s.PlanCacheHits) / float64(lookups)
 	}
 	if s.SpecChunks > 0 {
 		s.SpecMispredictRate = float64(s.SpecMispredicts) / float64(s.SpecChunks)
