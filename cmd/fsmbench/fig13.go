@@ -20,10 +20,11 @@ import (
 // Paper shape to look for: up to ~3× for convergence on ≤16-state
 // machines and ~2.2× for range coalescing on its first plateau,
 // degrading stepwise as the effective width crosses multiples of 16.
-// Note (DESIGN.md): our shuffle is an emulation, so the absolute
-// speedups sit below the paper's; the plateau structure and the
-// ordering between the optimizations on their favorable machines are
-// the reproduced shapes.
+// Note (DESIGN.md): range plans with max range ≤ 16 run a native
+// PSHUFB kernel on amd64 (one shuffle per symbol, as in the paper);
+// convergence and wider range plans run scalar gathers, so their
+// absolute speedups sit below the paper's SIMD ones, and the plateau
+// structure and the ordering are the reproduced shapes there.
 func fig13(opt *options) {
 	header("Figure 13 — single-core speedup over sequential baseline")
 	ms, _ := corpus(opt)

@@ -107,7 +107,9 @@ func (ps *peerState) view(now time.Time, cooldown time.Duration) (state string, 
 }
 
 // installedEpoch returns the epoch fingerprint was installed at, 0 if
-// not installed. Callers must hold installMu for a stable answer.
+// not installed. Under installMu the answer is stable; without it, it
+// is the epoch as of the read, which is what tryPeer's unknown-plan
+// guard compares against.
 func (ps *peerState) installedEpoch(fingerprint string) uint64 {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -127,7 +129,9 @@ func (ps *peerState) notePlan(fingerprint string) {
 
 // invalidatePlan drops the installed flag, but only if the install the
 // caller observed (seen) is still the current one — the peer answered
-// unknown-plan despite it, so that install is stale (peer restarted).
+// unknown-plan despite it, so that install is stale (peer restarted or
+// evicted the plan). seen 0 (never installed) leaves an install a
+// sibling chunk made since in place.
 func (ps *peerState) invalidatePlan(fingerprint string, seen uint64) {
 	ps.mu.Lock()
 	if ps.plans[fingerprint] == seen {

@@ -416,23 +416,24 @@ func (c *Coordinator) execChunk(ctx context.Context, r *core.Runner, task *plan.
 	return r.CompositionVector(task.Input), ts
 }
 
-// tryPeer makes one remote attempt: ensure the plan is installed,
-// send the task under the per-attempt timeout, validate the echo.
+// tryPeer makes one remote attempt: send the task under the
+// per-attempt timeout, validate the echo. The plan ships only when the
+// peer answers unknown-plan, so a peer that serves the machine itself
+// or still holds an earlier copy never receives it.
 func (c *Coordinator) tryPeer(ctx context.Context, peer string, p *core.Plan, task *plan.ClusterTask) ([]fsm.State, error) {
 	actx, cancel := context.WithTimeout(ctx, c.taskTimeout)
 	defer cancel()
-	epoch, err := c.ensureInstalled(actx, peer, p)
-	if err != nil {
-		return nil, err
-	}
+	ps := c.states[peer]
+	epoch := ps.installedEpoch(task.Fingerprint)
 	vec, err := c.transport.ExecChunk(actx, peer, task)
 	if errors.Is(err, ErrUnknownPlan) {
-		// The peer restarted, evicted the plan from its store, or no
-		// longer serves the machine it resolved the plan to: re-ship
-		// once within the same attempt. The epoch guard makes the
-		// invalidation a no-op if a sibling chunk already re-shipped.
-		c.states[peer].invalidatePlan(task.Fingerprint, epoch)
-		if _, err := c.ensureInstalled(actx, peer, p); err != nil {
+		// The peer never had the plan, restarted, evicted it from its
+		// store, or no longer serves the machine it resolved the plan
+		// to: ship once within the same attempt. The epoch guard makes
+		// the invalidation a no-op if a sibling chunk already shipped
+		// after this task's epoch was read.
+		ps.invalidatePlan(task.Fingerprint, epoch)
+		if err := c.ensureInstalled(actx, peer, p); err != nil {
 			return nil, err
 		}
 		vec, err = c.transport.ExecChunk(actx, peer, task)
@@ -468,30 +469,29 @@ func (c *Coordinator) validateVector(p *core.Plan, task *plan.ClusterTask, vec *
 
 // ensureInstalled ships p to peer once per (peer, fingerprint) —
 // single-flighted under the peer's install lock, so a job's concurrent
-// chunks produce one serialization and one ship, not one per chunk.
-// Returns the epoch of the install the caller may rely on (for
-// invalidatePlan on a later 404).
-func (c *Coordinator) ensureInstalled(ctx context.Context, peer string, p *core.Plan) (uint64, error) {
+// chunks that all met unknown-plan produce one serialization and one
+// ship, not one per chunk.
+func (c *Coordinator) ensureInstalled(ctx context.Context, peer string, p *core.Plan) error {
 	ps := c.states[peer]
 	fp := p.Fingerprint()
 	ps.installMu.Lock()
 	defer ps.installMu.Unlock()
-	if e := ps.installedEpoch(fp); e != 0 {
-		return e, nil
+	if ps.installedEpoch(fp) != 0 {
+		return nil
 	}
 	data, err := p.MarshalBinary()
 	if err != nil {
-		return 0, fmt.Errorf("cluster: serializing plan: %w", err)
+		return fmt.Errorf("cluster: serializing plan: %w", err)
 	}
 	if err := c.transport.InstallPlan(ctx, peer, fp, data); err != nil {
-		return 0, err
+		return err
 	}
 	ps.notePlan(fp)
 	ps.shipped.Add(1)
 	if tm := c.tel; tm != nil {
 		tm.ClusterPlanShips.Inc()
 	}
-	return ps.installedEpoch(fp), nil
+	return nil
 }
 
 // sleepBackoff waits the attempt's exponential backoff with jitter;

@@ -333,6 +333,40 @@ func TestCoordinatorPlanShippingAndPeerRestart(t *testing.T) {
 	}
 }
 
+// Plans ship only on a miss: the task goes first, so a peer that
+// serves the machine itself never receives the plan, and a peer that
+// does not receives it exactly once, however many chunks and jobs.
+func TestCoordinatorShipsOnlyOnMiss(t *testing.T) {
+	d, p := testMachine(t, 62)
+	tc := newTestCluster(t, 2, Config{ChunkBytes: 256})
+	serving := tc.boxes[0]
+	serving.mu.Lock()
+	serving.p = NewPeer(func(fp string) *core.Runner {
+		if fp == p.Fingerprint() {
+			return single(t, p)
+		}
+		return nil
+	})
+	serving.mu.Unlock()
+	rng := rand.New(rand.NewSource(63))
+	for job := 0; job < 3; job++ {
+		input := d.RandomInput(rng, 4096)
+		got, stats := tc.exec(p, input, d.Start())
+		if want := d.Run(input, d.Start()); got != want || stats.Degraded {
+			t.Fatalf("job %d: %d (want %d), %+v", job, got, want, stats)
+		}
+	}
+	for _, h := range tc.coord.Health() {
+		want := int64(1)
+		if HostOf(h.Peer) == tc.hosts[0] {
+			want = 0
+		}
+		if h.Tasks == 0 || h.PlanShips != want {
+			t.Errorf("peer %s: %d tasks, plan_ships %d, want tasks and %d ships", h.Peer, h.Tasks, h.PlanShips, want)
+		}
+	}
+}
+
 // badEchoTransport answers structurally valid vectors for the wrong
 // chunk — the coordinator must treat that as a failure, not fold it.
 type badEchoTransport struct {

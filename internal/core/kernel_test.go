@@ -138,6 +138,16 @@ func TestFinalAllocsFlatAcrossWidths(t *testing.T) {
 	if a200, a300 := allocs(200), allocs(300); a300 > a200 {
 		t.Errorf("Final allocates %v times per run at 300 states, %v at 200", a300, a200)
 	}
+	// A range plan's name vector stays on the stack through the native
+	// kernel (rcShuffle is go:noescape).
+	rng := rand.New(rand.NewSource(973))
+	d := fsm.RandomConverging(rng, 200, 256, 16, 0.3)
+	input := d.RandomInput(rng, 64<<10)
+	r := newRunner(t, d, RangeCoalesced)
+	r.Final(input, d.Start())
+	if a := testing.AllocsPerRun(5, func() { r.Final(input, d.Start()) }); a != 0 {
+		t.Errorf("range Final allocates %v times per run", a)
+	}
 }
 
 // RaceEnabled is raceEnabled for the external core_test package.

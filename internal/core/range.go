@@ -41,10 +41,20 @@ type rcTables struct {
 	fw []rcFlat
 }
 
+// rcFlat is read by the native kernel (rckernel_amd64.s) at fixed
+// offsets: f's data pointer at 0, w at 24, a stride of 32 bytes.
 type rcFlat struct {
 	f []byte
 	w int
 }
+
+// rcSpare is the capacity each flat table carries past its last row,
+// so a 16-byte row load at any symbol stays inside the allocation. It
+// is not part of the table: EntryCount and the wire count len(f).
+// The k tables share one backing array, so a table's spare capacity
+// overlaps the start of the next and only the last needs its own
+// rcSpare bytes.
+const rcSpare = gather.Width
 
 // row returns T_a[b] out of a's flat table.
 func (t *rcFlat) row(b byte) []byte {
@@ -78,14 +88,19 @@ func buildRCTables(d *fsm.DFA, ranges []int) (*rcTables, error) {
 			rc.l[a][q] = byte(v)
 		}
 	}
+	total := 0
+	for _, ua := range rc.u {
+		total += k * len(ua)
+	}
+	flat := make([]byte, 0, total+rcSpare)
 	for a, ua := range rc.u {
-		flat := make([]byte, 0, k*len(ua))
+		start := len(flat)
 		for _, lb := range rc.l {
 			for _, q := range ua {
 				flat = append(flat, lb[q])
 			}
 		}
-		rc.fw[a] = rcFlat{f: flat, w: len(ua)}
+		rc.fw[a] = rcFlat{f: flat[start : len(flat) : len(flat)+rcSpare], w: len(ua)}
 	}
 	return rc, nil
 }
@@ -143,21 +158,10 @@ func (r *Runner) rcLoop(input []byte, phi fsm.Phi, off int, start fsm.State, sc 
 	cur = a0
 	_, c, _, _ = vecs[byte](sc, len(rc.u[a0]))
 	switch {
-	case phi == nil && len(c) <= 8:
-		// The name vector has fixed width |range(a0)|, so small widths
-		// run with lanes held in registers — the scalar stand-in for
-		// the paper's one-shuffle-per-symbol regime.
-		cur = r.rcTail(input[1:], cur, c)
+	case phi == nil && r.rcNative():
+		cur = r.rcShuffle16(input[1:], cur, c)
 	case phi == nil:
-		for i := 1; i < len(input); i++ {
-			b := input[i]
-			t := &rc.fw[cur]
-			tab := t.f[int(b)*t.w:]
-			for j, v := range c {
-				c[j] = tab[v]
-			}
-			cur = b
-		}
+		cur = r.rcScalar(input[1:], cur, c)
 	default:
 		name0 := rc.l[a0][start]
 		phi(off, a0, rc.u[a0][name0])
@@ -242,6 +246,69 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 	}
 	rs.note(gathers, shuf, fCalls, fWins, w0, m)
 	return a0, acc, c[:m], cur
+}
+
+// rcNative reports whether rcLoop's φ-free path runs the native
+// kernel: the build has one and every name of the plan fits a
+// 16-byte register. PSHUFB reads only the low 4 bits of each index, so
+// the gate is the plan's maximum range, not the first symbol's width —
+// a later symbol with a wider range would yield names ≥ 16.
+func (r *Runner) rcNative() bool {
+	return nativeRC && r.maxRange <= gather.Width
+}
+
+// rcBlock bounds the input of one rcShuffle call. Assembly is not
+// preemptible, so a 32 MiB body in one call would hold off the
+// garbage collector's stop-the-world for the whole scan (~25 ms);
+// 64 KiB keeps that wait near 50 µs at one call per block.
+const rcBlock = 64 << 10
+
+// rcShuffle16 advances name vector c (width ≤ 16) over input with the
+// native kernel, one shuffle per symbol — the paper's §6.2 constant.
+// Lanes past len(c) are padded with copies of lane 0, which stay valid
+// names at every step and are dropped at writeback. Should input hold a
+// byte outside the machine's alphabet, the kernel stops before it and
+// the scalar loop takes over from there, failing as it would have.
+func (r *Runner) rcShuffle16(input []byte, cur byte, c []byte) byte {
+	var lanes [gather.Width]byte
+	for j := range lanes {
+		lanes[j] = c[0]
+	}
+	copy(lanes[:], c)
+	for len(input) > 0 {
+		blk := input[:min(len(input), rcBlock)]
+		var n int
+		cur, n = rcShuffle(r.rc.fw, blk, cur, &lanes)
+		input = input[n:]
+		if n < len(blk) {
+			break
+		}
+	}
+	copy(c, lanes[:len(c)])
+	if len(input) > 0 {
+		cur = r.rcScalar(input, cur, c)
+	}
+	return cur
+}
+
+// rcScalar is the pure-Go name loop: the fallback where rcNative is
+// false, and the oracle the native kernel is tested against.
+func (r *Runner) rcScalar(input []byte, cur byte, c []byte) byte {
+	if len(c) <= 8 {
+		// The name vector has fixed width |range(a0)|, so small widths
+		// run with lanes held in registers.
+		return r.rcTail(input, cur, c)
+	}
+	rc := r.rc
+	for _, b := range input {
+		t := &rc.fw[cur]
+		tab := t.f[int(b)*t.w:]
+		for j, v := range c {
+			c[j] = tab[v]
+		}
+		cur = b
+	}
+	return cur
 }
 
 // rcTail advances a compact name vector of width ≤ 8 over the rest of
