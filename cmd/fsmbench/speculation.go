@@ -83,4 +83,6 @@ func speculation(opt *options) {
 	}
 	fmt.Printf("\n%d/%d machines hold >1 active state after 2000 natural-text symbols —\n", multi, len(sample))
 	fmt.Println("on those, speculation depends on luck while enumeration is exact (§7).")
+
+	laneAblation()
 }

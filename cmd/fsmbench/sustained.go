@@ -41,30 +41,24 @@ const regressionGate = 0.15
 
 // sustainedMachine is one machine's row in the report: per-strategy
 // observed kernel throughput and convergence behavior, from the
-// per-machine perf profiles. The adaptive-selection fields (lane,
-// reason, speculation counters) are additive: old reports simply omit
-// them, so the schema version is unchanged.
+// per-machine perf profiles. Older reports may carry fields this
+// version no longer writes (lane selection, speculation counters);
+// they are ignored on load, so the schema version is unchanged.
 type sustainedMachine struct {
 	Name                  string  `json:"name"`
 	Strategy              string  `json:"strategy"`
 	Jobs                  int64   `json:"jobs"`
 	ThroughputBytesPerSec float64 `json:"throughput_bytes_per_sec"`
-	// SingleGBPerS / MulticoreGBPerS / SpeculativeGBPerS are the
-	// per-lane kernel rates in GB/s (0 when the lane ran nothing).
-	SingleGBPerS      float64 `json:"single_gb_per_s"`
-	MulticoreGBPerS   float64 `json:"multicore_gb_per_s"`
-	SpeculativeGBPerS float64 `json:"speculative_gb_per_s,omitempty"`
-	ConvergenceRate   float64 `json:"convergence_rate"`
-	LatencyP99Ns      int64   `json:"latency_p99_ns"`
-	// Lane and SelectionReason record where the adaptive selector left
-	// this machine's large-input dispatch at the end of the run.
-	Lane            string `json:"lane,omitempty"`
-	SelectionReason string `json:"selection_reason,omitempty"`
-	// Speculation outcome counters, non-zero only when the speculative
-	// lane ran.
-	SpecChunks      int64   `json:"spec_chunks,omitempty"`
-	SpecMispredicts int64   `json:"spec_mispredicts,omitempty"`
-	MispredictRate  float64 `json:"mispredict_rate,omitempty"`
+	// SingleGBPerS / MulticoreGBPerS are the per-lane kernel rates in
+	// GB/s (0 when the lane ran nothing).
+	SingleGBPerS    float64 `json:"single_gb_per_s"`
+	MulticoreGBPerS float64 `json:"multicore_gb_per_s"`
+	ConvergenceRate float64 `json:"convergence_rate"`
+	LatencyP99Ns    int64   `json:"latency_p99_ns"`
+	// Lane names the lane a transduce-experiment row timed; sustained
+	// rows leave it empty, since the engine picks each job's lane by
+	// its size.
+	Lane string `json:"lane,omitempty"`
 	// Transduce-experiment rates (also additive): how fast the lane
 	// emits token spans and how many input bytes those spans cover per
 	// second. Zero in sustained reports, which time acceptance only.
@@ -129,15 +123,12 @@ func sustained(opt *options) {
 		rep.Offered, rep.Completed, rep.Errors, rep.Shed, rep.ShedRate*100,
 		float64(rep.Bytes)/1e6, rep.ThroughputBytesPerSec/1e6,
 		float64(rep.LatencyP50Ns)/1e6, float64(rep.LatencyP90Ns)/1e6, float64(rep.LatencyP99Ns)/1e6)
-	fmt.Printf("\n%-12s %-12s %-12s %8s %12s %12s %12s %8s\n",
-		"machine", "strategy", "lane", "jobs", "single GB/s", "multi GB/s", "conv rate", "p99(ms)")
+	fmt.Printf("\n%-12s %-12s %8s %12s %12s %12s %8s\n",
+		"machine", "strategy", "jobs", "single GB/s", "multi GB/s", "conv rate", "p99(ms)")
 	for _, m := range rep.Machines {
-		fmt.Printf("%-12s %-12s %-12s %8d %12.2f %12.2f %12.2f %8.3f\n",
-			m.Name, m.Strategy, m.Lane, m.Jobs, m.SingleGBPerS, m.MulticoreGBPerS,
+		fmt.Printf("%-12s %-12s %8d %12.2f %12.2f %12.2f %8.3f\n",
+			m.Name, m.Strategy, m.Jobs, m.SingleGBPerS, m.MulticoreGBPerS,
 			m.ConvergenceRate, float64(m.LatencyP99Ns)/1e6)
-		if m.SelectionReason != "" {
-			fmt.Printf("%-12s   selection: %s\n", "", m.SelectionReason)
-		}
 	}
 
 	if opt.benchOut != "" {
@@ -171,7 +162,7 @@ func runSustained(opt *options) (*sustainedReport, error) {
 	)
 	defer eng.Close()
 	// -strategy restricts the whole run to one strategy; "auto" (or
-	// absence) lets compile-time selection and the adaptive layer pick.
+	// absence) lets compile-time selection pick.
 	var regOpts []core.Option
 	if opt.strategy != "" {
 		s, _ := core.ParseStrategy(opt.strategy) // validated in main
@@ -290,23 +281,12 @@ loop:
 			ThroughputBytesPerSec: p.ThroughputBytesPerSec,
 			ConvergenceRate:       p.ConvergenceRate,
 			LatencyP99Ns:          p.LatencyP99Ns,
-			SpecChunks:            p.SpecChunks,
-			SpecMispredicts:       p.SpecMispredicts,
-			MispredictRate:        p.MispredictRate,
 		}
 		if ls, ok := p.Lanes[engine.LaneSingle]; ok {
 			m.SingleGBPerS = ls.BytesPerSec / 1e9
 		}
 		if ls, ok := p.Lanes[engine.LaneMulticore]; ok {
 			m.MulticoreGBPerS = ls.BytesPerSec / 1e9
-		}
-		if ls, ok := p.Lanes[engine.LaneSpeculative]; ok {
-			m.SpeculativeGBPerS = ls.BytesPerSec / 1e9
-		}
-		// Where the adaptive selector left this machine's dispatch.
-		if em := eng.Machine(p.Machine); em != nil {
-			sel := em.Selection()
-			m.Lane, m.SelectionReason = sel.Lane, sel.Reason
 		}
 		rep.Machines = append(rep.Machines, m)
 	}
@@ -356,13 +336,12 @@ func compareReports(oldPath, newPath string, threshold float64) error {
 		float64(oldRep.LatencyP99Ns)/1e6, float64(newRep.LatencyP99Ns)/1e6)
 	fmt.Printf("shed rate: %.2f%% -> %.2f%%\n", oldRep.ShedRate*100, newRep.ShedRate*100)
 
-	// Advisory per-machine diff: strategy/lane flips and kernel-rate
-	// movement are printed for the human but never gate — the adaptive
-	// selector is allowed to change its mind between commits.
-	// Rows pair up by (name, lane): transduce reports carry one row per
-	// lane under a single machine name. A name with exactly one old row
-	// still matches across a lane flip, so sustained's lane advisories
-	// keep firing.
+	// Advisory per-machine diff: strategy flips and kernel-rate movement
+	// are printed for the human but never gate. Rows pair up by
+	// (name, lane): transduce reports carry one row per lane under a
+	// single machine name. A name with exactly one old row matches
+	// whatever its lane, so a sustained row still pairs with an older
+	// report's row that named the lane it was dispatched to.
 	oldMachines := make(map[string][]sustainedMachine, len(oldRep.Machines))
 	for _, m := range oldRep.Machines {
 		oldMachines[m.Name] = append(oldMachines[m.Name], m)
@@ -384,9 +363,6 @@ func compareReports(oldPath, newPath string, threshold float64) error {
 		}
 		if om.Strategy != m.Strategy {
 			fmt.Printf("advisory: %s strategy %s -> %s\n", m.Name, om.Strategy, m.Strategy)
-		}
-		if om.Lane != m.Lane && (om.Lane != "" || m.Lane != "") {
-			fmt.Printf("advisory: %s lane %q -> %q\n", m.Name, om.Lane, m.Lane)
 		}
 		if om.ThroughputBytesPerSec > 0 && m.ThroughputBytesPerSec > 0 {
 			d := (m.ThroughputBytesPerSec - om.ThroughputBytesPerSec) / om.ThroughputBytesPerSec

@@ -117,9 +117,8 @@ func TestRunSustainedSmoke(t *testing.T) {
 		if m.Strategy == "" || m.Strategy == "auto" {
 			t.Fatalf("machine %s strategy %q: want a resolved strategy", m.Name, m.Strategy)
 		}
-		if m.Lane == "" || m.SelectionReason == "" {
-			t.Fatalf("machine %s missing adaptive selection: lane=%q reason=%q",
-				m.Name, m.Lane, m.SelectionReason)
+		if m.Jobs == 0 || m.SingleGBPerS+m.MulticoreGBPerS == 0 {
+			t.Fatalf("machine %s has no lane rates: %+v", m.Name, m)
 		}
 	}
 	// Round-trip through the comparator: a report compared against

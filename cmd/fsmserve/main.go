@@ -11,11 +11,11 @@
 // coalescing when each symbol's range fits one shuffle (§5.3),
 // convergence otherwise (§5.2). No request or flag picks another
 // strategy; a ?strategy= parameter or "strategy" field is ignored
-// like any other unknown one. Large inputs on machines with observed
-// history are dispatched by the adaptive selector (internal/adaptive):
-// per-machine profiles pick between the multicore and speculative
-// lanes, and responses carry the lane, the plan's strategy, and the
-// selection reason.
+// like any other unknown one. The lane follows from the input's size
+// alone: the multicore lane from the engine's 1 MiB large-input
+// threshold up (the cluster lane from -cluster-min when -peers is
+// set), the single lane below. Responses carry the lane, the plan's
+// strategy, and the reason.
 //
 // The API is versioned under /v1/; request/response shapes live in
 // internal/serverapi. The unversioned aliases of the original routes
@@ -31,9 +31,9 @@
 //	POST /v1/batch[?trace=1]                       NDJSON jobs in, streamed NDJSON results + summary out
 //	GET  /v1/machines                              list machines + static stats
 //	GET  /v1/machines/{name}                       one machine's registry entry
-//	GET  /v1/machines/{name}/profile               observed perf profile + current adaptive selection
+//	GET  /v1/machines/{name}/profile               registry entry + observed perf profile
 //	GET  /v1/snapshot                              telemetry snapshot (JSON)
-//	GET  /v1/status                                live status: queue depth, shed rate, per-machine perf profiles + adaptive selections, uptime, build info
+//	GET  /v1/status                                live status: queue depth, shed rate, per-machine perf profiles, uptime, build info
 //	GET  /v1/metrics                               Prometheus text format (FSM + runtime/metrics series)
 //	GET  /v1/traces[?machine=NAME&min_ms=N]        flight recorder: recent request traces
 //	GET  /v1/traces/{id}                           one retained trace's full span tree
@@ -50,8 +50,8 @@
 // retained by an in-memory flight recorder (-trace-buf capacity).
 // With -trace-sample N, every run/batch request is traced and a
 // sampler decides retention: N head samples per second plus every
-// slow, erroring, shed, or mispredicted trace. Retained traces also
-// ship to the -otlp-endpoint collector when one is configured.
+// slow, erroring, or shed trace. Retained traces also ship to the
+// -otlp-endpoint collector when one is configured.
 //
 // Usage:
 //
@@ -363,7 +363,6 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 		Final:           r.Final,
 		Accepts:         r.Accepts,
 		Lane:            r.Lane,
-		Multicore:       r.Multicore,
 		Degraded:        r.Degraded,
 		Strategy:        r.Strategy,
 		SelectionReason: r.Reason,
@@ -452,7 +451,6 @@ func batchResult(r engine.Result) serverapi.BatchResult {
 		Accepts:    r.Accepts,
 		Bytes:      r.Bytes,
 		Lane:       r.Lane,
-		Multicore:  r.Multicore,
 		Degraded:   r.Degraded,
 		Strategy:   r.Strategy,
 		DurationNs: int64(r.Duration),
@@ -467,8 +465,8 @@ func batchResult(r engine.Result) serverapi.BatchResult {
 func batchSummary(st engine.BatchStats) serverapi.BatchSummary {
 	return serverapi.BatchSummary{
 		Jobs: st.Jobs, OK: st.OK, Errors: st.Errors, Canceled: st.Canceled,
-		SingleCore: st.SingleCore, Multicore: st.Multicore, Speculative: st.Speculative,
-		Cluster: st.Cluster, Degraded: st.Degraded, Bytes: st.Bytes, DurationNs: int64(st.Duration),
+		SingleCore: st.SingleCore, Multicore: st.Multicore, Cluster: st.Cluster,
+		Degraded: st.Degraded, Bytes: st.Bytes, DurationNs: int64(st.Duration),
 	}
 }
 
@@ -578,27 +576,10 @@ func (s *server) handleRegister(w http.ResponseWriter, req *http.Request) {
 	_ = enc.Encode(res)
 }
 
-// machineSelection assembles the wire view of one machine's current
-// adaptive-dispatch decision.
-func machineSelection(name string, m *engine.Machine) serverapi.MachineSelection {
-	sel := m.Selection()
-	ms := serverapi.MachineSelection{
-		Machine:  name,
-		Lane:     sel.Lane,
-		Strategy: sel.Strategy,
-		Reason:   sel.Reason,
-		Kind:     m.Kind().String(),
-	}
-	if t := m.Transducer(); t != nil {
-		ms.OutputTableBytes = t.TableBytes()
-	}
-	return ms
-}
-
 // handleMachineByName serves /v1/machines/{name}: GET one entry,
 // DELETE to unregister, and the /v1/machines/{name}/profile
-// sub-resource: the observed perf profile joined with the adaptive
-// selector's current decision.
+// sub-resource: the registry entry joined with the observed perf
+// profile.
 func (s *server) handleMachineByName(w http.ResponseWriter, req *http.Request) {
 	rest := strings.TrimPrefix(req.URL.Path, serverapi.Version+"/machines/")
 	name, sub, hasSub := strings.Cut(rest, "/")
@@ -617,10 +598,7 @@ func (s *server) handleMachineByName(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		s.mu.RLock()
-		mp := serverapi.MachineProfile{
-			Machine:   s.machineInfo(name, m),
-			Selection: machineSelection(name, m),
-		}
+		mp := serverapi.MachineProfile{Machine: s.machineInfo(name, m)}
 		s.mu.RUnlock()
 		if p, ok := s.profiles.Profile(name); ok {
 			mp.Profile = &p
@@ -902,7 +880,7 @@ func main() {
 		perfSave        = flag.Duration("perf-save-interval", 30*time.Second, "how often per-machine perf profiles are persisted to -profile-dir (0 disables the periodic save; shutdown always flushes)")
 		logFormat       = flag.String("log-format", "text", `log output format: "text" or "json"`)
 		traceBuf        = flag.Int("trace-buf", trace.DefaultRecorderCapacity, "flight-recorder capacity: completed request traces retained for /v1/traces")
-		traceSample     = flag.Float64("trace-sample", 0, "head-sample rate in traces/second: trace every request, retain this many representative ones per second plus all slow/error/shed/mispredict tails (0 = trace only on request)")
+		traceSample     = flag.Float64("trace-sample", 0, "head-sample rate in traces/second: trace every request, retain this many representative ones per second plus all slow/error/shed tails (0 = trace only on request)")
 		traceSlow       = flag.Duration("trace-slow", trace.DefaultSlowThreshold, "duration at or above which a sampled trace is always retained")
 		otlpEndpoint    = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL (e.g. http://localhost:4318); empty disables export")
 		otlpInterval    = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP metrics-push and trace-flush interval")
@@ -956,7 +934,6 @@ func main() {
 		srv.sampler = trace.NewSampler(trace.SamplerConfig{
 			HeadPerSec:    *traceSample,
 			SlowThreshold: *traceSlow,
-			KeepAttrs:     []string{engine.AttrMispredict},
 		})
 	}
 	if *peersFlag != "" {

@@ -404,8 +404,7 @@ func TestSnapshotAndMachinesEndpoints(t *testing.T) {
 
 // TestMachineProfileEndpoint covers GET /v1/machines/{name} and its
 // /profile sub-resource: after some traffic the profile carries lane
-// history and the current adaptive selection, and /v1/status lists
-// the same selection per machine.
+// history, and /v1/status lists a profile per machine.
 func TestMachineProfileEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	resp, err := http.Post(ts.URL+"/v1/run?machine=sqli", "", strings.NewReader("id=1 UNION  SELECT x"))
@@ -445,8 +444,8 @@ func TestMachineProfileEndpoint(t *testing.T) {
 	if mp.Profile == nil || mp.Profile.Jobs == 0 {
 		t.Errorf("profile missing observed history: %+v", mp.Profile)
 	}
-	if mp.Selection.Lane == "" || mp.Selection.Reason == "" {
-		t.Errorf("profile missing selection: %+v", mp.Selection)
+	if mp.Profile != nil && mp.Profile.Lanes[engine.LaneSingle].Jobs == 0 {
+		t.Errorf("profile missing the single lane's history: %+v", mp.Profile.Lanes)
 	}
 
 	rn, _ := http.Get(ts.URL + "/v1/machines/ghost/profile")
@@ -469,12 +468,12 @@ func TestMachineProfileEndpoint(t *testing.T) {
 	if err := json.NewDecoder(rs.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Selections) != len(defaultPatterns) {
-		t.Fatalf("status selections = %d, want %d", len(st.Selections), len(defaultPatterns))
+	if st.Machines != len(defaultPatterns) || len(st.Profiles) != len(defaultPatterns) {
+		t.Fatalf("status machines = %d with %d profiles, want %d", st.Machines, len(st.Profiles), len(defaultPatterns))
 	}
-	for _, sel := range st.Selections {
-		if sel.Machine == "" || sel.Lane == "" || sel.Reason == "" {
-			t.Errorf("status selection incomplete: %+v", sel)
+	for _, p := range st.Profiles {
+		if p.Machine == "" || p.Fingerprint == "" {
+			t.Errorf("status profile incomplete: %+v", p)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"dpfsm/internal/serverapi"
@@ -50,15 +49,6 @@ func (s *server) status() serverapi.Status {
 		Runtime:  telemetry.ReadRuntime(),
 	}
 	st.Machines = len(st.Profiles)
-	// The adaptive layer's current per-machine decisions, sorted by
-	// name for stable output.
-	names := s.engine.Machines()
-	sort.Strings(names)
-	for _, name := range names {
-		if m := s.engine.Machine(name); m != nil {
-			st.Selections = append(st.Selections, machineSelection(name, m))
-		}
-	}
 	// Shed rate over everything offered: executed + refused.
 	if offered := snap.EngineJobs + snap.EngineQueueRejects; offered > 0 {
 		st.ShedRate = float64(snap.EngineQueueRejects) / float64(offered)

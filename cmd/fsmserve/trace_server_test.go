@@ -117,19 +117,14 @@ func TestRunTraceExplainMulticore(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if !res.Multicore {
+	if res.Lane != engine.LaneMulticore {
 		t.Fatalf("2.3 MiB input did not take the multicore lane: %+v", res)
 	}
 	ex := res.Explain
 	if ex == nil {
 		t.Fatal("no explain block")
 	}
-	// With a profile store attached the first large jobs ride the
-	// adaptive selector's cold-start default; either phrasing must name
-	// why the multicore lane was taken.
-	if ex.Lane != "multicore" ||
-		(!strings.Contains(ex.LaneReason, "large-input threshold") &&
-			!strings.Contains(ex.LaneReason, "multicore heuristic")) {
+	if ex.Lane != "multicore" || !strings.Contains(ex.LaneReason, "large-input threshold") {
 		t.Errorf("lane %q reason %q", ex.Lane, ex.LaneReason)
 	}
 	if ex.ChunkCount < 2 || len(ex.Chunks) != ex.ChunkCount {

@@ -11,7 +11,7 @@ package main
 // and written and flushed once. A failure after the first byte ends the
 // stream with an error trailer instead of the summary. Dispatch,
 // tracing, and metering match /v1/run: the engine picks the lane
-// (single/multicore/speculative) and runs the machine's Auto-compiled
+// (single/multicore/cluster) and runs the machine's Auto-compiled
 // plan on it, and every lane produces the exact sequential span list.
 
 import (
@@ -139,7 +139,6 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 		Final:           res.Final,
 		Accepts:         res.Accepts,
 		Lane:            res.Lane,
-		Multicore:       res.Multicore,
 		Strategy:        res.Strategy,
 		SelectionReason: res.Reason,
 		Degraded:        res.Degraded,

@@ -131,8 +131,9 @@ func TestTransduceEndpoint(t *testing.T) {
 }
 
 // TestStatusReportsMachineKind is the registry-truthfulness check: the
-// status document's per-machine selections and /v1/machines entries
-// must distinguish acceptors from transducers and size the λ table.
+// /v1/machines entries and each machine's /profile document must
+// distinguish acceptors from transducers and size the λ table, and
+// /v1/status counts both kinds.
 func TestStatusReportsMachineKind(t *testing.T) {
 	srv, err := newServer(nil, 1, 1<<20, "")
 	if err != nil {
@@ -149,19 +150,21 @@ func TestStatusReportsMachineKind(t *testing.T) {
 	}
 	var st serverapi.Status
 	decodeInto(t, resp, &st)
-	byName := map[string]serverapi.MachineSelection{}
-	for _, sel := range st.Selections {
-		byName[sel.Machine] = sel
-	}
-	if sel := byName["sqli"]; sel.Kind != "acceptor" || sel.OutputTableBytes != 0 {
-		t.Fatalf("sqli selection %+v, want acceptor with no output table", sel)
-	}
-	sel, ok := byName["htmltok"]
-	if !ok || sel.Kind != "mealy" || sel.OutputTableBytes == 0 {
-		t.Fatalf("htmltok selection %+v, want mealy with output table", sel)
-	}
-
 	infos := machineInfos(t, ts)
+	if st.Machines != len(infos) {
+		t.Fatalf("status counts %d machines, /v1/machines lists %d", st.Machines, len(infos))
+	}
+	for name, want := range map[string]string{"sqli": "acceptor", "htmltok": "mealy"} {
+		resp, err := http.Get(ts.URL + "/v1/machines/" + name + "/profile")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mp serverapi.MachineProfile
+		decodeInto(t, resp, &mp)
+		if mp.Machine.Kind != want || (mp.Machine.OutputTableBytes == 0) != (want == "acceptor") {
+			t.Fatalf("%s profile machine %+v, want kind %s", name, mp.Machine, want)
+		}
+	}
 	if in := infos["htmltok"]; in.Kind != "mealy" || in.OutputTableBytes == 0 || in.Source != "builtin" {
 		t.Fatalf("htmltok machine info %+v", in)
 	}

@@ -1,11 +1,10 @@
 // Command fsmverify soak-tests the FSM runtime: it generates N random
 // machines biased toward the paper's hard regimes, runs each through
-// every execution strategy, the engine dispatch lanes (single-core,
-// multicore, and the speculative lane — the latter both with its
-// default guess and with a poisoned guess that forces mispredict
-// re-runs), plan serialization round trips, and chunked-vs-whole
-// execution, compares everything against a scalar oracle, and emits a
-// JSON report. The
+// every execution strategy, the engine dispatch lanes (single-core and
+// multicore), §7's speculative baseline (with its default guess and
+// with a poisoned guess that forces mispredict re-runs), plan
+// serialization round trips, and chunked-vs-whole execution, compares
+// everything against a scalar oracle, and emits a JSON report. The
 // exit status is 0 only when no divergence was found, so CI can run it
 // as a deterministic smoke (fsmverify -n 200 -seed 1) and archive the
 // report artifact.

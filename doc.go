@@ -28,11 +28,11 @@
 //
 // Engine (NewEngine) serves many (machine, input) jobs from a bounded
 // worker pool with pooled per-worker scratch, backpressure, per-job
-// timeouts, and an adaptive dispatch policy: small inputs run
+// timeouts, and one static dispatch policy: small inputs run
 // single-core — the batch itself is the parallelism — while inputs
 // past WithLargeInput take the paper's Figure 5 multicore phase
-// split. Every lane — single-core, multicore, speculative, cluster —
-// and both job kinds (Run, Transduce) go through one dispatch and one
+// split. Every lane — single-core, multicore, cluster — and both job
+// kinds (Run, Transduce) go through one dispatch and one
 // Figure 5 schedule, so they share cancellation, tracing, and exactness.
 // Register machines once, then RunBatch (ordered results) or Submit
 // (streaming completion order).

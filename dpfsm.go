@@ -3,7 +3,6 @@ package dpfsm
 import (
 	"context"
 
-	"dpfsm/internal/adaptive"
 	"dpfsm/internal/core"
 	"dpfsm/internal/engine"
 	"dpfsm/internal/fsm"
@@ -127,12 +126,9 @@ type (
 // Figure 10/11 per-symbol name tables.
 //
 // Auto is the default and the recommended choice: at compile time it
-// picks a concrete strategy from the machine's static Stats, and — on
-// an Engine with a perf-profile store attached — the adaptive layer
-// then re-evaluates the dispatch lane from observed behaviour as
-// traffic accumulates. Auto is a request, not a strategy: it always
-// resolves to a concrete strategy before execution and never appears
-// in a compiled Plan or a Result.
+// picks a concrete strategy from the machine's static Stats. Auto is a
+// request, not a strategy: it always resolves to a concrete strategy
+// before execution and never appears in a compiled Plan or a Result.
 const (
 	Auto             = core.Auto
 	Sequential       = core.Sequential
@@ -193,7 +189,7 @@ func Strategies() []string { return core.Strategies() }
 // Batch execution (internal/engine).
 type (
 	// Engine runs batches of (machine, input) jobs on a bounded worker
-	// pool with pooled runners, adaptive single-vs-multicore dispatch,
+	// pool with pooled runners, size-based single-vs-multicore dispatch,
 	// and per-job context cancellation.
 	Engine = engine.Engine
 	// EngineOption configures NewEngine.
@@ -224,13 +220,11 @@ var (
 )
 
 // Engine dispatch lanes, reported in Result.Lane: "single" (batch-
-// level parallelism), "multicore" (the paper's Figure 5 phase split),
-// and "speculative" (guessed chunk start states with scalar re-run on
-// mispredict).
+// level parallelism) below the large-input threshold and "multicore"
+// (the paper's Figure 5 phase split) at or above it.
 const (
-	LaneSingle      = engine.LaneSingle
-	LaneMulticore   = engine.LaneMulticore
-	LaneSpeculative = engine.LaneSpeculative
+	LaneSingle    = engine.LaneSingle
+	LaneMulticore = engine.LaneMulticore
 )
 
 // NewEngine builds and starts a batch engine; Close it when done.
@@ -255,24 +249,19 @@ func WithEngineProcs(p int) EngineOption { return engine.WithProcs(p) }
 // runner it builds.
 func WithEngineTelemetry(m *Metrics) EngineOption { return engine.WithTelemetry(m) }
 
-// Adaptive execution (internal/perfprofile + internal/adaptive).
-// Attaching a perf-profile store to an engine closes the selection
-// loop: every job's lane, throughput, and speculation outcome feeds a
-// per-machine profile, and the engine's adaptive selector re-picks
-// each machine's large-input lane (multicore vs speculative) from
-// that history, with hysteresis. Without a store the engine keeps its
-// static size-based dispatch.
+// Per-machine performance profiles (internal/perfprofile). Attaching
+// a perf-profile store to an engine folds every job's lane, bytes,
+// time and core accounting into a per-machine profile. The profile
+// observes; it does not steer: the engine dispatches by input size
+// with or without a store.
 type (
 	// PerfProfileStore aggregates per-machine observed performance and
 	// optionally persists it in a directory, keyed by plan fingerprint.
 	PerfProfileStore = perfprofile.Store
 	// PerfProfile is one machine's accumulated performance history:
-	// per-lane throughput, hot final states, speculation outcomes.
+	// per-lane throughput, latency quantiles, shuffles per symbol and
+	// convergence rate.
 	PerfProfile = perfprofile.Profile
-	// Selection is the adaptive dispatcher's current decision for one
-	// machine: the lane, the resolved strategy, and a human-readable
-	// reason. Machine.Selection returns the live value.
-	Selection = adaptive.Selection
 )
 
 // NewPerfProfileStore builds a profile store; dir may be empty for a
@@ -280,9 +269,8 @@ type (
 // across restarts.
 func NewPerfProfileStore(dir string) *PerfProfileStore { return perfprofile.NewStore(dir) }
 
-// WithEnginePerfProfiles attaches a perf-profile store to the engine,
-// enabling profile-driven adaptive lane selection (including the
-// speculative lane) for every registered machine.
+// WithEnginePerfProfiles attaches a perf-profile store to the engine:
+// every registered machine's jobs are folded into its profile.
 func WithEnginePerfProfiles(s *PerfProfileStore) EngineOption { return engine.WithPerfProfiles(s) }
 
 // WithEngineTraceSink makes the engine create a per-job Trace for every

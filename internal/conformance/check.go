@@ -28,14 +28,15 @@ type checker struct {
 	multis     map[core.Strategy]*core.Runner
 	reloads    map[core.Strategy]*core.Runner
 
-	// spec is the engine's speculative lane run directly; specBad is
-	// the same lane with a deliberately poisoned guess, so every input
+	// spec is §7's speculative baseline (Ko et al.); specBad is the
+	// same source with a deliberately poisoned guess, so every input
 	// also exercises the forced-mispredict re-run path. Exactness must
 	// hold on both — mispredicts may only cost time, never answers.
 	spec    *speculative.Runner
 	specBad *speculative.Runner
 	// specDrv drives the speculative sources at the harness's procs and
-	// minimum chunk, as the engine's multicore runner drives its lane.
+	// minimum chunk, as the engine's multicore runner drives its
+	// enumerative phase 1.
 	specDrv *core.Runner
 
 	// trans are the derived Moore/Mealy transducer probes with their
@@ -226,11 +227,14 @@ func (c *checker) check(input []byte) *Divergence {
 	return c.checkVectors(input)
 }
 
-// checkSpeculative compares the speculative lane against the oracle,
-// both with the default guess and with a poisoned one that forces
-// mispredict re-runs, and verifies the stats invariants (at most
-// chunks-1 speculated chunks can miss; a hit run re-runs no bytes).
+// checkSpeculative compares the speculative source (Ko et al.'s
+// baseline) against the oracle, both with the default guess and with a
+// poisoned one that forces mispredict re-runs, and verifies the stats
+// invariants (at most chunks-1 speculated chunks can miss; a hit run
+// re-runs no bytes). A second drive runs the first-accept scan as
+// phase 3 behind the same guesses.
 func (c *checker) checkSpeculative(input []byte, start, want fsm.State) *Divergence {
+	wantFirst := OracleFirstAccept(c.d, input, start)
 	for _, probe := range []struct {
 		name string
 		r    *speculative.Runner
@@ -255,6 +259,12 @@ func (c *checker) checkSpeculative(input []byte, start, want fsm.State) *Diverge
 		if stats.Misses > stats.Chunks-1 || (stats.Misses == 0 && stats.ReplayBytes != 0) {
 			return c.divergence(probe.name, "", input, start, want, got,
 				fmt.Sprintf("impossible stats %+v", stats))
+		}
+		first := core.NewFirstAccept(c.d)
+		got, _, err = c.specDrv.Drive(context.Background(), input, start, probe.r.Source(), first.Scan)
+		if err != nil || got != want || first.Pos() != wantFirst {
+			return c.divergence(probe.name+"-first", "", input, start, want, got,
+				fmt.Sprintf("err=%v first match %d, oracle %d (guess=%d)", err, first.Pos(), wantFirst, probe.r.Guess()))
 		}
 	}
 	// The standalone baseline (fsmbench, perfbench) must agree too.
@@ -378,7 +388,10 @@ func (c *checker) checkEngine(input []byte, start, want fsm.State) *Divergence {
 	if c.eng == nil {
 		return nil
 	}
-	wantLane := len(input) >= c.cfg.LargeInput && c.cfg.Procs > 1
+	wantLane := engine.LaneSingle
+	if len(input) >= c.cfg.LargeInput && c.cfg.Procs > 1 {
+		wantLane = engine.LaneMulticore
+	}
 	for _, s := range c.strategies {
 		res := c.eng.Run(context.Background(), engine.Job{
 			Machine: s.String(), Input: input, Start: start, HasStart: true,
@@ -394,9 +407,9 @@ func (c *checker) checkEngine(input []byte, start, want fsm.State) *Divergence {
 			return c.divergence("engine-final", s.String(), input, start, want, res.Final,
 				fmt.Sprintf("accepts=%v, oracle accepts=%v", res.Accepts, wantAcc))
 		}
-		if res.Multicore != wantLane {
+		if res.Lane != wantLane {
 			return c.divergence("engine-lane", s.String(), input, start, want, res.Final,
-				fmt.Sprintf("multicore=%v for %d bytes, threshold %d", res.Multicore, len(input), c.cfg.LargeInput))
+				fmt.Sprintf("lane %q for %d bytes, threshold %d", res.Lane, len(input), c.cfg.LargeInput))
 		}
 	}
 	return nil

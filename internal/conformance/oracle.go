@@ -29,3 +29,17 @@ func OracleVector(d *fsm.DFA, input []byte) []fsm.State {
 	}
 	return vec
 }
+
+// OracleFirstAccept returns the index of the symbol after which the
+// machine, run from start, first sits in an accepting state, or -1
+// when it never does (core.FirstAccept's contract).
+func OracleFirstAccept(d *fsm.DFA, input []byte, start fsm.State) int {
+	q := start
+	for i, a := range input {
+		q = d.Next(q, a)
+		if d.Accepting(q) {
+			return i
+		}
+	}
+	return -1
+}

@@ -217,9 +217,10 @@ func (c *checker) checkTransduce(input []byte, start fsm.State) *Divergence {
 }
 
 // checkSpecTransduce replays the transducer over the speculative
-// chunked lane — the mechanism the engine's speculative transduce
-// dispatch uses — with both the default and a poisoned guess. The
-// verified starts must make the replayed tape exact either way.
+// source (Ko et al.'s baseline) with both the default and a poisoned
+// guess, once as a tape-filling phase 3 and once as the ordered span
+// scan (DriveSpans). The verified starts must make the replayed tape
+// and the streamed spans exact either way.
 func (c *checker) checkSpecTransduce(probe *transProbe, input []byte, start fsm.State, wantTape []fsm.Output, wantFinal fsm.State) *Divergence {
 	kind := probe.kind.String()
 	d := probe.t.DFA()
@@ -246,6 +247,26 @@ func (c *checker) checkSpecTransduce(probe *transProbe, input []byte, start fsm.
 			return c.divergence("transduce-speculative", kind, input, start, wantFinal, final,
 				fmt.Sprintf("output tape diverges at %d: got %d want %d (guess=%d misspeculated=%d)",
 					i, tape[i], wantTape[i], sr.Guess(), stats.Misses))
+		}
+		var spans []core.Span
+		final, stats, err = probe.multi.DriveSpans(context.Background(), input, start, sr.Source(), nil, func(batch []core.Span) error {
+			spans = append(spans, batch...)
+			return nil
+		})
+		if err != nil || final != wantFinal {
+			return c.divergence("transduce-speculative-spans", kind, input, start, wantFinal, final,
+				fmt.Sprintf("err=%v guess=%d misspeculated=%d", err, sr.Guess(), stats.Misses))
+		}
+		wantSpans := oracleSpans(wantTape)
+		if len(spans) != len(wantSpans) {
+			return c.divergence("transduce-speculative-spans", kind, input, start, wantFinal, final,
+				fmt.Sprintf("%d spans, oracle folds %d (guess=%d)", len(spans), len(wantSpans), sr.Guess()))
+		}
+		for i := range spans {
+			if spans[i] != wantSpans[i] {
+				return c.divergence("transduce-speculative-spans", kind, input, start, wantFinal, final,
+					fmt.Sprintf("span %d = %+v, oracle %+v (guess=%d)", i, spans[i], wantSpans[i], sr.Guess()))
+			}
 		}
 	}
 	return nil

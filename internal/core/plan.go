@@ -239,9 +239,7 @@ func (p *Plan) Kind() fsm.Kind {
 // the quantity the Auto decision pivots on.
 func (p *Plan) MaxRange() int { return p.maxRange }
 
-// States reports the machine's state count — together with MaxRange,
-// the compile-time half of the adaptive selector's inputs (the run-time
-// half is the machine's observed perf profile).
+// States reports the machine's state count.
 func (p *Plan) States() int { return p.n }
 
 // TableBytes reports the approximate size of the strategy-dependent

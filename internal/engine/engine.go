@@ -38,12 +38,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dpfsm/internal/adaptive"
 	"dpfsm/internal/cluster"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/perfprofile"
-	"dpfsm/internal/speculative"
 	"dpfsm/internal/telemetry"
 	"dpfsm/internal/trace"
 )
@@ -59,22 +57,23 @@ const (
 
 	AttrMachine    = "machine"
 	AttrBytes      = "bytes"
-	AttrLane       = "lane"        // "single" | "multicore" | "speculative"
+	AttrLane       = "lane"        // "single" | "multicore" | "cluster"
 	AttrLaneReason = "lane_reason" // why the dispatch policy chose it
 	AttrStrategy   = "strategy"    // the strategy the job ran under
-	// AttrMispredict is set true on the exec span when the speculative
-	// lane's start-state guess was wrong for at least one chunk — the
-	// tail-sampling keep signal for mispredicted requests.
-	AttrMispredict = "mispredict"
 )
 
-// Lane names, re-exported from adaptive (their one definition) so
-// engine callers need not import it to compare Result.Lane.
+// Lane names, re-exported from perfprofile (their one definition, the
+// keys of its per-lane slots) so engine callers need not import it to
+// compare Result.Lane.
 const (
-	LaneSingle      = adaptive.LaneSingle
-	LaneMulticore   = adaptive.LaneMulticore
-	LaneSpeculative = adaptive.LaneSpeculative
-	LaneCluster     = adaptive.LaneCluster
+	LaneSingle    = perfprofile.LaneSingle
+	LaneMulticore = perfprofile.LaneMulticore
+	LaneCluster   = perfprofile.LaneCluster
+	// LaneSpeculative names the §7 guess-and-verify baseline
+	// (internal/speculative). No served job reports it: the engine has
+	// no speculative lane, and the name remains for the benchmarks that
+	// run the baseline beside the engine's lanes.
+	LaneSpeculative = "speculative"
 )
 
 // Errors returned by Submit/Run. Per-job failures are reported in
@@ -164,28 +163,16 @@ func WithPerfProfiles(s *perfprofile.Store) Option {
 // Machine is one compiled DFA registered with the engine: a shared
 // compiled plan plus the runners the dispatch policy chooses between.
 // The single and multicore runners execute the same *core.Plan — the
-// tables are derived once, at registration, never per lane; the
-// speculative lane runs the raw DFA (its per-chunk work is
-// the plain sequential walk, §7).
+// tables are derived once, at registration, never per lane.
 type Machine struct {
 	name   string
-	eng    *Engine
 	dfa    *fsm.DFA
 	plan   *core.Plan
 	single *core.Runner // batch lane: WithProcs(1)
 	multi  *core.Runner // input lane: WithProcs(procs); nil when procs == 1
-	// spec is the §7 speculative lane: guess chunk start states from
-	// the machine's hot-state profile, verify, re-run on mispredict.
-	// nil when procs == 1 (like multi, it is pure fan-out).
-	spec *speculative.Runner
 	// rec accumulates this machine's perf profile (nil when the engine
 	// has no profile store); every exec observes into it.
 	rec *perfprofile.MachineRecorder
-	// sel is the adaptive lane selector, present only when the engine
-	// has a profile store to learn from: without one the engine keeps
-	// its historical static dispatch (deterministic, which the
-	// conformance harness relies on).
-	sel *adaptive.Selector
 }
 
 // Name returns the registration name.
@@ -203,68 +190,6 @@ func (m *Machine) Plan() *core.Plan { return m.plan }
 
 // Fingerprint returns the plan's identity.
 func (m *Machine) Fingerprint() string { return m.plan.Fingerprint() }
-
-// Recorder returns the machine's perf-profile recorder (nil when the
-// engine has no profile store).
-func (m *Machine) Recorder() *perfprofile.MachineRecorder { return m.rec }
-
-// Selection reports the machine's current large-input dispatch
-// decision. Without a profile store the engine dispatches statically,
-// and the returned selection describes that fixed policy.
-func (m *Machine) Selection() adaptive.Selection {
-	if m.sel != nil {
-		return m.sel.Selection()
-	}
-	sel := adaptive.Selection{Lane: LaneMulticore, Strategy: m.plan.Strategy().String(),
-		Reason: "static dispatch (no profile store): large inputs go multicore"}
-	if m.multi == nil {
-		sel.Lane = LaneSingle
-		sel.Reason = "static dispatch: multicore lane disabled (procs=1)"
-	}
-	return sel
-}
-
-// Reselect forces an immediate re-evaluation of the adaptive
-// selection against the machine's current profile — the hook the
-// status surface and tests use instead of waiting out the EvalEvery
-// cadence — and retargets the speculative guess at the profile's
-// current hot state. A no-op (zero Selection) without a profile store.
-func (m *Machine) Reselect() adaptive.Selection {
-	if m.sel == nil {
-		return adaptive.Selection{}
-	}
-	sel := m.sel.Refresh(m.adaptiveInputs())
-	if m.spec != nil {
-		if st, ok := m.rec.HotState(); ok && m.dfa.ValidState(fsm.State(st)) {
-			m.spec.SetGuess(fsm.State(st))
-		}
-	}
-	return sel
-}
-
-// adaptiveInputs assembles the selector's view of this machine:
-// compile-time plan stats plus the merged perf profile.
-func (m *Machine) adaptiveInputs() adaptive.Inputs {
-	in := adaptive.Inputs{
-		Strategy: m.plan.Strategy().String(),
-		Procs:    m.eng.procs,
-	}
-	if m.rec == nil {
-		return in
-	}
-	p := m.rec.Profile()
-	in.MispredictRate = p.MispredictRate
-	in.SpecChunks = p.SpecChunks
-	in.HasHotState = len(p.HotStates) > 0
-	obs := func(lane string) adaptive.LaneObs {
-		ls := p.Lanes[lane]
-		return adaptive.LaneObs{Jobs: ls.Jobs, BytesPerSec: ls.BytesPerSec}
-	}
-	in.Single = obs(LaneSingle)
-	in.Multicore = obs(LaneMulticore)
-	in.Speculative = obs(LaneSpeculative)
-	return in
-}
 
 // Job is one unit of work: run Input through Machine.
 type Job struct {
@@ -288,18 +213,16 @@ type Job struct {
 // perf profile, the exemplar and the exec span. Index is the job's
 // position in its batch (or the caller-supplied submission index), so
 // streamed results can be reordered. Lane, Strategy, and Reason record
-// the dispatch decision the job actually ran under; Multicore is kept
-// as the legacy boolean view of Lane.
+// the dispatch decision the job actually ran under.
 type Result struct {
-	Index     int       `json:"index"`
-	Machine   string    `json:"machine"`
-	Final     fsm.State `json:"final_state"`
-	Accepts   bool      `json:"accepts"`
-	Bytes     int       `json:"bytes"`
-	Multicore bool      `json:"multicore"`
-	Lane      string    `json:"lane,omitempty"`
-	Strategy  string    `json:"strategy,omitempty"`
-	Reason    string    `json:"reason,omitempty"`
+	Index    int       `json:"index"`
+	Machine  string    `json:"machine"`
+	Final    fsm.State `json:"final_state"`
+	Accepts  bool      `json:"accepts"`
+	Bytes    int       `json:"bytes"`
+	Lane     string    `json:"lane,omitempty"`
+	Strategy string    `json:"strategy,omitempty"`
+	Reason   string    `json:"reason,omitempty"`
 	// Degraded is set by the cluster lane when one or more chunks fell
 	// back to local execution (peer down, breaker open, retries
 	// exhausted). The answer is still exact; the job just did not get
@@ -308,8 +231,8 @@ type Result struct {
 	Duration time.Duration `json:"duration_ns"`
 	// QueueWait is the time a submitted job waited for a worker.
 	QueueWait time.Duration `json:"queue_wait_ns"`
-	// Stats is the run's record from core: chunks, speculative misses,
-	// spans, and the §4.2/§5.2 figures of merit.
+	// Stats is the run's record from core: chunks, spans, and the
+	// §4.2/§5.2 figures of merit.
 	Stats core.DriveStats `json:"stats"`
 	// FirstMatch is a First job's earliest accepting position, -1 when
 	// the machine never accepts on the input (zero for other jobs).
@@ -320,17 +243,16 @@ type Result struct {
 // BatchStats aggregates one batch: the per-batch telemetry the
 // metrics endpoints expose in aggregate form. Build it with Add.
 type BatchStats struct {
-	Jobs        int           `json:"jobs"`
-	OK          int           `json:"ok"`
-	Errors      int           `json:"errors"`
-	Canceled    int           `json:"canceled"`
-	SingleCore  int           `json:"single_core"`
-	Multicore   int           `json:"multicore"`
-	Speculative int           `json:"speculative"`
-	Cluster     int           `json:"cluster"`
-	Degraded    int           `json:"degraded"`
-	Bytes       int64         `json:"bytes"`
-	Duration    time.Duration `json:"duration_ns"`
+	Jobs       int           `json:"jobs"`
+	OK         int           `json:"ok"`
+	Errors     int           `json:"errors"`
+	Canceled   int           `json:"canceled"`
+	SingleCore int           `json:"single_core"`
+	Multicore  int           `json:"multicore"`
+	Cluster    int           `json:"cluster"`
+	Degraded   int           `json:"degraded"`
+	Bytes      int64         `json:"bytes"`
+	Duration   time.Duration `json:"duration_ns"`
 }
 
 // Add counts one job's Result into the batch.
@@ -348,8 +270,6 @@ func (st *BatchStats) Add(r Result) {
 	switch r.Lane {
 	case LaneMulticore:
 		st.Multicore++
-	case LaneSpeculative:
-		st.Speculative++
 	case LaneCluster:
 		st.Cluster++
 	default:
@@ -580,22 +500,7 @@ func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, opts ...cor
 			return nil, fmt.Errorf("engine: machine %q: %w", name, err)
 		}
 	}
-	m := &Machine{name: name, eng: e, dfa: d, plan: p, single: single, multi: multi, rec: rec}
-	if e.procs > 1 {
-		// The speculative lane fans out like the multicore one: its
-		// guesses feed the multicore runner's schedule as phase 1.
-		m.spec = speculative.New(d, e.procs, nil)
-		if st, ok := rec.HotState(); ok && d.ValidState(fsm.State(st)) {
-			// A persisted baseline already knows the dominant final
-			// state: seed the guess before the first job.
-			m.spec.SetGuess(fsm.State(st))
-		}
-	}
-	if rec != nil {
-		// Adaptive selection exists only when there is a profile to
-		// learn from; otherwise dispatch stays static and deterministic.
-		m.sel = adaptive.NewSelector(m.adaptiveInputs())
-	}
+	m := &Machine{name: name, dfa: d, plan: p, single: single, multi: multi, rec: rec}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, dup := e.machines[name]; dup {
@@ -973,17 +878,16 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		defer cancel()
 	}
 
-	// Lane selection. Every lane runs the machine's compiled plan; three
-	// tiers pick the lane:
+	// Lane selection, by input size alone. Every lane runs the machine's
+	// compiled plan:
 	//
 	//   1. with a coordinator attached, inputs of at least the cluster
 	//      threshold fan out over the peer set (the networked §3.4
 	//      decomposition);
-	//   2. small inputs always run single-core (fan-out overhead
-	//      dominates below the threshold);
-	//   3. large inputs take the lane the adaptive selector holds —
-	//      or, without a profile store, the historical static
-	//      heuristic (multicore whenever it exists).
+	//   2. other large inputs take the Figure 5 multicore lane, when
+	//      procs > 1;
+	//   3. small inputs run single-core (fan-out overhead dominates
+	//      below the threshold).
 	r := m.single
 	res.Lane = LaneSingle
 	res.Strategy = m.plan.Strategy().String()
@@ -994,13 +898,10 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		res.Lane = LaneCluster
 		res.Reason = fmt.Sprintf("input %d B >= cluster threshold %d B; fanning out over %d peers",
 			len(job.Input), e.ClusterMinBytes(), len(co.Peers()))
-	} else if len(job.Input) >= e.largeInput && e.procs > 1 {
-		if m.sel != nil {
-			res.Lane, res.Reason = m.sel.LaneFor()
-		} else if m.multi != nil {
-			res.Lane = LaneMulticore
-			res.Reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
-		}
+	} else if len(job.Input) >= e.largeInput && m.multi != nil {
+		r = m.multi
+		res.Lane = LaneMulticore
+		res.Reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
 	} else if m.multi == nil {
 		res.Reason = "multicore lane disabled (procs=1)"
 	}
@@ -1020,7 +921,7 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 	// locally. A transduction frees its slot as soon as the fan-out is
 	// over, before its spans go to emit.
 	gated := false
-	if res.Lane == LaneMulticore || res.Lane == LaneSpeculative || (res.Lane == LaneCluster && (emit != nil || scan != nil)) {
+	if res.Lane == LaneMulticore || (res.Lane == LaneCluster && (emit != nil || scan != nil)) {
 		gsp := sp.Child(SpanGate)
 		select {
 		case e.multiGate <- struct{}{}:
@@ -1043,14 +944,7 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 	// and strategy) and the phase-1 source.
 	var src core.Source
 	var cjob *cluster.Job
-	switch res.Lane {
-	case LaneMulticore:
-		r = m.multi
-		res.Multicore = true
-	case LaneSpeculative:
-		r = m.multi
-		src = m.spec.Source()
-	case LaneCluster:
+	if res.Lane == LaneCluster {
 		cjob = co.NewJob(m.single, len(job.Input))
 		src = cjob
 	}
@@ -1089,13 +983,11 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 }
 
 // observe folds one job's record into every view, once: the engine
-// counters and histograms, the lane and speculative counters, the
-// exemplar, the exec span's attributes, and the machine's perf profile
-// (m is nil for an unknown machine, sp for an untraced job). A large
-// job that ran also advances the machine's selection clock.
+// counters and histograms, the lane counters, the exemplar, the exec
+// span's attributes, and the machine's perf profile (m is nil for an
+// unknown machine, sp for an untraced job).
 func (e *Engine) observe(m *Machine, sp *trace.Span, res *Result, transduce bool) {
 	ds := &res.Stats
-	spec := res.Lane == LaneSpeculative && ds.Chunks > 0
 	if tm := e.tel; tm != nil {
 		tm.EngineJobs.Inc()
 		if transduce {
@@ -1114,11 +1006,6 @@ func (e *Engine) observe(m *Machine, sp *trace.Span, res *Result, transduce bool
 				tm.EngineJobExemplars.Observe(int64(res.Duration), sp.TraceID(), time.Now().UnixNano())
 			}
 		}
-		if spec {
-			tm.SpecChunks.Add(int64(ds.Chunks))
-			tm.SpecMispredicts.Add(int64(ds.Misses))
-			tm.SpecReRunBytes.Add(int64(ds.ReplayBytes))
-		}
 		switch {
 		case res.Err != nil:
 			tm.EngineJobErrors.Inc()
@@ -1127,8 +1014,6 @@ func (e *Engine) observe(m *Machine, sp *trace.Span, res *Result, transduce bool
 			}
 		case res.Lane == LaneMulticore:
 			tm.EngineMulticore.Inc()
-		case res.Lane == LaneSpeculative:
-			tm.EngineSpeculative.Inc()
 		case res.Lane == LaneCluster:
 			tm.EngineCluster.Inc()
 		default:
@@ -1151,21 +1036,12 @@ func (e *Engine) observe(m *Machine, sp *trace.Span, res *Result, transduce bool
 		if res.Degraded {
 			sp.SetAttrs(trace.Bool(cluster.AttrDegraded, true))
 		}
-		if spec && ds.Misses > 0 {
-			sp.SetAttrs(trace.Bool(AttrMispredict, true))
-		}
 	}
 	if m == nil {
 		return
 	}
 	m.rec.Observe(perfprofile.Job{
 		Lane: res.Lane, Bytes: res.Bytes, Exec: res.Duration, QueueWait: res.QueueWait,
-		Final: int(res.Final), Failed: res.Err != nil, Stats: res.Stats,
+		Failed: res.Err != nil, Stats: res.Stats,
 	})
-	// Large jobs advance the selection clock; every EvalEvery of them
-	// re-evaluates the lane choice against the profile this job is now
-	// part of.
-	if m.sel != nil && res.Err == nil && res.Bytes >= e.largeInput && m.sel.NoteJob() {
-		m.Reselect()
-	}
 }

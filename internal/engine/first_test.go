@@ -5,9 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"dpfsm/internal/adaptive"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/perfprofile"
@@ -34,10 +32,10 @@ func zerosWithOne(n, pos int) []byte {
 }
 
 // TestFirstJobEveryLane runs First jobs on every local lane — single
-// (under the Auto plan and under a Base plan), multicore, speculative —
-// with no match, a match in the first chunk and a match in the last
-// chunk, and checks the answer against core.Runner.FirstAccepting and
-// the final state against the sequential walk.
+// (under the Auto plan and under a Base plan) and multicore — with no
+// match, a match in the first chunk and a match in the last chunk, and
+// checks the answer against core.Runner.FirstAccepting and the final
+// state against the sequential walk.
 func TestFirstJobEveryLane(t *testing.T) {
 	d := stickyDFA()
 	store := perfprofile.NewStore("")
@@ -77,16 +75,6 @@ func TestFirstJobEveryLane(t *testing.T) {
 	run(LaneSingle, Job{Machine: "sticky", Input: make([]byte, 1000)})
 	run(LaneSingle, Job{Machine: "sticky-base", Input: make([]byte, 1000)})
 	run(LaneMulticore, Job{Machine: "sticky", Input: make([]byte, 64<<10)})
-
-	// Force the selector onto the speculative lane: its guesses feed
-	// phase 1, and the first-accept scan still runs as phase 3.
-	for i := 0; i < adaptive.MinSamples; i++ {
-		m.Recorder().Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
-	}
-	if sel := m.Reselect(); sel.Lane != adaptive.LaneSpeculative {
-		t.Fatalf("could not force speculative lane: %+v", sel)
-	}
-	run(LaneSpeculative, Job{Machine: "sticky", Input: make([]byte, 64<<10)})
 }
 
 // pollCtx is a cancelable context whose Err starts reporting

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
-	"dpfsm/internal/adaptive"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/perfprofile"
@@ -121,10 +119,10 @@ func TestSubmitRefusesDoneContext(t *testing.T) {
 	}
 }
 
-// TestRecordViewsAgree runs single, multicore, speculative and
-// transduce jobs and checks that the paper's figures of merit agree
-// across the views folded from the job records: the per-machine
-// profiles, the process-wide telemetry, and the Results themselves.
+// TestRecordViewsAgree runs single, multicore and transduce jobs and
+// checks that the paper's figures of merit agree across the views
+// folded from the job records: the per-machine profiles, the
+// process-wide telemetry, and the Results themselves.
 func TestRecordViewsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	met := new(telemetry.Metrics)
@@ -140,22 +138,11 @@ func TestRecordViewsAgree(t *testing.T) {
 	if _, err := e.Register("range", rangeM, core.WithStrategy(core.RangeCoalesced), core.WithMinChunk(512)); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := e.Register("spec", conv, core.WithMinChunk(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < adaptive.MinSamples; i++ {
-		spec.Recorder().Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
-	}
-	if sel := spec.Reselect(); sel.Lane != adaptive.LaneSpeculative {
-		t.Fatalf("could not force the speculative lane: %+v", sel)
-	}
 	tok := testTransducer(t, fsm.RandomPermutation(rng, 16, 4, 0.3))
 	if _, err := e.RegisterTransducer("tok", tok, core.WithMinChunk(512)); err != nil {
 		t.Fatal(err)
 	}
 
-	// The injected samples carry no core accounting; start from here.
 	before := met.Snapshot()
 	base := map[string]perfprofile.Profile{}
 	for _, p := range store.Profiles() {
@@ -180,7 +167,6 @@ func TestRecordViewsAgree(t *testing.T) {
 		for _, n := range []int{300, 40 << 10} {
 			note(e.Run(c, Job{Machine: "conv", Input: conv.RandomInput(rng, n)}))
 			note(e.Run(c, Job{Machine: "range", Input: rangeM.RandomInput(rng, n)}))
-			note(e.Run(c, Job{Machine: "spec", Input: conv.RandomInput(rng, n)}))
 			note(e.Transduce(c, Job{Machine: "tok", Input: tok.DFA().RandomInput(rng, n)}).Result)
 		}
 	}
@@ -191,7 +177,7 @@ func TestRecordViewsAgree(t *testing.T) {
 	for _, r := range results {
 		note(r)
 	}
-	for _, lane := range []string{LaneSingle, LaneMulticore, LaneSpeculative} {
+	for _, lane := range []string{LaneSingle, LaneMulticore} {
 		if lanes[lane] == 0 {
 			t.Fatalf("no job took the %s lane: %v", lane, lanes)
 		}

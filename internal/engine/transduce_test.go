@@ -123,41 +123,6 @@ func TestEngineTransduceAllLanes(t *testing.T) {
 	}
 }
 
-// TestEngineTransduceSpeculativeLane drives the speculative lane's
-// pieces directly (bypassing adaptive selection): the machine's guess
-// source as phase 1 of its multicore runner, span scan as phase 3.
-func TestEngineTransduceSpeculativeLane(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	d := fsm.RandomConverging(rng, 60, 8, 6, 0.3)
-	tr := testTransducer(t, d)
-
-	e := New(WithWorkers(4), WithProcs(4), WithLargeInput(1<<10))
-	defer e.Close()
-	m, err := e.RegisterTransducer("tok", tr, core.WithMinChunk(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.spec == nil {
-		t.Fatal("no speculative runner with procs > 1")
-	}
-	for _, n := range []int{0, 100, 8 << 10, 64 << 10} {
-		input := d.RandomInput(rng, n)
-		want, wantFinal := scalarSpans(tr, input, d.Start())
-		var spans []core.Span
-		final, _, err := m.multi.DriveSpans(context.Background(), input, d.Start(), m.spec.Source(), nil, func(batch []core.Span) error {
-			spans = append(spans, batch...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final != wantFinal || !spansEqual(spans, want) {
-			t.Fatalf("n=%d: speculative transduce diverges (final %d want %d, %d spans want %d)",
-				n, final, wantFinal, len(spans), len(want))
-		}
-	}
-}
-
 // TestEngineTransduceErrors covers the rejection paths: acceptor
 // machines, unknown machines, bad start states.
 func TestEngineTransduceErrors(t *testing.T) {

@@ -7,9 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
-	"dpfsm/internal/adaptive"
 	"dpfsm/internal/cluster"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
@@ -70,31 +68,19 @@ func checkTransduceTo(t *testing.T, e *Engine, ctx context.Context, tr *fsm.Tran
 }
 
 // TestEngineTransduceToEveryLane streams through every dispatch lane —
-// single (an engine at procs=1), multicore, speculative on a
-// machine that never converges (so guesses miss), and cluster with
-// healthy and dead peers — under a plain context (whole-input blocks)
-// and a cancelable one (64 KiB blocks).
+// single (an engine at procs=1), multicore on a machine that never
+// converges, and cluster with healthy and dead peers — under a plain
+// context (whole-input blocks) and a cancelable one (64 KiB blocks).
 func TestEngineTransduceToEveryLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	d := fsm.RandomPermutation(rng, 16, 4, 0.3)
 	tr := testTransducer(t, d)
 
-	store := perfprofile.NewStore("")
 	e := New(WithWorkers(4), WithProcs(4), WithLargeInput(4096),
-		WithTelemetry(new(telemetry.Metrics)), WithPerfProfiles(store))
+		WithTelemetry(new(telemetry.Metrics)), WithPerfProfiles(perfprofile.NewStore("")))
 	defer e.Close()
 	if _, err := e.RegisterTransducer("tok", tr, core.WithMinChunk(512)); err != nil {
 		t.Fatal(err)
-	}
-	spec, err := e.RegisterTransducer("spec", tr, core.WithMinChunk(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < adaptive.MinSamples; i++ {
-		spec.Recorder().Observe(perfprofile.Job{Lane: LaneSpeculative, Bytes: 1 << 20, Exec: time.Millisecond})
-	}
-	if sel := spec.Reselect(); sel.Lane != adaptive.LaneSpeculative {
-		t.Fatalf("could not force the speculative lane: %+v", sel)
 	}
 	single := New(WithWorkers(1), WithProcs(1))
 	defer single.Close()
@@ -108,10 +94,6 @@ func TestEngineTransduceToEveryLane(t *testing.T) {
 	for _, ctx := range []context.Context{context.Background(), cancelable} {
 		checkTransduceTo(t, single, ctx, tr, Job{Machine: "tok", Input: big}, LaneSingle)
 		checkTransduceTo(t, e, ctx, tr, Job{Machine: "tok", Input: big}, LaneMulticore)
-		checkTransduceTo(t, e, ctx, tr, Job{Machine: "spec", Input: big}, LaneSpeculative)
-	}
-	if p, _ := store.Profile("spec"); p.SpecMispredicts == 0 {
-		t.Errorf("speculative lane never missed: %+v", p)
 	}
 
 	ce, faults, hosts, _ := clusterEngine(t, 2)

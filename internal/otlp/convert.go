@@ -265,14 +265,11 @@ func metricsPayload(serviceName string, snap telemetry.Snapshot, start, now time
 		sum("dpfsm.engine.job_errors", "{job}", snap.EngineJobErrors),
 		sum("dpfsm.engine.canceled", "{job}", snap.EngineCanceled),
 		sum("dpfsm.engine.queue_rejects", "{job}", snap.EngineQueueRejects),
-		sum("dpfsm.engine.spec_chunks", "{chunk}", snap.SpecChunks),
-		sum("dpfsm.engine.spec_mispredicts", "{chunk}", snap.SpecMispredicts),
 		gaugeInt("dpfsm.engine.queue_depth", "{job}", snap.EngineQueueDepth),
 		gaugeInt("dpfsm.engine.job_latency_p50", "ns", snap.EngineJobLatencyP50),
 		gaugeInt("dpfsm.engine.job_latency_p90", "ns", snap.EngineJobLatencyP90),
 		gaugeInt("dpfsm.engine.job_latency_p99", "ns", snap.EngineJobLatencyP99),
 		gaugeDbl("dpfsm.shuffles_per_symbol", "1", snap.ShufflesPerSymbol),
-		gaugeDbl("dpfsm.engine.spec_mispredict_rate", "1", snap.SpecMispredictRate),
 	}
 	return metricsDoc{ResourceMetrics: []resourceMetrics{{
 		Resource:     resource{Attributes: []keyValue{{Key: "service.name", Value: strVal(serviceName)}}},

@@ -4,23 +4,17 @@
 // persists one versioned JSON profile per compiled plan in a profile
 // directory (fsmserve's -profile-dir).
 //
-// This is the observability seam the ROADMAP's "adaptive serving"
-// item needs: the speculative-DFA paper (arXiv 1210.5093) and the SFA
-// paper (arXiv 1405.0562) both show that the right execution lane is
-// workload-dependent, so before an adaptive engine can pick lanes from
-// observed behavior, the observations have to exist, survive restarts,
-// and be comparable over time. The aggregate telemetry
-// (internal/telemetry.Metrics) answers "how is the process doing";
-// this package answers "how does machine X behave", keyed by the
-// machine's plan fingerprint.
+// The aggregate telemetry (internal/telemetry.Metrics) answers "how is
+// the process doing"; this package answers "how does machine X
+// behave", keyed by the machine's plan fingerprint, in numbers that
+// survive restarts and stay comparable over time.
 //
 // Data flow: the engine attaches one MachineRecorder per registered
 // machine and folds every job's record into it with one Observe call:
-// the job-level facts (lane, bytes, wall time, queue wait, final state)
-// and the run's core accounting (symbols, shuffles, convergence
-// checks/wins, speculative chunks). Profile() merges them with any
-// baseline loaded from disk, so counts accumulate across process
-// restarts.
+// the job-level facts (lane, bytes, wall time, queue wait) and the
+// run's core accounting (symbols, shuffles, convergence checks/wins).
+// Profile() merges them with any baseline loaded from disk, so counts
+// accumulate across process restarts.
 //
 // Persistence: fingerprint-keyed files
 // (<fingerprint>.perf.json), tmp+rename writes so a crash never leaves
@@ -34,12 +28,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dpfsm/internal/adaptive"
 	"dpfsm/internal/core"
 	"dpfsm/internal/telemetry"
 )
@@ -56,12 +48,15 @@ const SchemaVersion = 1
 // recompiled plan back to its profile.
 const FileSuffix = ".perf.json"
 
-// hotStateCap bounds the hot-state histogram: the speculative lane's
-// predictor only ever needs the few dominant final states, and an
-// unbounded per-state map would scale with machine size. Once full,
-// unseen states stop being admitted; the dominant states were already
-// counted by then (they are what makes them dominant).
-const hotStateCap = 32
+// Lane names: the one definition of the dispatch vocabulary, and the
+// keys of Profile.Lanes. The engine re-exports them as Result.Lane's
+// values. Large inputs take the multicore lane (or the cluster lane
+// when a coordinator is attached), small inputs the single lane.
+const (
+	LaneSingle    = "single"
+	LaneMulticore = "multicore"
+	LaneCluster   = "cluster"
+)
 
 // LaneStats aggregates the jobs one dispatch lane executed.
 type LaneStats struct {
@@ -114,31 +109,17 @@ type Profile struct {
 	FactorWins  int64 `json:"factor_wins"`
 	// ShufflesPerSymbol is the live §6.1 figure of merit for this
 	// machine; ConvergenceRate is FactorWins/FactorCalls — how often
-	// the §5.2 convergence checks actually shrank the active vector,
-	// the signal the future adaptive lane picker keys on.
+	// the §5.2 convergence checks actually shrank the active vector.
 	ShufflesPerSymbol float64 `json:"shuffles_per_symbol"`
 	ConvergenceRate   float64 `json:"convergence_rate"`
 	ActiveFinalMean   float64 `json:"active_final_mean"`
-
-	// HotStates histograms the final states jobs ended in (bounded at
-	// hotStateCap entries), keyed by the state's decimal value. The
-	// speculative lane's predictor guesses the dominant entry: a machine
-	// whose jobs keep ending in the same state is exactly the machine
-	// whose chunk starts are guessable (arXiv 1210.5093 §2).
-	HotStates map[string]int64 `json:"hot_states,omitempty"`
-
-	// Speculative-lane accounting. MispredictRate is
-	// SpecMispredicts/SpecChunks — the selector's kill signal for the
-	// speculative lane.
-	SpecChunks      int64   `json:"spec_chunks"`
-	SpecMispredicts int64   `json:"spec_mispredicts"`
-	SpecReRunBytes  int64   `json:"spec_rerun_bytes"`
-	MispredictRate  float64 `json:"mispredict_rate"`
 }
 
 // MachineRecorder accumulates one machine's observations. The engine
-// calls Observe once per job. All methods are safe for concurrent use
-// and nil-safe no-ops, mirroring internal/telemetry.
+// calls Observe once per job; it only adds to atomic counters and the
+// latency window, and allocates nothing once the window exists. All
+// methods are safe for concurrent use and nil-safe no-ops, mirroring
+// internal/telemetry.
 type MachineRecorder struct {
 	machine     string
 	fingerprint string
@@ -159,36 +140,22 @@ type MachineRecorder struct {
 	factorCalls, factorWins atomic.Int64
 	// activeFinalSum/activeFinalChunks give ActiveFinalMean.
 	activeFinalSum, activeFinalChunks atomic.Int64
-
-	specChunks      atomic.Int64
-	specMispredicts atomic.Int64
-	specReRunBytes  atomic.Int64
-
-	hotMu     sync.Mutex
-	hotStates map[int]int64
 }
 
-const (
-	laneIdxSingle = iota
-	laneIdxMulticore
-	laneIdxSpeculative
-	laneIdxCluster
-	laneCount
-)
+// lanes names the counter slots, in slot order.
+var lanes = [...]string{LaneSingle, LaneMulticore, LaneCluster}
+
+const laneCount = len(lanes)
 
 // laneIdx maps an engine lane name to its counter slot; unknown names
 // fall back to the single-core slot rather than dropping the sample.
 func laneIdx(lane string) int {
-	switch lane {
-	case adaptive.LaneMulticore:
-		return laneIdxMulticore
-	case adaptive.LaneSpeculative:
-		return laneIdxSpeculative
-	case adaptive.LaneCluster:
-		return laneIdxCluster
-	default:
-		return laneIdxSingle
+	for i, name := range lanes {
+		if name == lane {
+			return i
+		}
 	}
+	return 0
 }
 
 // Job is one engine job as the profile folds it: the parts of the
@@ -199,9 +166,6 @@ type Job struct {
 	Exec      time.Duration
 	QueueWait time.Duration
 	Failed    bool
-	// Final is the state the run ended in, feeding the hot-state
-	// histogram the speculative predictor guesses from.
-	Final int
 	// Stats is the run's core accounting, folded even for a failed job
 	// (it covers what ran before the failure, as the telemetry sink's
 	// counters do).
@@ -220,11 +184,6 @@ func (r *MachineRecorder) Observe(j Job) {
 	r.factorWins.Add(ds.FactorWins)
 	r.activeFinalSum.Add(ds.ActiveFinalSum)
 	r.activeFinalChunks.Add(int64(ds.ActiveFinalChunks))
-	if j.Lane == adaptive.LaneSpeculative {
-		r.specChunks.Add(int64(ds.Chunks))
-		r.specMispredicts.Add(int64(ds.Misses))
-		r.specReRunBytes.Add(int64(ds.ReplayBytes))
-	}
 	r.jobs.Add(1)
 	if j.Failed {
 		r.errors.Add(1)
@@ -238,49 +197,6 @@ func (r *MachineRecorder) Observe(j Job) {
 	if j.Exec > 0 {
 		r.latency.Observe(int64(j.Exec))
 	}
-	r.hotMu.Lock()
-	if r.hotStates == nil {
-		r.hotStates = make(map[int]int64, 8)
-	}
-	if _, ok := r.hotStates[j.Final]; ok || len(r.hotStates) < hotStateCap {
-		r.hotStates[j.Final]++
-	}
-	r.hotMu.Unlock()
-}
-
-// HotState reports the machine's dominant observed final state —
-// baseline plus live — and whether any final state has been observed
-// at all. Ties break toward the smaller state number so the answer is
-// deterministic.
-func (r *MachineRecorder) HotState() (int, bool) {
-	if r == nil {
-		return 0, false
-	}
-	merged := r.mergedHotStates()
-	best, bestCount, found := 0, int64(0), false
-	for st, n := range merged {
-		if n > bestCount || (n == bestCount && found && st < best) {
-			best, bestCount, found = st, n, true
-		}
-	}
-	return best, found
-}
-
-// mergedHotStates merges the persisted baseline histogram with the
-// live one, returning a fresh map keyed by state number.
-func (r *MachineRecorder) mergedHotStates() map[int]int64 {
-	merged := make(map[int]int64, hotStateCap)
-	for key, n := range r.base.HotStates {
-		if st, err := strconv.Atoi(key); err == nil {
-			merged[st] += n
-		}
-	}
-	r.hotMu.Lock()
-	for st, n := range r.hotStates {
-		merged[st] += n
-	}
-	r.hotMu.Unlock()
-	return merged
 }
 
 // bytesPerSec converts (bytes, ns) to a rate, 0 when unmeasured.
@@ -313,9 +229,6 @@ func (r *MachineRecorder) Profile() Profile {
 		FactorCalls: r.base.FactorCalls + r.factorCalls.Load(),
 		FactorWins:  r.base.FactorWins + r.factorWins.Load(),
 
-		SpecChunks:      r.base.SpecChunks + r.specChunks.Load(),
-		SpecMispredicts: r.base.SpecMispredicts + r.specMispredicts.Load(),
-		SpecReRunBytes:  r.base.SpecReRunBytes + r.specReRunBytes.Load(),
 		// ActiveFinalMean is a mean, not a counter: the live value wins
 		// once this process has run anything, else the persisted one.
 		ActiveFinalMean: r.base.ActiveFinalMean,
@@ -324,7 +237,7 @@ func (r *MachineRecorder) Profile() Profile {
 		p.ActiveFinalMean = float64(r.activeFinalSum.Load()) / float64(n)
 	}
 	p.Lanes = make(map[string]LaneStats, laneCount)
-	for i, name := range [laneCount]string{adaptive.LaneSingle, adaptive.LaneMulticore, adaptive.LaneSpeculative, adaptive.LaneCluster} {
+	for i, name := range lanes {
 		ls := LaneStats{
 			Jobs:   r.laneJobs[i].Load(),
 			Bytes:  r.laneBytes[i].Load(),
@@ -352,15 +265,6 @@ func (r *MachineRecorder) Profile() Profile {
 	}
 	if p.FactorCalls > 0 {
 		p.ConvergenceRate = float64(p.FactorWins) / float64(p.FactorCalls)
-	}
-	if p.SpecChunks > 0 {
-		p.MispredictRate = float64(p.SpecMispredicts) / float64(p.SpecChunks)
-	}
-	if merged := r.mergedHotStates(); len(merged) > 0 {
-		p.HotStates = make(map[string]int64, len(merged))
-		for st, n := range merged {
-			p.HotStates[strconv.Itoa(st)] = n
-		}
 	}
 	if lat := r.latency.Quantiles(0.5, 0.9, 0.99); r.latency.Count() > 0 {
 		p.LatencyP50Ns, p.LatencyP90Ns, p.LatencyP99Ns = lat[0], lat[1], lat[2]

@@ -3,10 +3,10 @@ package perfprofile
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
-	"dpfsm/internal/adaptive"
 	"dpfsm/internal/core"
 )
 
@@ -15,12 +15,12 @@ import (
 // two carrying the runs' core accounting), and one failed job.
 func observe(r *MachineRecorder) {
 	for i := 0; i < 3; i++ {
-		r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 100, Exec: time.Millisecond, QueueWait: 100 * time.Microsecond,
+		r.Observe(Job{Lane: LaneSingle, Bytes: 100, Exec: time.Millisecond, QueueWait: 100 * time.Microsecond,
 			Stats: core.DriveStats{Symbols: 100, Shuffles: 200}})
 	}
-	r.Observe(Job{Lane: adaptive.LaneMulticore, Bytes: 1000, Exec: 2 * time.Millisecond,
+	r.Observe(Job{Lane: LaneMulticore, Bytes: 1000, Exec: 2 * time.Millisecond,
 		Stats: core.DriveStats{Symbols: 1000, Shuffles: 2000, FactorCalls: 10, FactorWins: 9}})
-	r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 50, Failed: true})
+	r.Observe(Job{Lane: LaneSingle, Bytes: 50, Failed: true})
 }
 
 // install registers a recorder the way the engine does: NewRecorder,
@@ -46,7 +46,7 @@ func TestProfileAggregation(t *testing.T) {
 	if p.Bytes != 1300 {
 		t.Fatalf("bytes = %d, want 1300", p.Bytes)
 	}
-	single, multi := p.Lanes[adaptive.LaneSingle], p.Lanes[adaptive.LaneMulticore]
+	single, multi := p.Lanes[LaneSingle], p.Lanes[LaneMulticore]
 	if single.Jobs != 3 || single.Bytes != 300 {
 		t.Fatalf("single lane = %+v", single)
 	}
@@ -157,70 +157,14 @@ func TestProfilesSortedAndInstallSemantics(t *testing.T) {
 	}
 }
 
-func TestSpeculationAndHotStates(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStore(dir)
-	r := install(s, "m", "fpS", "auto")
-	r.Observe(Job{Lane: adaptive.LaneSpeculative, Bytes: 4096, Exec: time.Millisecond, Final: 3,
-		Stats: core.DriveStats{Chunks: 8, Misses: 2, ReplayBytes: 1024}})
-	for i := 0; i < 4; i++ {
-		r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 1, Final: 3})
-	}
-	r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 1, Final: 1})
-	// A failed job's final state is not an observation.
-	r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 1, Final: 1, Failed: true})
-
-	p := r.Profile()
-	spec := p.Lanes[adaptive.LaneSpeculative]
-	if spec.Jobs != 1 || spec.Bytes != 4096 {
-		t.Fatalf("speculative lane = %+v", spec)
-	}
-	if p.SpecChunks != 8 || p.SpecMispredicts != 2 || p.SpecReRunBytes != 1024 {
-		t.Fatalf("spec counters = %d/%d/%d", p.SpecChunks, p.SpecMispredicts, p.SpecReRunBytes)
-	}
-	if p.MispredictRate != 0.25 {
-		t.Fatalf("mispredict rate = %g, want 0.25", p.MispredictRate)
-	}
-	if p.HotStates["3"] != 5 || p.HotStates["1"] != 1 {
-		t.Fatalf("hot states = %v", p.HotStates)
-	}
-	if st, ok := r.HotState(); !ok || st != 3 {
-		t.Fatalf("HotState = %d/%v, want 3/true", st, ok)
-	}
-
-	// The whole speculative surface survives persist + reload and keeps
-	// accumulating on top of the baseline.
-	if err := s.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStore(dir)
-	r2 := install(s2, "m", "fpS", "auto")
-	if st, ok := r2.HotState(); !ok || st != 3 {
-		t.Fatalf("reloaded HotState = %d/%v, want 3/true", st, ok)
-	}
-	r2.Observe(Job{Lane: adaptive.LaneSpeculative, Failed: true, Stats: core.DriveStats{Chunks: 2, Misses: 2}})
-	p2 := r2.Profile()
-	if p2.SpecChunks != 10 || p2.SpecMispredicts != 4 {
-		t.Fatalf("reloaded spec counters = %d/%d, want 10/4", p2.SpecChunks, p2.SpecMispredicts)
-	}
-	if p2.MispredictRate != 0.4 {
-		t.Fatalf("reloaded mispredict rate = %g, want 0.4", p2.MispredictRate)
-	}
-}
-
-func TestHotStateHistogramBounded(t *testing.T) {
-	r := install(NewStore(""), "m", "fpB", "auto")
-	for st := 0; st < 4*hotStateCap; st++ {
-		r.Observe(Job{Final: st})
-	}
-	// Admitted states keep counting even once the map is full.
-	r.Observe(Job{Final: 0})
-	p := r.Profile()
-	if len(p.HotStates) != hotStateCap {
-		t.Fatalf("hot-state histogram has %d entries, want cap %d", len(p.HotStates), hotStateCap)
-	}
-	if st, ok := r.HotState(); !ok || st != 0 {
-		t.Fatalf("HotState = %d/%v, want 0/true", st, ok)
+// TestObserveAllocs pins the per-job cost of the profile: Observe only
+// adds to counters and the latency window.
+func TestObserveAllocs(t *testing.T) {
+	r := install(NewStore(""), "m", "fpA", "auto")
+	job := Job{Lane: LaneMulticore, Bytes: 1 << 20, Exec: time.Millisecond, QueueWait: time.Microsecond,
+		Stats: core.DriveStats{Symbols: 1 << 20, Shuffles: 1 << 20, FactorCalls: 4, FactorWins: 3}}
+	if n := testing.AllocsPerRun(100, func() { r.Observe(job) }); n != 0 {
+		t.Fatalf("Observe allocates %v times per job, want 0", n)
 	}
 }
 
@@ -231,10 +175,7 @@ func TestNilSafety(t *testing.T) {
 	if r != nil {
 		t.Fatal("nil store returned non-nil recorder")
 	}
-	r.Observe(Job{Lane: adaptive.LaneSpeculative, Bytes: 1, Exec: time.Millisecond, Final: 3}) // must not panic
-	if _, ok := r.HotState(); ok {
-		t.Fatal("nil recorder reported a hot state")
-	}
+	r.Observe(Job{Lane: LaneMulticore, Bytes: 1, Exec: time.Millisecond}) // must not panic
 	_ = r.Profile()
 	s.Detach("m")
 	s.Install(nil)
@@ -246,8 +187,9 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// legacyProfile is a schema-1 profile file as the previous recorder
-// (the one with a per-machine telemetry sink) wrote it.
+// legacyProfile is a schema-1 profile file as earlier recorders wrote
+// it: it still carries the speculative lane's slot and counters and the
+// hot-state histogram its start-state guess was drawn from.
 const legacyProfile = `{
   "schema": 1,
   "fingerprint": "fpLegacy",
@@ -285,9 +227,9 @@ const legacyProfile = `{
 `
 
 // TestLegacyProfileSeedsRecorder pins persistence compatibility: a
-// profile file written before the recorder folded job records (same
-// schema, same field names) still seeds a recorder's baseline, and
-// live observations add on top of it.
+// profile file written by an earlier recorder (same schema, same field
+// names) still seeds a recorder's baseline, and live observations add
+// on top of it.
 func TestLegacyProfileSeedsRecorder(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "fpLegacy"+FileSuffix), []byte(legacyProfile), 0o644); err != nil {
@@ -296,19 +238,55 @@ func TestLegacyProfileSeedsRecorder(t *testing.T) {
 	r := install(NewStore(dir), "m", "fpLegacy", "convergence")
 	p := r.Profile()
 	if p.Jobs != 6 || p.Errors != 1 || p.Symbols != 1300 || p.Shuffles != 2600 ||
-		p.FactorCalls != 10 || p.FactorWins != 9 || p.SpecChunks != 8 || p.ActiveFinalMean != 4 {
+		p.FactorCalls != 10 || p.FactorWins != 9 || p.ActiveFinalMean != 4 {
 		t.Fatalf("baseline not seeded: %+v", p)
 	}
-	if st, ok := r.HotState(); !ok || st != 3 {
-		t.Fatalf("HotState = %d/%v, want 3/true", st, ok)
-	}
-	r.Observe(Job{Lane: adaptive.LaneSingle, Bytes: 100, Exec: time.Millisecond,
+	r.Observe(Job{Lane: LaneSingle, Bytes: 100, Exec: time.Millisecond,
 		Stats: core.DriveStats{Symbols: 100, Shuffles: 100, ActiveFinalSum: 2, ActiveFinalChunks: 1}})
 	p = r.Profile()
-	if p.Jobs != 7 || p.Symbols != 1400 || p.Shuffles != 2700 || p.Lanes[adaptive.LaneSingle].Jobs != 4 {
+	if p.Jobs != 7 || p.Symbols != 1400 || p.Shuffles != 2700 || p.Lanes[LaneSingle].Jobs != 4 {
 		t.Fatalf("live job not folded onto the baseline: %+v", p)
 	}
 	if p.ActiveFinalMean != 2 {
 		t.Fatalf("active final mean = %g, want the live 2", p.ActiveFinalMean)
+	}
+}
+
+// TestLegacySpeculativeFieldsDropped loads the same earlier file: its
+// speculative lane slot, spec_* counters, mispredict rate and hot-state
+// histogram are not errors, are not reported, and do not survive a
+// save; the lanes that still exist merge as before.
+func TestLegacySpeculativeFieldsDropped(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fpLegacy"+FileSuffix), []byte(legacyProfile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(dir)
+	r := install(s, "m", "fpLegacy", "convergence")
+	r.Observe(Job{Lane: LaneMulticore, Bytes: 1000, Exec: 2 * time.Millisecond})
+	p := r.Profile()
+	if _, ok := p.Lanes["speculative"]; ok {
+		t.Fatalf("speculative lane reported from the baseline: %+v", p.Lanes)
+	}
+	if multi := p.Lanes[LaneMulticore]; multi.Jobs != 2 || multi.Bytes != 2000 || multi.ExecNs != 4_000_000 {
+		t.Fatalf("multicore lane = %+v, want the baseline's job plus the live one", multi)
+	}
+	if single := p.Lanes[LaneSingle]; single.Jobs != 3 || single.Bytes != 300 {
+		t.Fatalf("single lane = %+v, want the baseline's", single)
+	}
+	if p.Bytes != 2300 || p.Jobs != 7 {
+		t.Fatalf("bytes/jobs = %d/%d, want the surviving lanes' 2300/7", p.Bytes, p.Jobs)
+	}
+	if err := s.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "fpLegacy"+FileSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"speculative"`, `"hot_states"`, `"spec_`, `"mispredict_rate"`} {
+		if strings.Contains(string(data), key) {
+			t.Errorf("saved profile still carries %s:\n%s", key, data)
+		}
 	}
 }

@@ -54,11 +54,8 @@ type RunResult struct {
 	// the request asked for it (?first=1); -1 means no match.
 	FirstMatch *int `json:"first_match,omitempty"`
 	// Lane is the engine lane the job ran on: "single", "multicore",
-	// "speculative", or "cluster". Multicore is the legacy boolean view
-	// of the same fact (true only for the multicore lane) and is kept
-	// for wire compatibility.
-	Lane      string `json:"lane,omitempty"`
-	Multicore bool   `json:"multicore"`
+	// or "cluster".
+	Lane string `json:"lane,omitempty"`
 	// Degraded is true when a cluster-lane run re-executed one or more
 	// chunks locally (peer down, breaker open, retries exhausted). The
 	// answer is still exact — degradation costs parallelism, never
@@ -66,8 +63,8 @@ type RunResult struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Strategy is the strategy that actually executed — the resolved
 	// one, never "auto". SelectionReason is the dispatch policy's
-	// stated reason for the lane choice (adaptive selection or static
-	// heuristic).
+	// stated reason for the lane choice (the input's size against the
+	// large-input and cluster thresholds).
 	Strategy        string  `json:"strategy,omitempty"`
 	SelectionReason string  `json:"selection_reason,omitempty"`
 	DurationNs      int64   `json:"duration_ns"`
@@ -85,8 +82,8 @@ type RunResult struct {
 // convergence profile. Its numbers are the exact values the hot loops
 // flushed into the aggregate telemetry for this run — not estimates.
 type Explain struct {
-	// Lane is "single", "multicore", or "speculative"; LaneReason is
-	// the dispatch policy's stated reason.
+	// Lane is "single", "multicore", or "cluster"; LaneReason is the
+	// dispatch policy's stated reason.
 	Lane       string `json:"lane"`
 	LaneReason string `json:"lane_reason,omitempty"`
 	Strategy   string `json:"strategy,omitempty"`
@@ -207,11 +204,9 @@ type BatchResult struct {
 	Final   fsm.State `json:"final_state"`
 	Accepts bool      `json:"accepts"`
 	Bytes   int       `json:"bytes"`
-	// Lane is the engine lane ("single", "multicore", "speculative");
-	// Multicore is its legacy boolean view. Strategy is the resolved
-	// strategy that executed.
-	Lane      string `json:"lane,omitempty"`
-	Multicore bool   `json:"multicore"`
+	// Lane is the engine lane ("single", "multicore", "cluster").
+	// Strategy is the resolved strategy that executed.
+	Lane string `json:"lane,omitempty"`
 	// Degraded marks cluster-lane jobs that fell back to local
 	// execution for some chunks; the answer is still exact.
 	Degraded   bool   `json:"degraded,omitempty"`
@@ -229,15 +224,12 @@ type BatchSummary struct {
 	Canceled   int `json:"canceled"`
 	SingleCore int `json:"single_core"`
 	Multicore  int `json:"multicore"`
-	// Speculative counts jobs the adaptive selector routed to the
-	// speculative lane; Cluster counts jobs fanned out over the peer
-	// set, Degraded those among them that partially fell back to local
-	// execution.
-	Speculative int   `json:"speculative,omitempty"`
-	Cluster     int   `json:"cluster,omitempty"`
-	Degraded    int   `json:"degraded,omitempty"`
-	Bytes       int64 `json:"bytes"`
-	DurationNs  int64 `json:"duration_ns"`
+	// Cluster counts jobs fanned out over the peer set, Degraded those
+	// among them that partially fell back to local execution.
+	Cluster    int   `json:"cluster,omitempty"`
+	Degraded   int   `json:"degraded,omitempty"`
+	Bytes      int64 `json:"bytes"`
+	DurationNs int64 `json:"duration_ns"`
 }
 
 // BatchTrailer is the last line of a /v1/batch response. Its Summary
@@ -290,9 +282,8 @@ type TransduceSummary struct {
 	Final       fsm.State `json:"final_state"`
 	Accepts     bool      `json:"accepts"`
 	// Lane/Strategy/SelectionReason record the dispatch decision, as on
-	// /v1/run; Multicore is the legacy boolean view of Lane.
+	// /v1/run.
 	Lane            string `json:"lane,omitempty"`
-	Multicore       bool   `json:"multicore"`
 	Strategy        string `json:"strategy,omitempty"`
 	SelectionReason string `json:"selection_reason,omitempty"`
 	// Degraded is set when the cluster lane fell back to local
@@ -356,12 +347,6 @@ type Status struct {
 	Machines int                   `json:"machines"`
 	Profiles []perfprofile.Profile `json:"profiles"`
 
-	// Selections is the adaptive dispatcher's current per-machine
-	// lane/strategy choice with its stated reason, sorted by machine
-	// name — the live answer to "why is this machine running the way
-	// it is".
-	Selections []MachineSelection `json:"selections,omitempty"`
-
 	// Runtime is the Go runtime's own health (GC pauses, heap,
 	// goroutines, scheduler latency).
 	Runtime telemetry.RuntimeSnapshot `json:"runtime"`
@@ -416,32 +401,13 @@ type Readiness struct {
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// MachineSelection is one machine's current adaptive-dispatch choice:
-// which lane large inputs take, under which strategy, and why — plus
-// the machine's kind, so the /v1/status registry view tells acceptors
-// from transducers truthfully.
-type MachineSelection struct {
-	Machine  string `json:"machine"`
-	Lane     string `json:"lane"`
-	Strategy string `json:"strategy,omitempty"`
-	Reason   string `json:"reason,omitempty"`
-	// Kind is "acceptor", "moore", or "mealy"; OutputTableBytes is the
-	// λ table's footprint (0 for acceptors).
-	Kind             string `json:"kind,omitempty"`
-	OutputTableBytes int    `json:"output_table_bytes,omitempty"`
-}
-
 // MachineProfile is the response body of GET /v1/machines/{name}/profile:
-// the machine's static identity joined with its observed performance
-// and the adaptive selector's current decision — everything the
-// selection loop sees, for one machine.
+// the machine's static identity joined with its observed performance.
 type MachineProfile struct {
 	Machine MachineInfo `json:"machine"`
 	// Profile is the accumulated per-lane performance history; absent
 	// when the machine has never executed a job.
 	Profile *perfprofile.Profile `json:"profile,omitempty"`
-	// Selection is the current dispatch decision for large inputs.
-	Selection MachineSelection `json:"selection"`
 }
 
 // Error is the JSON error body non-2xx responses carry. Code is one

@@ -98,18 +98,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	pc("engine_batches_total", "batch-engine batch submissions", m.EngineBatches.Load())
 	pc("engine_single_core_total", "jobs dispatched to the single-core lane", m.EngineSingleCore.Load())
 	pc("engine_multicore_total", "jobs dispatched to the multicore lane", m.EngineMulticore.Load())
-	pc("engine_speculative_total", "jobs dispatched to the speculative lane", m.EngineSpeculative.Load())
 	pc("engine_transduce_total", "output-bearing (transduce) jobs executed", m.EngineTransduce.Load())
 	pc("transduce_spans_total", "spans emitted by transduce jobs", m.TransduceSpans.Load())
 	pc("transduce_output_bytes_total", "input bytes covered by emitted spans", m.TransduceOutputBytes.Load())
-	pc("spec_chunks_total", "chunks executed from a guessed start state", m.SpecChunks.Load())
-	pc("spec_mispredicts_total", "speculative chunks whose guess was wrong", m.SpecMispredicts.Load())
-	pc("spec_rerun_bytes_total", "bytes re-run scalar after a mispredict", m.SpecReRunBytes.Load())
-	if chunks := m.SpecChunks.Load(); chunks > 0 {
-		fmt.Fprintf(w, "# HELP %sspec_mispredict_rate live speculative mispredict fraction\n# TYPE %sspec_mispredict_rate gauge\n%sspec_mispredict_rate %g\n",
-			promPrefix, promPrefix, promPrefix,
-			float64(m.SpecMispredicts.Load())/float64(chunks))
-	}
 	pg("engine_queue_depth", "current bounded-queue occupancy", m.EngineQueueDepth.Load())
 	pg("engine_queue_high_water", "deepest bounded-queue backlog observed", m.EngineQueueHighWater.Load())
 	pc("engine_queue_rejects_total", "TrySubmit jobs refused because the queue was full", m.EngineQueueRejects.Load())

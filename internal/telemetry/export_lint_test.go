@@ -58,13 +58,9 @@ func fullMetrics() *Metrics {
 	m.EngineBatches.Inc()
 	m.EngineSingleCore.Add(3)
 	m.EngineMulticore.Add(2)
-	m.EngineSpeculative.Add(1)
 	m.EngineTransduce.Add(2)
 	m.TransduceSpans.Add(40)
 	m.TransduceOutputBytes.Add(2048)
-	m.SpecChunks.Add(8)
-	m.SpecMispredicts.Add(2)
-	m.SpecReRunBytes.Add(4096)
 	m.EngineQueueDepth.Set(4)
 	m.EngineQueueHighWater.Observe(9)
 	m.EngineJobBytes.Observe(256)

@@ -63,12 +63,9 @@ type Metrics struct {
 	// Dispatch-policy split: EngineSingleCore counts jobs routed to a
 	// pool worker running the single-core strategy (batch-level
 	// parallelism); EngineMulticore counts jobs large enough for the
-	// Figure 5 phase1/phase2 split (input-level parallelism);
-	// EngineSpeculative counts jobs the adaptive selector routed to the
-	// speculative chunk-guessing lane (§7 / arXiv 1210.5093).
-	EngineSingleCore  Counter
-	EngineMulticore   Counter
-	EngineSpeculative Counter
+	// Figure 5 phase1/phase2 split (input-level parallelism).
+	EngineSingleCore Counter
+	EngineMulticore  Counter
 	// Transduction series: EngineTransduce counts output-bearing jobs
 	// (Transduce calls), TransduceSpans the spans they emitted, and
 	// TransduceOutputBytes the input bytes those spans cover — the
@@ -76,13 +73,6 @@ type Metrics struct {
 	EngineTransduce      Counter
 	TransduceSpans       Counter
 	TransduceOutputBytes Counter
-	// Speculative-lane efficacy: chunks executed from a guessed start
-	// state, guesses that turned out wrong, and bytes re-run scalar
-	// after a mispredict. Mispredicts/SpecChunks is the live mispredict
-	// rate the adaptive selector feeds back on.
-	SpecChunks      Counter
-	SpecMispredicts Counter
-	SpecReRunBytes  Counter
 	// EngineQueueDepth is the current bounded-queue occupancy;
 	// EngineQueueHighWater is the deepest backlog ever observed. Depth
 	// is the live backpressure signal (how close to shedding right
@@ -177,27 +167,20 @@ type Snapshot struct {
 	Phase3        PhaseSnapshot `json:"phase3"`
 	Phase3Skips   int64         `json:"phase3_skips"`
 
-	EngineJobs        int64 `json:"engine_jobs"`
-	EngineJobErrors   int64 `json:"engine_job_errors"`
-	EngineCanceled    int64 `json:"engine_canceled"`
-	EngineBatches     int64 `json:"engine_batches"`
-	EngineSingleCore  int64 `json:"engine_single_core"`
-	EngineMulticore   int64 `json:"engine_multicore"`
-	EngineSpeculative int64 `json:"engine_speculative"`
-	EngineTransduce   int64 `json:"engine_transduce"`
-	TransduceSpans    int64 `json:"transduce_spans"`
+	EngineJobs       int64 `json:"engine_jobs"`
+	EngineJobErrors  int64 `json:"engine_job_errors"`
+	EngineCanceled   int64 `json:"engine_canceled"`
+	EngineBatches    int64 `json:"engine_batches"`
+	EngineSingleCore int64 `json:"engine_single_core"`
+	EngineMulticore  int64 `json:"engine_multicore"`
+	EngineTransduce  int64 `json:"engine_transduce"`
+	TransduceSpans   int64 `json:"transduce_spans"`
 	// TransduceOutputBytes is the input bytes covered by emitted spans.
 	TransduceOutputBytes int64 `json:"transduce_output_bytes"`
-	SpecChunks           int64 `json:"spec_chunks"`
-	SpecMispredicts      int64 `json:"spec_mispredicts"`
-	SpecReRunBytes       int64 `json:"spec_rerun_bytes"`
-	// SpecMispredictRate is SpecMispredicts/SpecChunks; 0 before any
-	// speculative chunk ran.
-	SpecMispredictRate   float64 `json:"spec_mispredict_rate"`
-	EngineQueueDepth     int64   `json:"engine_queue_depth"`
-	EngineQueueHighWater int64   `json:"engine_queue_high_water"`
-	EngineQueueRejects   int64   `json:"engine_queue_rejects"`
-	EngineJobBytesP50    int64   `json:"engine_job_bytes_p50"`
+	EngineQueueDepth     int64 `json:"engine_queue_depth"`
+	EngineQueueHighWater int64 `json:"engine_queue_high_water"`
+	EngineQueueRejects   int64 `json:"engine_queue_rejects"`
+	EngineJobBytesP50    int64 `json:"engine_job_bytes_p50"`
 
 	EngineJobTime PhaseSnapshot `json:"engine_job_time"`
 	// Sliding-window job latency (exact order statistics over the most
@@ -253,13 +236,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		EngineBatches:        m.EngineBatches.Load(),
 		EngineSingleCore:     m.EngineSingleCore.Load(),
 		EngineMulticore:      m.EngineMulticore.Load(),
-		EngineSpeculative:    m.EngineSpeculative.Load(),
 		EngineTransduce:      m.EngineTransduce.Load(),
 		TransduceSpans:       m.TransduceSpans.Load(),
 		TransduceOutputBytes: m.TransduceOutputBytes.Load(),
-		SpecChunks:           m.SpecChunks.Load(),
-		SpecMispredicts:      m.SpecMispredicts.Load(),
-		SpecReRunBytes:       m.SpecReRunBytes.Load(),
 		EngineQueueDepth:     m.EngineQueueDepth.Load(),
 		EngineQueueHighWater: m.EngineQueueHighWater.Load(),
 		EngineQueueRejects:   m.EngineQueueRejects.Load(),
@@ -282,9 +261,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.EngineJobLatencyP50, s.EngineJobLatencyP90, s.EngineJobLatencyP99 = lat[0], lat[1], lat[2]
 	if s.Symbols > 0 {
 		s.ShufflesPerSymbol = float64(s.Shuffles) / float64(s.Symbols)
-	}
-	if s.SpecChunks > 0 {
-		s.SpecMispredictRate = float64(s.SpecMispredicts) / float64(s.SpecChunks)
 	}
 	return s
 }
