@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"sort"
 	"time"
 
+	"dpfsm/internal/cluster"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/gather"
@@ -15,12 +17,14 @@ import (
 )
 
 // The lane ablation is the measurement behind serving without a
-// speculative lane: on the bulk machines a served large request runs
-// (two range-coalesced and two convergence rules per rule set), at
-// procs 2, it times the Figure 5 schedule with enumerative phase 1
-// (the engine's multicore lane) against the same schedule fed by Ko et
-// al.'s guess-and-verify source (internal/speculative), on the same
-// compiled plan and the same 4 MiB body.
+// speculative or a cluster lane: on the bulk machines a served large
+// request runs (two range-coalesced and two convergence rules per rule
+// set), at procs 2, it times the Figure 5 schedule with enumerative
+// phase 1 (the engine's multicore lane) against the same schedule fed
+// by Ko et al.'s guess-and-verify source (internal/speculative) and by
+// a cluster coordinator over two in-process HTTP peers
+// (internal/cluster, default chunking), on the same compiled plan and
+// the same 4 MiB body.
 
 // ablationSeeds are the rule-set seeds the table covers, the
 // benchmark's held-out seed included.
@@ -82,13 +86,25 @@ func ablationMachines(seed int64) ([]bulkRule, error) {
 
 // laneAblation prints the table: per machine, the MB/s of each phase-1
 // source's fastest of ablationReps interleaved runs (host noise only
-// ever adds time), their ratio, and how many of the speculative run's
-// chunks mispredicted.
+// ever adds time), their ratios to multicore, and how many of the
+// speculative run's chunks mispredicted. The cluster runs must not
+// degrade: a chunk re-executed on the coordinator would time the
+// fallback, not the peers.
 func laneAblation() {
-	fmt.Printf("\nlane ablation at procs=%d: multicore (enumerative phase 1) vs speculative source, same plan, %d MiB HTTP body, best of %d\n",
-		ablationProcs, ablationBody>>20, ablationReps)
-	fmt.Printf("%-6s %-9s %-12s %6s %12s %12s %8s %8s\n",
-		"seed", "rule", "strategy", "states", "multi MB/s", "spec MB/s", "spec/mc", "misses")
+	var peers []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(cluster.NewPeer().Handler())
+		defer srv.Close()
+		peers = append(peers, srv.URL)
+	}
+	co, err := cluster.NewCoordinator(cluster.Config{Peers: peers})
+	if err != nil {
+		panic(fmt.Sprintf("lane ablation: %v", err))
+	}
+	fmt.Printf("\nlane ablation at procs=%d: multicore (enumerative phase 1) vs speculative source vs cluster coordinator (%d in-process HTTP peers, %d MiB chunks), same plan, %d MiB HTTP body, best of %d\n",
+		ablationProcs, len(peers), co.ChunkBytes()>>20, ablationBody>>20, ablationReps)
+	fmt.Printf("%-6s %-9s %-12s %6s %12s %12s %8s %8s %13s %7s\n",
+		"seed", "rule", "strategy", "states", "multi MB/s", "spec MB/s", "spec/mc", "misses", "cluster MB/s", "cl/mc")
 	ctx := context.Background()
 	for _, seed := range ablationSeeds {
 		machines, err := ablationMachines(seed)
@@ -103,9 +119,17 @@ func laneAblation() {
 				fmt.Printf("%-6d %-9s %v\n", seed, m.name, err)
 				continue
 			}
+			// The coordinator walks the peers' vectors (and re-executes any
+			// fallback chunk) on a single-core runner of the same plan; its
+			// fan-out is the peers.
+			single, err := core.NewFromPlan(r.PlanRef(), core.WithProcs(1))
+			if err != nil {
+				fmt.Printf("%-6d %-9s %v\n", seed, m.name, err)
+				continue
+			}
 			spec := speculative.New(m.dfa, ablationProcs, body[:ablationWarm])
 			want := m.dfa.Run(body, m.dfa.Start())
-			var multi, guess time.Duration
+			var multi, guess, remote time.Duration
 			var stats core.DriveStats
 			for rep := 0; rep <= ablationReps; rep++ {
 				t0 := time.Now()
@@ -120,7 +144,13 @@ func laneAblation() {
 				if err != nil || got != want {
 					panic(fmt.Sprintf("lane ablation: speculative %s: %d want %d (%v)", m.name, got, want, err))
 				}
-				if rep == 0 { // the first pair warms caches and pools
+				t0 = time.Now()
+				got, cs, err := co.Exec(ctx, single, body, m.dfa.Start())
+				dc := time.Since(t0)
+				if err != nil || got != want || cs.Degraded {
+					panic(fmt.Sprintf("lane ablation: cluster %s: %d want %d, degraded %v (%v)", m.name, got, want, cs.Degraded, err))
+				}
+				if rep == 0 { // the first round warms caches and pools and ships the plan
 					continue
 				}
 				if multi == 0 || d < multi {
@@ -129,10 +159,13 @@ func laneAblation() {
 				if guess == 0 || ds < guess {
 					guess = ds
 				}
+				if remote == 0 || dc < remote {
+					remote = dc
+				}
 			}
-			mc, sp := mbps(len(body), multi), mbps(len(body), guess)
-			fmt.Printf("%-6d %-9s %-12s %6d %12.0f %12.0f %7.2fx %5d/%-2d\n",
-				seed, m.name, m.strategy, m.dfa.NumStates(), mc, sp, sp/mc, stats.Misses, stats.Chunks)
+			mc, sp, cl := mbps(len(body), multi), mbps(len(body), guess), mbps(len(body), remote)
+			fmt.Printf("%-6d %-9s %-12s %6d %12.0f %12.0f %7.2fx %5d/%-2d %13.0f %6.2fx\n",
+				seed, m.name, m.strategy, m.dfa.NumStates(), mc, sp, sp/mc, stats.Misses, stats.Chunks, cl, cl/mc)
 		}
 	}
 }

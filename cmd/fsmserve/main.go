@@ -13,8 +13,7 @@
 // strategy; a ?strategy= parameter or "strategy" field is ignored
 // like any other unknown one. The lane follows from the input's size
 // alone: the multicore lane from the engine's 1 MiB large-input
-// threshold up (the cluster lane from -cluster-min when -peers is
-// set), the single lane below. Responses carry the lane, the plan's
+// threshold up, the single lane below. Responses carry the lane, the plan's
 // strategy, and the reason.
 //
 // The API is versioned under /v1/; request/response shapes live in
@@ -86,7 +85,6 @@ import (
 	"syscall"
 	"time"
 
-	"dpfsm/internal/cluster"
 	"dpfsm/internal/engine"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/otlp"
@@ -131,12 +129,6 @@ type server struct {
 	// startup, unready again once graceful shutdown begins.
 	ready    atomic.Bool
 	draining atomic.Bool
-	// peer is this node's serving side of the cluster protocol, always
-	// mounted (a node with no -peers can still serve chunks for other
-	// coordinators). Its resolver is the engine registry: a machine this
-	// node serves runs chunk tasks on its own runner, and a shipped copy
-	// of its plan is acknowledged without being decoded or kept.
-	peer *cluster.Peer
 }
 
 // machineMeta is the registry's per-machine bookkeeping.
@@ -185,11 +177,6 @@ func newServer(patterns []string, procs int, maxBody int64, profileDir string) (
 		engine.WithTelemetry(s.metrics),
 		engine.WithPerfProfiles(s.profiles),
 	)
-	// The cluster peer resolves a fingerprint through the registry: a
-	// plan this node serves runs on the registered machine's runner,
-	// and the coordinator's shipped copy of it is not kept. Plans of
-	// machines this node does not serve go to the peer's bounded store.
-	s.peer = cluster.NewPeer(s.engine.PlanRunner)
 	for _, ms := range specs {
 		if _, err := s.registerMachine(ms, source); err != nil {
 			s.Close()
@@ -197,22 +184,6 @@ func newServer(patterns []string, procs int, maxBody int64, profileDir string) (
 		}
 	}
 	return s, nil
-}
-
-// enableCluster builds the coordinator over the static peer set and
-// attaches it to the engine, turning on the cluster dispatch lane.
-func (s *server) enableCluster(peers []string, chunkBytes, minBytes int) error {
-	co, err := cluster.NewCoordinator(cluster.Config{
-		Peers:      peers,
-		ChunkBytes: chunkBytes,
-		Telemetry:  s.metrics,
-	})
-	if err != nil {
-		return err
-	}
-	s.engine.SetClusterMinBytes(minBytes)
-	s.engine.SetCluster(co)
-	return nil
 }
 
 // machineSpec is one NAME=REGEX machine with its compiled pattern.
@@ -363,7 +334,6 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 		Final:           r.Final,
 		Accepts:         r.Accepts,
 		Lane:            r.Lane,
-		Degraded:        r.Degraded,
 		Strategy:        r.Strategy,
 		SelectionReason: r.Reason,
 		DurationNs:      int64(r.Duration),
@@ -451,7 +421,6 @@ func batchResult(r engine.Result) serverapi.BatchResult {
 		Accepts:    r.Accepts,
 		Bytes:      r.Bytes,
 		Lane:       r.Lane,
-		Degraded:   r.Degraded,
 		Strategy:   r.Strategy,
 		DurationNs: int64(r.Duration),
 	}
@@ -465,8 +434,8 @@ func batchResult(r engine.Result) serverapi.BatchResult {
 func batchSummary(st engine.BatchStats) serverapi.BatchSummary {
 	return serverapi.BatchSummary{
 		Jobs: st.Jobs, OK: st.OK, Errors: st.Errors, Canceled: st.Canceled,
-		SingleCore: st.SingleCore, Multicore: st.Multicore, Cluster: st.Cluster,
-		Degraded: st.Degraded, Bytes: st.Bytes, DurationNs: int64(st.Duration),
+		SingleCore: st.SingleCore, Multicore: st.Multicore,
+		Bytes: st.Bytes, DurationNs: int64(st.Duration),
 	}
 }
 
@@ -799,13 +768,6 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc(serverapi.Version+"/traces/", s.instrument(serverapi.Version+"/traces/{id}", false, s.handleTraceByID))
 	mux.HandleFunc(serverapi.Version+"/slo", s.instrument(serverapi.Version+"/slo", false, s.handleSLO))
 
-	// Peer protocol: binary chunk tasks in, composition vectors out.
-	// Always mounted — a node with no -peers of its own still serves
-	// chunks for coordinators that list it.
-	peerHandler := s.peer.Handler().ServeHTTP
-	mux.HandleFunc(cluster.ExecPath, s.instrument(cluster.ExecPath, false, peerHandler))
-	mux.HandleFunc(cluster.PlansPath, s.instrument(cluster.PlansPath, false, peerHandler))
-
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -886,9 +848,6 @@ func main() {
 		otlpInterval    = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP metrics-push and trace-flush interval")
 		sloAvail        = flag.Float64("slo-availability", slo.DefaultAvailabilityTarget, "availability objective: target fraction of requests neither shed nor erroring")
 		sloLatency      = flag.Duration("slo-latency-threshold", slo.DefaultLatencyThreshold, "latency objective threshold: completed requests at or over this count against the latency SLO")
-		peersFlag       = flag.String("peers", "", "comma-separated base URLs of peer fsmserve nodes (e.g. http://host:8377); non-empty enables the distributed cluster lane")
-		clusterChunk    = flag.Int("cluster-chunk", 0, "bytes per chunk fanned out to peers (0 = coordinator default)")
-		clusterMin      = flag.Int("cluster-min", 0, "input size in bytes at or above which jobs take the cluster lane (0 = 4x the large-input threshold)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "graceful-shutdown deadline on SIGINT/SIGTERM")
 	)
 	flag.Parse()
@@ -935,22 +894,6 @@ func main() {
 			HeadPerSec:    *traceSample,
 			SlowThreshold: *traceSlow,
 		})
-	}
-	if *peersFlag != "" {
-		var peerList []string
-		for _, p := range strings.Split(*peersFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		if err := srv.enableCluster(peerList, *clusterChunk, *clusterMin); err != nil {
-			fatal("bad -peers", err)
-		}
-		logger.Info("cluster lane enabled",
-			"peers", peerList,
-			"chunk_bytes", srv.engine.Cluster().ChunkBytes(),
-			"min_bytes", srv.engine.ClusterMinBytes(),
-		)
 	}
 	if *otlpEndpoint != "" {
 		srv.exporter, err = otlp.New(otlp.Config{

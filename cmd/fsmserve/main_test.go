@@ -402,6 +402,25 @@ func TestSnapshotAndMachinesEndpoints(t *testing.T) {
 	}
 }
 
+// TestClusterRoutesNotServed: fsmserve mounts no cluster peer, so the
+// peer protocol's routes answer 404 and no request reaches a chunk
+// task or plan decoder.
+func TestClusterRoutesNotServed(t *testing.T) {
+	srv, err := newServer(nil, 1, 1<<20, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	mux := srv.mux()
+	for _, route := range []string{"/v1/cluster/exec", "/v1/cluster/plans?fingerprint=x"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, strings.NewReader("x")))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", route, rec.Code)
+		}
+	}
+}
+
 // TestMachineProfileEndpoint covers GET /v1/machines/{name} and its
 // /profile sub-resource: after some traffic the profile carries lane
 // history, and /v1/status lists a profile per machine.

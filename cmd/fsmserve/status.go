@@ -53,18 +53,6 @@ func (s *server) status() serverapi.Status {
 	if offered := snap.EngineJobs + snap.EngineQueueRejects; offered > 0 {
 		st.ShedRate = float64(snap.EngineQueueRejects) / float64(offered)
 	}
-	// The distributed-execution view, present only when this node has
-	// peers of its own (its peer-serving side is always on regardless).
-	if co := s.engine.Cluster(); co != nil {
-		st.Cluster = &serverapi.ClusterStatus{
-			Peers:      co.Health(),
-			ChunkBytes: co.ChunkBytes(),
-			MinBytes:   s.engine.ClusterMinBytes(),
-			Served:     s.peer.Stats(),
-			Jobs:       snap.EngineCluster,
-			Degraded:   snap.ClusterDegraded,
-		}
-	}
 	// The export half of the observability stack, present only when
 	// sampling or OTLP export is switched on.
 	if s.sampler != nil || s.exporter != nil {

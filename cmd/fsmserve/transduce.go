@@ -6,13 +6,13 @@ package main
 // and a trailing summary — as the engine emits the spans: on the
 // single-core lane block by block while phase 3 replays, so a client
 // consumes token spans before the tail of a large input has been
-// replayed; on the multi-chunk lanes once the fan-out is over. Each
+// replayed; on the multicore lane once the fan-out is over. Each
 // batch is encoded into one reused buffer (serverapi.AppendTransduceSpan)
 // and written and flushed once. A failure after the first byte ends the
 // stream with an error trailer instead of the summary. Dispatch,
 // tracing, and metering match /v1/run: the engine picks the lane
-// (single/multicore/cluster) and runs the machine's Auto-compiled
-// plan on it, and every lane produces the exact sequential span list.
+// (single/multicore) and runs the machine's Auto-compiled plan on it,
+// and both lanes produce the exact sequential span list.
 
 import (
 	"encoding/json"
@@ -141,7 +141,6 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 		Lane:            res.Lane,
 		Strategy:        res.Strategy,
 		SelectionReason: res.Reason,
-		Degraded:        res.Degraded,
 		DurationNs:      int64(res.Duration),
 	}
 	if res.Duration > 0 {

@@ -31,9 +31,9 @@
 // timeouts, and one static dispatch policy: small inputs run
 // single-core — the batch itself is the parallelism — while inputs
 // past WithLargeInput take the paper's Figure 5 multicore phase
-// split. Every lane — single-core, multicore, cluster — and both job
-// kinds (Run, Transduce) go through one dispatch and one
-// Figure 5 schedule, so they share cancellation, tracing, and exactness.
+// split. Both lanes — single-core and multicore — and both job kinds
+// (Run, Transduce) go through one dispatch and one Figure 5 schedule,
+// so they share cancellation, tracing, and exactness.
 // Register machines once, then RunBatch (ordered results) or Submit
 // (streaming completion order).
 //

@@ -32,7 +32,7 @@ func main() {
 
 	var peers []string
 	for i := 0; i < 2; i++ {
-		srv := httptest.NewServer(cluster.NewPeer(nil).Handler())
+		srv := httptest.NewServer(cluster.NewPeer().Handler())
 		defer srv.Close()
 		peers = append(peers, srv.URL)
 	}

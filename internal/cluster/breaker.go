@@ -69,10 +69,10 @@ func (ps *peerState) success() {
 	ps.mu.Unlock()
 }
 
-// failure records a failed attempt; true when this failure newly
-// opened the breaker. A failed half-open probe re-arms the open window
-// without counting as a new open.
-func (ps *peerState) failure(now time.Time, threshold int) bool {
+// failure records a failed attempt, opening the breaker once the
+// streak reaches threshold. A failed half-open probe re-arms the open
+// window without counting as a new open.
+func (ps *peerState) failure(now time.Time, threshold int) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	ps.consec++
@@ -81,15 +81,13 @@ func (ps *peerState) failure(now time.Time, threshold int) bool {
 			ps.probing = false
 			ps.openedAt = now
 		}
-		return false
+		return
 	}
 	if ps.consec >= threshold {
 		ps.open = true
 		ps.openedAt = now
 		ps.opens.Add(1)
-		return true
 	}
-	return false
 }
 
 // view renders the breaker for Health.

@@ -91,7 +91,7 @@ func TestClusterEmptyInput(t *testing.T) {
 	if st != 2 || stats.Chunks != 0 || stats.BytesToPeers != 0 {
 		t.Fatalf("empty input: state %d stats %+v", st, stats)
 	}
-	if tc.tel.ClusterPlanShips.Load() != 0 {
+	if tc.total().PlanShips != 0 {
 		t.Error("an empty job should not ship the plan")
 	}
 }
@@ -128,7 +128,7 @@ func TestClusterReusableAcrossJobs(t *testing.T) {
 		}
 	}
 	// One ship per peer, however many jobs and chunks followed.
-	if ships := tc.tel.ClusterPlanShips.Load(); ships != 3 {
+	if ships := tc.total().PlanShips; ships != 3 {
 		t.Errorf("plan shipped %d times to 3 peers", ships)
 	}
 }

@@ -20,13 +20,11 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/plan"
-	"dpfsm/internal/telemetry"
 	"dpfsm/internal/trace"
 )
 
@@ -79,8 +77,6 @@ type Config struct {
 	// Seed seeds the backoff jitter (deterministic for tests); 0
 	// selects 1.
 	Seed int64
-	// Telemetry receives the cluster counters; nil disables collection.
-	Telemetry *telemetry.Metrics
 }
 
 // Defaults for the zero Config fields.
@@ -124,7 +120,6 @@ type Coordinator struct {
 	maxBackoff  time.Duration
 	threshold   int
 	cooldown    time.Duration
-	tel         *telemetry.Metrics
 
 	// now is the breaker clock, swappable in tests.
 	now func() time.Time
@@ -152,7 +147,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		maxBackoff:  cfg.MaxBackoff,
 		threshold:   cfg.BreakerThreshold,
 		cooldown:    cfg.BreakerCooldown,
-		tel:         cfg.Telemetry,
 		now:         time.Now,
 	}
 	if c.transport == nil {
@@ -228,8 +222,7 @@ type ExecStats struct {
 // Exec runs input through r's machine from start, fanning chunks out
 // over the peer set and walking the returned composition vectors in
 // chunk order on r. r also computes the chunks that fall back to local
-// re-execution, so a single-core runner (the engine's batch-lane
-// runner) fits it best. The only error Exec returns is the context's:
+// re-execution, so a single-core runner fits it best. The only error Exec returns is the context's:
 // every network failure degrades to local re-execution instead.
 func (c *Coordinator) Exec(ctx context.Context, r *core.Runner, input []byte, start fsm.State) (fsm.State, ExecStats, error) {
 	if ctx == nil {
@@ -265,11 +258,10 @@ func (c *Coordinator) Exec(ctx context.Context, r *core.Runner, input []byte, st
 // Build one per run with NewJob; read its accounting with Stats once
 // the run is over.
 type Job struct {
-	c        *Coordinator
-	r        *core.Runner // the job's plan; computes fallback vectors
-	prefs    []string
-	tasks    []taskStats
-	degraded atomic.Bool
+	c     *Coordinator
+	r     *core.Runner // the job's plan; computes fallback vectors
+	prefs []string
+	tasks []taskStats
 }
 
 // NewJob prepares a distributed run of r's plan over an n-byte input;
@@ -299,11 +291,6 @@ func (j *Job) Compose(ctx context.Context, ch core.Chunk) core.Comp {
 	vec, ts := j.c.execChunk(ctx, j.r, task, j.prefs)
 	ts.bytes = len(ch.Input)
 	j.tasks[ch.Index] = ts
-	if !ts.remote && ctx.Err() == nil && j.degraded.CompareAndSwap(false, true) {
-		if tm := j.c.tel; tm != nil {
-			tm.ClusterDegraded.Inc()
-		}
-	}
 	return core.Comp{Vec: vec}
 }
 
@@ -367,26 +354,17 @@ func (c *Coordinator) execChunk(ctx context.Context, r *core.Runner, task *plan.
 		if attempt > 0 {
 			ts.retries++
 			ps.retries.Add(1)
-			if tm := c.tel; tm != nil {
-				tm.ClusterRetries.Inc()
-			}
 			if !c.sleepBackoff(ctx, attempt) {
 				break
 			}
 		}
-		if opened := ps.allow(c.now(), c.threshold, c.cooldown); !opened {
-			if tm := c.tel; tm != nil && attempt == 0 {
-				tm.ClusterBreakerSkips.Inc()
-			}
+		if !ps.allow(c.now(), c.threshold, c.cooldown) {
 			break
 		}
 		vec, err := c.tryPeer(ctx, peer, p, task)
 		if err == nil {
 			ps.success()
 			ps.tasks.Add(1)
-			if tm := c.tel; tm != nil {
-				tm.ClusterTasks.Inc()
-			}
 			ts.remote = true
 			return vec, ts
 		}
@@ -396,23 +374,13 @@ func (c *Coordinator) execChunk(ctx context.Context, r *core.Runner, task *plan.
 			break
 		}
 		ps.failures.Add(1)
-		if tm := c.tel; tm != nil {
-			tm.ClusterTaskErrors.Inc()
-		}
-		if ps.failure(c.now(), c.threshold) {
-			if tm := c.tel; tm != nil {
-				tm.ClusterBreakerOpens.Inc()
-			}
-		}
+		ps.failure(c.now(), c.threshold)
 	}
 
 	// Graceful degradation: re-execute the chunk locally. Slower —
 	// scalar, on the coordinator — but byte-for-byte what the peer
 	// would have answered.
 	ps.fallbacks.Add(1)
-	if tm := c.tel; tm != nil {
-		tm.ClusterLocalFallbacks.Inc()
-	}
 	return r.CompositionVector(task.Input), ts
 }
 
@@ -488,9 +456,6 @@ func (c *Coordinator) ensureInstalled(ctx context.Context, peer string, p *core.
 	}
 	ps.notePlan(fp)
 	ps.shipped.Add(1)
-	if tm := c.tel; tm != nil {
-		tm.ClusterPlanShips.Inc()
-	}
 	return nil
 }
 
@@ -516,8 +481,8 @@ func (c *Coordinator) sleepBackoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-// PeerHealth is one peer's live protocol health, exposed by
-// /v1/status.
+// PeerHealth is one peer's live protocol health, as Health reports
+// it.
 type PeerHealth struct {
 	Peer                string `json:"peer"`
 	State               string `json:"state"`

@@ -13,7 +13,6 @@ import (
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/plan"
-	"dpfsm/internal/telemetry"
 )
 
 // nopTransport satisfies Transport for tests that never hit the wire
@@ -47,7 +46,7 @@ func (b *peerBox) peer() *Peer {
 
 func (b *peerBox) restart() {
 	b.mu.Lock()
-	b.p = NewPeer(nil)
+	b.p = NewPeer()
 	b.mu.Unlock()
 }
 
@@ -58,16 +57,15 @@ type testCluster struct {
 	boxes  []*peerBox
 	hosts  []string
 	faults *FaultRoundTripper
-	tel    *telemetry.Metrics
 	coord  *Coordinator
 }
 
 func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 	t.Helper()
-	tc := &testCluster{t: t, faults: NewFaultRoundTripper(nil), tel: &telemetry.Metrics{}}
+	tc := &testCluster{t: t, faults: NewFaultRoundTripper(nil)}
 	var peers []string
 	for i := 0; i < n; i++ {
-		box := &peerBox{p: NewPeer(nil)}
+		box := &peerBox{p: NewPeer()}
 		srv := httptest.NewServer(box)
 		t.Cleanup(srv.Close)
 		tc.boxes = append(tc.boxes, box)
@@ -76,7 +74,6 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 	}
 	cfg.Peers = peers
 	cfg.Transport = NewHTTPTransport(&http.Client{Transport: tc.faults})
-	cfg.Telemetry = tc.tel
 	if cfg.BaseBackoff == 0 {
 		cfg.BaseBackoff = time.Millisecond
 	}
@@ -89,6 +86,19 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 	}
 	tc.coord = coord
 	return tc
+}
+
+// total sums the coordinator's per-peer Health counters.
+func (tc *testCluster) total() PeerHealth {
+	var sum PeerHealth
+	for _, h := range tc.coord.Health() {
+		sum.Tasks += h.Tasks
+		sum.Retries += h.Retries
+		sum.Failures += h.Failures
+		sum.LocalFallbacks += h.LocalFallbacks
+		sum.PlanShips += h.PlanShips
+	}
+	return sum
 }
 
 func (tc *testCluster) exec(p *core.Plan, input []byte, start fsm.State) (fsm.State, ExecStats) {
@@ -134,16 +144,13 @@ func TestCoordinatorMatchesOracle(t *testing.T) {
 			t.Fatalf("size %d: chunk accounting %+v, want %d remote", size, stats, wantChunks)
 		}
 	}
-	if tc.tel.ClusterTasks.Load() == 0 {
-		t.Fatal("telemetry saw no remote tasks")
-	}
-	if tc.tel.ClusterDegraded.Load() != 0 {
-		t.Fatal("telemetry counted a degraded job on the clean path")
+	if h := tc.total(); h.Tasks == 0 || h.LocalFallbacks != 0 {
+		t.Fatalf("health %+v, want remote tasks and no fallback on the clean path", h)
 	}
 }
 
 // One injected fault of each kind, after warmup: the retry absorbs it —
-// right answer, no degradation, retry observable in stats + telemetry.
+// right answer, no degradation, retry observable in stats and health.
 func TestCoordinatorRetriesAbsorbInjectedFaults(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -179,9 +186,9 @@ func TestCoordinatorRetriesAbsorbInjectedFaults(t *testing.T) {
 			if stats.Retries == 0 {
 				t.Fatalf("under %s: no retry recorded", tcase.name)
 			}
-			if tc.tel.ClusterRetries.Load() == 0 || tc.tel.ClusterTaskErrors.Load() == 0 {
-				t.Fatalf("under %s: telemetry missed the fault (retries=%d errors=%d)",
-					tcase.name, tc.tel.ClusterRetries.Load(), tc.tel.ClusterTaskErrors.Load())
+			if h := tc.total(); h.Retries == 0 || h.Failures == 0 {
+				t.Fatalf("under %s: health missed the fault (retries=%d failures=%d)",
+					tcase.name, h.Retries, h.Failures)
 			}
 		})
 	}
@@ -204,8 +211,8 @@ func TestCoordinatorDegradesToLocalWhenAllPeersDown(t *testing.T) {
 	if !stats.Degraded || stats.LocalChunks != stats.Chunks || stats.RemoteChunks != 0 {
 		t.Fatalf("all peers down: stats %+v, want fully local + degraded", stats)
 	}
-	if tc.tel.ClusterLocalFallbacks.Load() == 0 || tc.tel.ClusterDegraded.Load() == 0 {
-		t.Fatal("telemetry missed the degradation")
+	if h := tc.total(); h.LocalFallbacks != int64(stats.Chunks) {
+		t.Fatalf("health counted %d local fallbacks, want all %d chunks", h.LocalFallbacks, stats.Chunks)
 	}
 }
 
@@ -259,16 +266,18 @@ func TestCoordinatorBreakerLifecycle(t *testing.T) {
 		t.Fatalf("after threshold failures: health %+v, want open with 1 open-transition", h)
 	}
 
-	// Open breaker: next job goes straight to fallback, zero requests.
+	// Open breaker: next job goes straight to fallback, zero requests
+	// and no failed attempt.
 	calls := tc.faults.Calls(host)
+	before := tc.total()
 	if got, stats := tc.exec(p, input, d.Start()); got != want || !stats.Degraded {
 		t.Fatalf("open-breaker job: got %d, stats %+v", got, stats)
 	}
 	if tc.faults.Calls(host) != calls {
 		t.Fatalf("open breaker still sent requests: %d → %d", calls, tc.faults.Calls(host))
 	}
-	if tc.tel.ClusterBreakerSkips.Load() == 0 {
-		t.Fatal("telemetry missed the breaker skip")
+	if h := tc.total(); h.LocalFallbacks != before.LocalFallbacks+1 || h.Failures != before.Failures {
+		t.Fatalf("breaker skip: health %+v after %+v, want one more fallback and no new failure", h, before)
 	}
 
 	// Cooldown elapses → half-open; a failed probe costs exactly one
@@ -318,8 +327,8 @@ func TestCoordinatorPlanShippingAndPeerRestart(t *testing.T) {
 		}
 		installs += s.Installs
 	}
-	if installs != 2 || tc.tel.ClusterPlanShips.Load() != 2 {
-		t.Fatalf("installs=%d ships=%d, want one ship per peer", installs, tc.tel.ClusterPlanShips.Load())
+	if ships := tc.total().PlanShips; installs != 2 || ships != 2 {
+		t.Fatalf("installs=%d ships=%d, want one ship per peer", installs, ships)
 	}
 
 	tc.boxes[0].restart()
@@ -328,26 +337,21 @@ func TestCoordinatorPlanShippingAndPeerRestart(t *testing.T) {
 	if got != want || stats.Degraded {
 		t.Fatalf("after peer restarts: got %d (want %d), stats %+v", got, want, stats)
 	}
-	if tc.tel.ClusterPlanShips.Load() != 4 {
-		t.Fatalf("restart should re-ship to both peers: ships=%d, want 4", tc.tel.ClusterPlanShips.Load())
+	if ships := tc.total().PlanShips; ships != 4 {
+		t.Fatalf("restart should re-ship to both peers: ships=%d, want 4", ships)
 	}
 }
 
 // Plans ship only on a miss: the task goes first, so a peer that
-// serves the machine itself never receives the plan, and a peer that
-// does not receives it exactly once, however many chunks and jobs.
+// already holds the plan never receives it from this coordinator, and
+// a peer that does not receives it exactly once, however many chunks
+// and jobs.
 func TestCoordinatorShipsOnlyOnMiss(t *testing.T) {
 	d, p := testMachine(t, 62)
 	tc := newTestCluster(t, 2, Config{ChunkBytes: 256})
-	serving := tc.boxes[0]
-	serving.mu.Lock()
-	serving.p = NewPeer(func(fp string) *core.Runner {
-		if fp == p.Fingerprint() {
-			return single(t, p)
-		}
-		return nil
-	})
-	serving.mu.Unlock()
+	if err := tc.boxes[0].peer().Install(p.Fingerprint(), marshalPlan(t, p)); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(63))
 	for job := 0; job < 3; job++ {
 		input := d.RandomInput(rng, 4096)
@@ -390,7 +394,7 @@ func TestCoordinatorRejectsWrongChunkEcho(t *testing.T) {
 	d, p := testMachine(t, 70)
 	coord, err := NewCoordinator(Config{
 		Peers:       []string{"http://peer-a"},
-		Transport:   &badEchoTransport{peer: NewPeer(nil)},
+		Transport:   &badEchoTransport{peer: NewPeer()},
 		ChunkBytes:  256,
 		MaxRetries:  1,
 		BaseBackoff: time.Millisecond,

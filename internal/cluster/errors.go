@@ -3,8 +3,8 @@ package cluster
 import "errors"
 
 // Typed configuration and protocol errors. Sentinels (rather than
-// fmt.Errorf strings) so the engine, fsmserve, and tests can branch
-// with errors.Is; transport implementations wrap them with per-peer
+// fmt.Errorf strings) so callers and tests can branch with
+// errors.Is; transport implementations wrap them with per-peer
 // context.
 var (
 	// ErrNoPeers is returned by NewCoordinator when the peer set is

@@ -13,28 +13,19 @@ import (
 )
 
 // Peer is the serving side of the cluster protocol: it answers chunk
-// tasks with composition vectors, by plan fingerprint. fsmserve mounts
-// Handler into its mux so every node is simultaneously a coordinator
-// (for its own requests) and a peer (for everyone else's); tests mount
-// the same handler on httptest servers.
+// tasks with composition vectors, by plan fingerprint. Its Handler is
+// mounted on httptest servers by the tests, the conformance suite,
+// examples/clusterscan and fsmbench's lane ablation; no served process
+// mounts it.
 //
-// A task's plan comes from one of two places. The optional resolver
-// maps a fingerprint to a runner the node already holds — fsmserve
-// wires its engine registry, so a machine both nodes serve runs on the
-// peer's own registered runner. A coordinator still ships every plan
-// before its first task there; Install accepts a plan the resolver
-// knows without decoding or storing it. Any other plan is decoded,
-// verified against its declared fingerprint (409 on mismatch) and kept
-// in a store of at most maxShippedPlans runners, oldest evicted first;
-// a coordinator whose plan was evicted gets unknown-plan and re-ships.
+// A task's plan is one the coordinator shipped: decoded, verified
+// against its declared fingerprint (409 on mismatch) and kept in a
+// store of at most maxShippedPlans runners, oldest evicted first; a
+// coordinator whose plan was evicted gets unknown-plan and re-ships.
 type Peer struct {
 	mu      sync.Mutex
 	runners map[string]*core.Runner // shipped plans: fingerprint → single-core runner
 	order   []string                // runners' keys, oldest install first
-
-	// resolver, when set, resolves fingerprints of plans the node
-	// already holds; nil when it holds none of them.
-	resolver func(fingerprint string) *core.Runner
 
 	// maxMessage bounds a request body (maxWireMessage).
 	maxMessage int64
@@ -50,9 +41,9 @@ type Peer struct {
 // working set; a coordinator whose plan was evicted re-ships it.
 const maxShippedPlans = 256
 
-// NewPeer builds an empty peer. resolver may be nil.
-func NewPeer(resolver func(fingerprint string) *core.Runner) *Peer {
-	return &Peer{runners: make(map[string]*core.Runner), resolver: resolver, maxMessage: maxWireMessage}
+// NewPeer builds an empty peer.
+func NewPeer() *Peer {
+	return &Peer{runners: make(map[string]*core.Runner), maxMessage: maxWireMessage}
 }
 
 // PeerStats is a point-in-time view of one peer's served traffic.
@@ -85,7 +76,7 @@ func (p *Peer) Stats() PeerStats {
 // Install decodes and installs a serialized plan under fingerprint.
 // The decoded plan's own fingerprint must match the declared one
 // (ErrPlanMismatch otherwise); installing a fingerprint the peer
-// already holds or resolves is an idempotent no-op.
+// already holds is an idempotent no-op.
 func (p *Peer) Install(fingerprint string, data []byte) error {
 	if p.runner(fingerprint) != nil {
 		return nil
@@ -125,17 +116,12 @@ func (p *Peer) install(fingerprint string, cp *core.Plan) error {
 	return nil
 }
 
-// runner resolves the runner for fingerprint: a shipped plan, else
-// whatever the resolver holds (used in place, not copied into the
-// store). nil when the plan is unknown.
+// runner resolves the runner of a shipped plan; nil when the plan is
+// unknown.
 func (p *Peer) runner(fingerprint string) *core.Runner {
 	p.mu.Lock()
-	r := p.runners[fingerprint]
-	p.mu.Unlock()
-	if r == nil && p.resolver != nil {
-		r = p.resolver(fingerprint)
-	}
-	return r
+	defer p.mu.Unlock()
+	return p.runners[fingerprint]
 }
 
 // Exec runs one decoded task and returns its composition vector.

@@ -45,7 +45,7 @@ func marshalPlan(t *testing.T, p *core.Plan) []byte {
 
 func TestPeerInstallAndExec(t *testing.T) {
 	d, p := testMachine(t, 1)
-	peer := NewPeer(nil)
+	peer := NewPeer()
 	fp := p.Fingerprint()
 	if err := peer.Install(fp, marshalPlan(t, p)); err != nil {
 		t.Fatal(err)
@@ -81,51 +81,13 @@ func TestPeerInstallAndExec(t *testing.T) {
 
 func TestPeerInstallMismatch(t *testing.T) {
 	_, p := testMachine(t, 3)
-	peer := NewPeer(nil)
+	peer := NewPeer()
 	err := peer.Install("not-the-fingerprint", marshalPlan(t, p))
 	if !errors.Is(err, ErrPlanMismatch) {
 		t.Fatalf("got %v, want ErrPlanMismatch", err)
 	}
 	if _, err := peer.Exec(&plan.ClusterTask{Fingerprint: p.Fingerprint(), ChunkIndex: 0, TotalChunks: 1, Input: []byte("x")}); !errors.Is(err, ErrUnknownPlan) {
 		t.Fatalf("exec after rejected install: got %v, want ErrUnknownPlan", err)
-	}
-}
-
-// TestPeerResolver: a plan the resolver knows runs on the resolved
-// runner itself; neither a task nor a shipped copy of that plan adds
-// it to the peer's store.
-func TestPeerResolver(t *testing.T) {
-	d, p := testMachine(t, 4)
-	r := single(t, p)
-	resolved := 0
-	peer := NewPeer(func(fp string) *core.Runner {
-		if fp == p.Fingerprint() {
-			resolved++
-			return r
-		}
-		return nil
-	})
-	input := d.RandomInput(rand.New(rand.NewSource(40)), 64)
-	vec, err := peer.Exec(&plan.ClusterTask{Fingerprint: p.Fingerprint(), ChunkIndex: 0, TotalChunks: 1, Input: input})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := d.Run(input, 0); fsm.State(vec.States[0]) != want {
-		t.Fatalf("resolved runner computes %d, want %d", vec.States[0], want)
-	}
-	if _, err := peer.Exec(&plan.ClusterTask{Fingerprint: "unknown", ChunkIndex: 0, TotalChunks: 1, Input: input}); !errors.Is(err, ErrUnknownPlan) {
-		t.Fatalf("unknown fingerprint through resolver: got %v", err)
-	}
-	// A shipped copy of a resolvable plan is accepted without decoding:
-	// even bytes that do not decode succeed.
-	if err := peer.Install(p.Fingerprint(), []byte("not a plan")); err != nil {
-		t.Fatalf("install of a resolvable plan: %v", err)
-	}
-	if st := peer.Stats(); st.Plans != 0 || st.Installs != 0 {
-		t.Fatalf("resolvable plan was stored: %+v", st)
-	}
-	if resolved != 2 {
-		t.Fatalf("resolver consulted %d times, want 2 (task, install)", resolved)
 	}
 }
 
@@ -164,11 +126,11 @@ func TestPeerShippedPlanBound(t *testing.T) {
 	if _, err := peer.Exec(&plan.ClusterTask{Fingerprint: p.Fingerprint(), TotalChunks: 1, Input: input}); !errors.Is(err, ErrUnknownPlan) {
 		t.Fatalf("oldest plan still held: %v", err)
 	}
-	ships := tc.tel.ClusterPlanShips.Load()
+	ships := tc.total().PlanShips
 	if got, stats := tc.exec(p, input, d.Start()); got != want || stats.Degraded || stats.RemoteChunks != stats.Chunks {
 		t.Fatalf("job on the evicted plan: %d (want %d), %+v", got, want, stats)
 	}
-	if n := tc.tel.ClusterPlanShips.Load() - ships; n != 1 {
+	if n := tc.total().PlanShips - ships; n != 1 {
 		t.Fatalf("evicted plan re-shipped %d times, want 1", n)
 	}
 }
@@ -179,7 +141,7 @@ func TestPeerShippedPlanBound(t *testing.T) {
 func TestPeerHandlerHTTP(t *testing.T) {
 	d, p := testMachine(t, 5)
 	fp := p.Fingerprint()
-	srv := httptest.NewServer(NewPeer(nil).Handler())
+	srv := httptest.NewServer(NewPeer().Handler())
 	defer srv.Close()
 
 	task := &plan.ClusterTask{Fingerprint: fp, ChunkIndex: 0, TotalChunks: 1, Input: d.RandomInput(rand.New(rand.NewSource(50)), 64)}
@@ -226,7 +188,7 @@ func TestPeerHandlerHTTP(t *testing.T) {
 		t.Fatalf("torn task: status %d, want 400", resp.StatusCode)
 	}
 	// Bodies past the wire bound are refused whole, not truncated.
-	small := NewPeer(nil)
+	small := NewPeer()
 	small.maxMessage = int64(len(taskBytes)) - 1
 	smallSrv := httptest.NewServer(small.Handler())
 	defer smallSrv.Close()

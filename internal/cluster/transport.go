@@ -29,8 +29,8 @@ type Transport interface {
 	InstallPlan(ctx context.Context, peer string, fingerprint string, data []byte) error
 }
 
-// Peer-protocol routes, mounted by cluster.Peer's handler and by
-// fsmserve. Exported so callers build URLs symbolically.
+// Peer-protocol routes, served by cluster.Peer's handler. Exported so
+// callers build URLs symbolically.
 const (
 	ExecPath  = "/v1/cluster/exec"
 	PlansPath = "/v1/cluster/plans"

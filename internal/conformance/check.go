@@ -87,7 +87,10 @@ func newChecker(d *fsm.DFA, label string, cfg Config) (*checker, *Divergence) {
 		)
 	}
 	c.spec = speculative.New(d, cfg.Procs, nil)
-	c.specBad = speculative.New(d, cfg.Procs, nil)
+	// Any fixed wrong-ish guess does: on most machines it forces
+	// mispredict cascades, and on all machines the answer must still
+	// match the oracle.
+	c.specBad = speculative.NewWithGuess(d, cfg.Procs, fsm.State((int(d.Start())+1)%d.NumStates()))
 	specDrv, err := core.New(d, core.WithStrategy(core.Sequential),
 		core.WithProcs(cfg.Procs), core.WithMinChunk(cfg.MinChunk))
 	if err != nil {
@@ -96,12 +99,6 @@ func newChecker(d *fsm.DFA, label string, cfg Config) (*checker, *Divergence) {
 			Machine: d, MachineLabel: label, Detail: err.Error()}
 	}
 	c.specDrv = specDrv
-	if d.NumStates() > 1 {
-		// Any fixed wrong-ish guess does: on most machines it forces
-		// mispredict cascades, and on all machines the answer must
-		// still match the oracle.
-		c.specBad.SetGuess(fsm.State((int(d.Start()) + 1) % d.NumStates()))
-	}
 	fail := func(s core.Strategy, err error) *Divergence {
 		c.Close()
 		return &Divergence{

@@ -47,7 +47,7 @@ func (c *checker) checkCluster(inputs [][]byte) *Divergence {
 	client := &http.Client{Transport: faults}
 	var peers, hosts []string
 	for i := 0; i < 2; i++ {
-		srv := httptest.NewServer(cluster.NewPeer(nil).Handler())
+		srv := httptest.NewServer(cluster.NewPeer().Handler())
 		defer srv.Close()
 		peers = append(peers, srv.URL)
 		hosts = append(hosts, cluster.HostOf(srv.URL))

@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dpfsm/internal/cluster"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/perfprofile"
@@ -57,7 +56,7 @@ const (
 
 	AttrMachine    = "machine"
 	AttrBytes      = "bytes"
-	AttrLane       = "lane"        // "single" | "multicore" | "cluster"
+	AttrLane       = "lane"        // "single" | "multicore"
 	AttrLaneReason = "lane_reason" // why the dispatch policy chose it
 	AttrStrategy   = "strategy"    // the strategy the job ran under
 )
@@ -68,7 +67,6 @@ const (
 const (
 	LaneSingle    = perfprofile.LaneSingle
 	LaneMulticore = perfprofile.LaneMulticore
-	LaneCluster   = perfprofile.LaneCluster
 	// LaneSpeculative names the §7 guess-and-verify baseline
 	// (internal/speculative). No served job reports it: the engine has
 	// no speculative lane, and the name remains for the benchmarks that
@@ -215,19 +213,14 @@ type Job struct {
 // streamed results can be reordered. Lane, Strategy, and Reason record
 // the dispatch decision the job actually ran under.
 type Result struct {
-	Index    int       `json:"index"`
-	Machine  string    `json:"machine"`
-	Final    fsm.State `json:"final_state"`
-	Accepts  bool      `json:"accepts"`
-	Bytes    int       `json:"bytes"`
-	Lane     string    `json:"lane,omitempty"`
-	Strategy string    `json:"strategy,omitempty"`
-	Reason   string    `json:"reason,omitempty"`
-	// Degraded is set by the cluster lane when one or more chunks fell
-	// back to local execution (peer down, breaker open, retries
-	// exhausted). The answer is still exact; the job just did not get
-	// full cluster parallelism.
-	Degraded bool          `json:"degraded,omitempty"`
+	Index    int           `json:"index"`
+	Machine  string        `json:"machine"`
+	Final    fsm.State     `json:"final_state"`
+	Accepts  bool          `json:"accepts"`
+	Bytes    int           `json:"bytes"`
+	Lane     string        `json:"lane,omitempty"`
+	Strategy string        `json:"strategy,omitempty"`
+	Reason   string        `json:"reason,omitempty"`
 	Duration time.Duration `json:"duration_ns"`
 	// QueueWait is the time a submitted job waited for a worker.
 	QueueWait time.Duration `json:"queue_wait_ns"`
@@ -249,8 +242,6 @@ type BatchStats struct {
 	Canceled   int           `json:"canceled"`
 	SingleCore int           `json:"single_core"`
 	Multicore  int           `json:"multicore"`
-	Cluster    int           `json:"cluster"`
-	Degraded   int           `json:"degraded"`
 	Bytes      int64         `json:"bytes"`
 	Duration   time.Duration `json:"duration_ns"`
 }
@@ -267,16 +258,10 @@ func (st *BatchStats) Add(r Result) {
 		return
 	}
 	st.OK++
-	switch r.Lane {
-	case LaneMulticore:
+	if r.Lane == LaneMulticore {
 		st.Multicore++
-	case LaneCluster:
-		st.Cluster++
-	default:
+	} else {
 		st.SingleCore++
-	}
-	if r.Degraded {
-		st.Degraded++
 	}
 }
 
@@ -328,12 +313,6 @@ type Engine struct {
 	runTel   *telemetry.Metrics
 	sink     trace.Sink
 	profiles *perfprofile.Store
-	// clusterCo, when non-nil, enables the cluster lane: jobs of at
-	// least clusterMin bytes fan their chunks out over the peer set.
-	// Both atomic so fsmserve can attach them after construction and
-	// tests can swap them live.
-	clusterCo  atomic.Pointer[cluster.Coordinator]
-	clusterMin atomic.Int64
 }
 
 const (
@@ -381,37 +360,11 @@ func New(opts ...Option) *Engine {
 	if e.runTel == nil && e.profiles != nil {
 		e.runTel = new(telemetry.Metrics)
 	}
-	e.SetClusterMinBytes(0)
 	for i := 0; i < cfg.workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
 	}
 	return e
-}
-
-// SetCluster attaches (or, with nil, detaches) the distributed
-// coordinator: jobs of at least the cluster threshold
-// (SetClusterMinBytes) take the cluster lane, fanning chunks out over
-// the peer set instead of local cores. Jobs already dispatched keep
-// the coordinator they loaded.
-func (e *Engine) SetCluster(co *cluster.Coordinator) { e.clusterCo.Store(co) }
-
-// Cluster returns the attached coordinator (nil when the cluster lane
-// is disabled).
-func (e *Engine) Cluster() *cluster.Coordinator { return e.clusterCo.Load() }
-
-// ClusterMinBytes reports the cluster lane's input threshold.
-func (e *Engine) ClusterMinBytes() int { return int(e.clusterMin.Load()) }
-
-// SetClusterMinBytes sets the cluster lane's input threshold: only
-// jobs of at least n bytes are worth a network round trip, smaller
-// large inputs stay on the local multicore lane. n <= 0 restores the
-// default of 4x the large-input threshold.
-func (e *Engine) SetClusterMinBytes(n int) {
-	if n <= 0 {
-		n = 4 * e.largeInput
-	}
-	e.clusterMin.Store(int64(n))
 }
 
 // Telemetry returns the attached metrics sink (nil when disabled).
@@ -536,23 +489,6 @@ func (e *Engine) Unregister(name string) bool {
 	// since the last periodic save are not lost with the registration.
 	e.profiles.Detach(name)
 	return true
-}
-
-// PlanRunner resolves a plan fingerprint to the single-core runner of
-// a registered machine compiled to that plan, or nil when no
-// registered machine has it. The registry is the one store of a
-// process's compiled plans, so this is a scan of it, not a second
-// index: cluster peers call it once per chunk task, against a registry
-// of rule-set size.
-func (e *Engine) PlanRunner(fingerprint string) *core.Runner {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, m := range e.machines {
-		if m.plan.Fingerprint() == fingerprint {
-			return m.single
-		}
-	}
-	return nil
 }
 
 // Machine looks up a registered machine by name — the engine's one
@@ -878,27 +814,16 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		defer cancel()
 	}
 
-	// Lane selection, by input size alone. Every lane runs the machine's
-	// compiled plan:
-	//
-	//   1. with a coordinator attached, inputs of at least the cluster
-	//      threshold fan out over the peer set (the networked §3.4
-	//      decomposition);
-	//   2. other large inputs take the Figure 5 multicore lane, when
-	//      procs > 1;
-	//   3. small inputs run single-core (fan-out overhead dominates
-	//      below the threshold).
+	// Lane selection, by input size alone. Both lanes run the machine's
+	// compiled plan: large inputs take the Figure 5 multicore lane, when
+	// procs > 1; small inputs run single-core (fan-out overhead
+	// dominates below the threshold).
 	r := m.single
 	res.Lane = LaneSingle
 	res.Strategy = m.plan.Strategy().String()
 	res.Reason = fmt.Sprintf("input %d B < large-input threshold %d B", len(job.Input), e.largeInput)
 
-	co := e.clusterCo.Load()
-	if co != nil && len(job.Input) >= e.ClusterMinBytes() {
-		res.Lane = LaneCluster
-		res.Reason = fmt.Sprintf("input %d B >= cluster threshold %d B; fanning out over %d peers",
-			len(job.Input), e.ClusterMinBytes(), len(co.Peers()))
-	} else if len(job.Input) >= e.largeInput && m.multi != nil {
+	if len(job.Input) >= e.largeInput && m.multi != nil {
 		r = m.multi
 		res.Lane = LaneMulticore
 		res.Reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
@@ -915,13 +840,11 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		scan = first.Scan
 	}
 
-	// Lanes that fan out over local cores acquire a fan-out slot, so at
-	// most workers/procs such jobs run at once. The cluster lane is
-	// network-bound in phase 1, but a phase 3 replays its chunks
-	// locally. A transduction frees its slot as soon as the fan-out is
-	// over, before its spans go to emit.
+	// The multicore lane acquires a fan-out slot, so at most
+	// workers/procs such jobs run at once. A transduction frees its slot
+	// as soon as the fan-out is over, before its spans go to emit.
 	gated := false
-	if res.Lane == LaneMulticore || (res.Lane == LaneCluster && (emit != nil || scan != nil)) {
+	if res.Lane == LaneMulticore {
 		gsp := sp.Child(SpanGate)
 		select {
 		case e.multiGate <- struct{}{}:
@@ -940,14 +863,6 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		}
 	}
 	defer release()
-	// Every lane is core's schedule; they differ in the runner (chunking
-	// and strategy) and the phase-1 source.
-	var src core.Source
-	var cjob *cluster.Job
-	if res.Lane == LaneCluster {
-		cjob = co.NewJob(m.single, len(job.Input))
-		src = cjob
-	}
 
 	// pprof labels make /debug/pprof/profile CPU samples attributable:
 	// "which machine is burning the cores, on which lane, under which
@@ -963,13 +878,12 @@ func (e *Engine) run(ctx context.Context, sp *trace.Span, job Job, emit core.Spa
 		AttrLane, res.Lane,
 	), func(ctx context.Context) {
 		if emit != nil {
-			final, res.Stats, err = r.DriveSpans(ctx, job.Input, start, src, release, emit)
+			final, res.Stats, err = r.DriveSpans(ctx, job.Input, start, nil, release, emit)
 		} else {
-			final, res.Stats, err = r.Drive(ctx, job.Input, start, src, scan)
+			final, res.Stats, err = r.Drive(ctx, job.Input, start, nil, scan)
 		}
 	})
 	res.Duration = time.Since(t0)
-	res.Degraded = cjob != nil && cjob.Stats().Degraded
 	if err != nil {
 		res.Err = err
 		return m, res
@@ -1014,8 +928,6 @@ func (e *Engine) observe(m *Machine, sp *trace.Span, res *Result, transduce bool
 			}
 		case res.Lane == LaneMulticore:
 			tm.EngineMulticore.Inc()
-		case res.Lane == LaneCluster:
-			tm.EngineCluster.Inc()
 		default:
 			tm.EngineSingleCore.Inc()
 		}
@@ -1032,9 +944,6 @@ func (e *Engine) observe(m *Machine, sp *trace.Span, res *Result, transduce bool
 				trace.Str(AttrLaneReason, res.Reason),
 				trace.Str(AttrStrategy, res.Strategy),
 			)
-		}
-		if res.Degraded {
-			sp.SetAttrs(trace.Bool(cluster.AttrDegraded, true))
 		}
 	}
 	if m == nil {

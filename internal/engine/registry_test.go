@@ -21,10 +21,9 @@ func registryMachines(t *testing.T, n int) []*fsm.DFA {
 	return ms
 }
 
-// TestEnginePlanReuse: a machine's lanes share one plan, PlanRunner
-// resolves a registered fingerprint to the machine's own single-core
-// runner, and it stops resolving once the machine is unregistered.
-// Every registration compiles, and each compile is timed.
+// TestEnginePlanReuse: a machine's lanes share one plan, and every
+// registration, a re-registration after Unregister included, compiles
+// and times its compile.
 func TestEnginePlanReuse(t *testing.T) {
 	met := new(telemetry.Metrics)
 	eng := New(WithProcs(2), WithTelemetry(met))
@@ -42,13 +41,7 @@ func TestEnginePlanReuse(t *testing.T) {
 		if m.single.PlanRef() != m.Plan() || m.multi == nil || m.multi.PlanRef() != m.Plan() {
 			t.Fatalf("m%d: lanes do not share the machine's plan", i)
 		}
-		if got := eng.PlanRunner(m.Fingerprint()); got != m.Runner() {
-			t.Fatalf("m%d: PlanRunner returned %p, want the machine's runner %p", i, got, m.Runner())
-		}
 		regs = append(regs, m)
-	}
-	if eng.PlanRunner("no-such-fingerprint") != nil {
-		t.Fatal("PlanRunner resolved an unknown fingerprint")
 	}
 
 	if !eng.Unregister("m0") {
@@ -56,9 +49,6 @@ func TestEnginePlanReuse(t *testing.T) {
 	}
 	if eng.Unregister("m0") {
 		t.Fatal("Unregister returned true for an absent machine")
-	}
-	if eng.PlanRunner(regs[0].Fingerprint()) != nil {
-		t.Fatal("PlanRunner still resolves an unregistered machine's plan")
 	}
 	// Re-registering the same machine compiles a fresh plan under the
 	// same fingerprint.
@@ -68,9 +58,6 @@ func TestEnginePlanReuse(t *testing.T) {
 	}
 	if m.Fingerprint() != regs[0].Fingerprint() || m.Plan() == regs[0].Plan() {
 		t.Fatal("re-registration should compile a new plan with the same fingerprint")
-	}
-	if eng.PlanRunner(m.Fingerprint()) != m.Runner() {
-		t.Fatal("PlanRunner does not resolve the re-registered machine")
 	}
 	if _, err := eng.Register("m0", ms[0]); err == nil {
 		t.Fatal("duplicate name accepted")
@@ -82,8 +69,8 @@ func TestEnginePlanReuse(t *testing.T) {
 
 // TestPlanCacheConcurrentRegisterEvict is the race-pass target for the
 // registry as the plan store: concurrent Register/RegisterTransducer,
-// Unregister, Run and PlanRunner on one engine. Under -race it checks
-// the locking; the runs check that a machine answers exactly while the
+// Unregister and Run on one engine. Under -race it checks the
+// locking; the runs check that a machine answers exactly while the
 // registry churns around it.
 func TestPlanCacheConcurrentRegisterEvict(t *testing.T) {
 	eng := New(WithProcs(1))
@@ -105,19 +92,14 @@ func TestPlanCacheConcurrentRegisterEvict(t *testing.T) {
 				k := (w + i) % len(ms)
 				d := ms[k]
 				name := fmt.Sprintf("w%d-m%d", w, i)
-				var m *Machine
 				var err error
 				if i%2 == 0 {
-					m, err = eng.Register(name, d)
+					_, err = eng.Register(name, d)
 				} else {
-					m, err = eng.RegisterTransducer(name, trs[k])
+					_, err = eng.RegisterTransducer(name, trs[k])
 				}
 				if err != nil {
 					t.Errorf("register %s: %v", name, err)
-					return
-				}
-				if eng.PlanRunner(m.Fingerprint()) == nil {
-					t.Errorf("%s: PlanRunner misses a registered plan", name)
 					return
 				}
 				in := input[:i*16]
@@ -133,15 +115,5 @@ func TestPlanCacheConcurrentRegisterEvict(t *testing.T) {
 	wg.Wait()
 	if names := eng.Machines(); len(names) != 0 {
 		t.Fatalf("machines left registered: %v", names)
-	}
-	for _, d := range ms {
-		m, err := eng.Register("probe", d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Unregister("probe")
-		if eng.PlanRunner(m.Fingerprint()) != nil {
-			t.Fatal("PlanRunner resolves a plan after every machine with it left")
-		}
 	}
 }

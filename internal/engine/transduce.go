@@ -3,8 +3,8 @@ package engine
 // Transduction through the engine: output-bearing machines register
 // like acceptors (same compile, same lane runners, same perf profile)
 // and Transduce goes through the same dispatch as Run, with core's span
-// scan as the schedule's phase 3. Every lane — single-core, multicore,
-// cluster — produces the exact sequential span list: phase 3 replays
+// scan as the schedule's phase 3. Both lanes — single-core and
+// multicore — produce the exact sequential span list: phase 3 replays
 // chunks from start states the schedule resolved and verified (see
 // internal/core/schedule.go), and the spans leave in input order
 // through the caller's sink (TransduceTo).

@@ -50,12 +50,11 @@ const FileSuffix = ".perf.json"
 
 // Lane names: the one definition of the dispatch vocabulary, and the
 // keys of Profile.Lanes. The engine re-exports them as Result.Lane's
-// values. Large inputs take the multicore lane (or the cluster lane
-// when a coordinator is attached), small inputs the single lane.
+// values. Large inputs take the multicore lane, small inputs the single
+// lane.
 const (
 	LaneSingle    = "single"
 	LaneMulticore = "multicore"
-	LaneCluster   = "cluster"
 )
 
 // LaneStats aggregates the jobs one dispatch lane executed.
@@ -143,7 +142,7 @@ type MachineRecorder struct {
 }
 
 // lanes names the counter slots, in slot order.
-var lanes = [...]string{LaneSingle, LaneMulticore, LaneCluster}
+var lanes = [...]string{LaneSingle, LaneMulticore}
 
 const laneCount = len(lanes)
 

@@ -188,22 +188,24 @@ func TestNilSafety(t *testing.T) {
 }
 
 // legacyProfile is a schema-1 profile file as earlier recorders wrote
-// it: it still carries the speculative lane's slot and counters and the
-// hot-state histogram its start-state guess was drawn from.
+// it: it still carries the speculative and cluster lanes' slots, the
+// speculative counters and the hot-state histogram its start-state
+// guess was drawn from.
 const legacyProfile = `{
   "schema": 1,
   "fingerprint": "fpLegacy",
   "machine": "m",
   "strategy": "convergence",
   "updated_unix_ns": 1792249904839936375,
-  "jobs": 6,
+  "jobs": 7,
   "errors": 1,
-  "bytes": 5396,
-  "exec_ns": 6000000,
+  "bytes": 7444,
+  "exec_ns": 7000000,
   "queue_wait_ns": 300000,
-  "queue_wait_share": 0.047619047619047616,
-  "throughput_bytes_per_sec": 899333.3333333334,
+  "queue_wait_share": 0.0410958904109589,
+  "throughput_bytes_per_sec": 1063428.5714285714,
   "lanes": {
+    "cluster": {"jobs": 1, "bytes": 2048, "exec_ns": 1000000, "bytes_per_sec": 2048000},
     "multicore": {"jobs": 1, "bytes": 1000, "exec_ns": 2000000, "bytes_per_sec": 500000},
     "single": {"jobs": 3, "bytes": 300, "exec_ns": 3000000, "bytes_per_sec": 100000},
     "speculative": {"jobs": 1, "bytes": 4096, "exec_ns": 1000000, "bytes_per_sec": 4096000}
@@ -237,14 +239,14 @@ func TestLegacyProfileSeedsRecorder(t *testing.T) {
 	}
 	r := install(NewStore(dir), "m", "fpLegacy", "convergence")
 	p := r.Profile()
-	if p.Jobs != 6 || p.Errors != 1 || p.Symbols != 1300 || p.Shuffles != 2600 ||
+	if p.Jobs != 7 || p.Errors != 1 || p.Symbols != 1300 || p.Shuffles != 2600 ||
 		p.FactorCalls != 10 || p.FactorWins != 9 || p.ActiveFinalMean != 4 {
 		t.Fatalf("baseline not seeded: %+v", p)
 	}
 	r.Observe(Job{Lane: LaneSingle, Bytes: 100, Exec: time.Millisecond,
 		Stats: core.DriveStats{Symbols: 100, Shuffles: 100, ActiveFinalSum: 2, ActiveFinalChunks: 1}})
 	p = r.Profile()
-	if p.Jobs != 7 || p.Symbols != 1400 || p.Shuffles != 2700 || p.Lanes[LaneSingle].Jobs != 4 {
+	if p.Jobs != 8 || p.Symbols != 1400 || p.Shuffles != 2700 || p.Lanes[LaneSingle].Jobs != 4 {
 		t.Fatalf("live job not folded onto the baseline: %+v", p)
 	}
 	if p.ActiveFinalMean != 2 {
@@ -253,9 +255,9 @@ func TestLegacyProfileSeedsRecorder(t *testing.T) {
 }
 
 // TestLegacySpeculativeFieldsDropped loads the same earlier file: its
-// speculative lane slot, spec_* counters, mispredict rate and hot-state
-// histogram are not errors, are not reported, and do not survive a
-// save; the lanes that still exist merge as before.
+// speculative and cluster lane slots, spec_* counters, mispredict rate
+// and hot-state histogram are not errors, are not reported, and do not
+// survive a save; the lanes that still exist merge as before.
 func TestLegacySpeculativeFieldsDropped(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "fpLegacy"+FileSuffix), []byte(legacyProfile), 0o644); err != nil {
@@ -265,8 +267,10 @@ func TestLegacySpeculativeFieldsDropped(t *testing.T) {
 	r := install(s, "m", "fpLegacy", "convergence")
 	r.Observe(Job{Lane: LaneMulticore, Bytes: 1000, Exec: 2 * time.Millisecond})
 	p := r.Profile()
-	if _, ok := p.Lanes["speculative"]; ok {
-		t.Fatalf("speculative lane reported from the baseline: %+v", p.Lanes)
+	for _, gone := range []string{"speculative", "cluster"} {
+		if _, ok := p.Lanes[gone]; ok {
+			t.Fatalf("%s lane reported from the baseline: %+v", gone, p.Lanes)
+		}
 	}
 	if multi := p.Lanes[LaneMulticore]; multi.Jobs != 2 || multi.Bytes != 2000 || multi.ExecNs != 4_000_000 {
 		t.Fatalf("multicore lane = %+v, want the baseline's job plus the live one", multi)
@@ -274,8 +278,8 @@ func TestLegacySpeculativeFieldsDropped(t *testing.T) {
 	if single := p.Lanes[LaneSingle]; single.Jobs != 3 || single.Bytes != 300 {
 		t.Fatalf("single lane = %+v, want the baseline's", single)
 	}
-	if p.Bytes != 2300 || p.Jobs != 7 {
-		t.Fatalf("bytes/jobs = %d/%d, want the surviving lanes' 2300/7", p.Bytes, p.Jobs)
+	if p.Bytes != 2300 || p.Jobs != 8 {
+		t.Fatalf("bytes/jobs = %d/%d, want the surviving lanes' 2300 bytes and 8 jobs", p.Bytes, p.Jobs)
 	}
 	if err := s.SaveAll(); err != nil {
 		t.Fatal(err)
@@ -284,7 +288,7 @@ func TestLegacySpeculativeFieldsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"speculative"`, `"hot_states"`, `"spec_`, `"mispredict_rate"`} {
+	for _, key := range []string{`"speculative"`, `"cluster"`, `"hot_states"`, `"spec_`, `"mispredict_rate"`} {
 		if strings.Contains(string(data), key) {
 			t.Errorf("saved profile still carries %s:\n%s", key, data)
 		}

@@ -17,7 +17,6 @@ package serverapi
 import (
 	"strconv"
 
-	"dpfsm/internal/cluster"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/otlp"
@@ -53,18 +52,12 @@ type RunResult struct {
 	// FirstMatch is the earliest accepting position, present only when
 	// the request asked for it (?first=1); -1 means no match.
 	FirstMatch *int `json:"first_match,omitempty"`
-	// Lane is the engine lane the job ran on: "single", "multicore",
-	// or "cluster".
+	// Lane is the engine lane the job ran on: "single" or "multicore".
 	Lane string `json:"lane,omitempty"`
-	// Degraded is true when a cluster-lane run re-executed one or more
-	// chunks locally (peer down, breaker open, retries exhausted). The
-	// answer is still exact — degradation costs parallelism, never
-	// correctness.
-	Degraded bool `json:"degraded,omitempty"`
 	// Strategy is the strategy that actually executed — the resolved
 	// one, never "auto". SelectionReason is the dispatch policy's
 	// stated reason for the lane choice (the input's size against the
-	// large-input and cluster thresholds).
+	// large-input threshold).
 	Strategy        string  `json:"strategy,omitempty"`
 	SelectionReason string  `json:"selection_reason,omitempty"`
 	DurationNs      int64   `json:"duration_ns"`
@@ -82,7 +75,7 @@ type RunResult struct {
 // convergence profile. Its numbers are the exact values the hot loops
 // flushed into the aggregate telemetry for this run — not estimates.
 type Explain struct {
-	// Lane is "single", "multicore", or "cluster"; LaneReason is the
+	// Lane is "single" or "multicore"; LaneReason is the
 	// dispatch policy's stated reason.
 	Lane       string `json:"lane"`
 	LaneReason string `json:"lane_reason,omitempty"`
@@ -204,12 +197,9 @@ type BatchResult struct {
 	Final   fsm.State `json:"final_state"`
 	Accepts bool      `json:"accepts"`
 	Bytes   int       `json:"bytes"`
-	// Lane is the engine lane ("single", "multicore", "cluster").
+	// Lane is the engine lane ("single" or "multicore").
 	// Strategy is the resolved strategy that executed.
-	Lane string `json:"lane,omitempty"`
-	// Degraded marks cluster-lane jobs that fell back to local
-	// execution for some chunks; the answer is still exact.
-	Degraded   bool   `json:"degraded,omitempty"`
+	Lane       string `json:"lane,omitempty"`
 	Strategy   string `json:"strategy,omitempty"`
 	DurationNs int64  `json:"duration_ns"`
 	Error      string `json:"error,omitempty"`
@@ -218,16 +208,12 @@ type BatchResult struct {
 // BatchSummary aggregates one batch; it is the payload of the final
 // NDJSON line of a /v1/batch response (wrapped in BatchTrailer).
 type BatchSummary struct {
-	Jobs       int `json:"jobs"`
-	OK         int `json:"ok"`
-	Errors     int `json:"errors"`
-	Canceled   int `json:"canceled"`
-	SingleCore int `json:"single_core"`
-	Multicore  int `json:"multicore"`
-	// Cluster counts jobs fanned out over the peer set, Degraded those
-	// among them that partially fell back to local execution.
-	Cluster    int   `json:"cluster,omitempty"`
-	Degraded   int   `json:"degraded,omitempty"`
+	Jobs       int   `json:"jobs"`
+	OK         int   `json:"ok"`
+	Errors     int   `json:"errors"`
+	Canceled   int   `json:"canceled"`
+	SingleCore int   `json:"single_core"`
+	Multicore  int   `json:"multicore"`
 	Bytes      int64 `json:"bytes"`
 	DurationNs int64 `json:"duration_ns"`
 }
@@ -283,14 +269,11 @@ type TransduceSummary struct {
 	Accepts     bool      `json:"accepts"`
 	// Lane/Strategy/SelectionReason record the dispatch decision, as on
 	// /v1/run.
-	Lane            string `json:"lane,omitempty"`
-	Strategy        string `json:"strategy,omitempty"`
-	SelectionReason string `json:"selection_reason,omitempty"`
-	// Degraded is set when the cluster lane fell back to local
-	// execution for some chunks; the spans are still exact.
-	Degraded   bool    `json:"degraded,omitempty"`
-	DurationNs int64   `json:"duration_ns"`
-	MBPerS     float64 `json:"mb_per_s"`
+	Lane            string  `json:"lane,omitempty"`
+	Strategy        string  `json:"strategy,omitempty"`
+	SelectionReason string  `json:"selection_reason,omitempty"`
+	DurationNs      int64   `json:"duration_ns"`
+	MBPerS          float64 `json:"mb_per_s"`
 	// TraceID is set when the request was traced (?trace=1 or an
 	// inbound traceparent header).
 	TraceID string `json:"trace_id,omitempty"`
@@ -355,30 +338,6 @@ type Status struct {
 	// sampler decisions and OTLP exporter counters. Absent when
 	// neither sampling nor export is configured.
 	Observability *Observability `json:"observability,omitempty"`
-
-	// Cluster is the distributed-execution view: peer health, breaker
-	// states, and protocol counters. Absent when the node runs without
-	// -peers.
-	Cluster *ClusterStatus `json:"cluster,omitempty"`
-}
-
-// ClusterStatus is the /v1/status section describing distributed
-// execution: how this node's coordinator sees its peers, and what the
-// node has served as a peer itself.
-type ClusterStatus struct {
-	// Peers is per-peer breaker state and traffic, sorted by peer URL.
-	Peers []cluster.PeerHealth `json:"peers"`
-	// ChunkBytes is the fan-out granularity; MinBytes the input size at
-	// which jobs take the cluster lane.
-	ChunkBytes int `json:"chunk_bytes"`
-	MinBytes   int `json:"min_bytes"`
-	// Served is this node's own peer-side traffic (chunk tasks executed
-	// for other coordinators).
-	Served cluster.PeerStats `json:"served"`
-	// Jobs counts cluster-lane jobs this node coordinated; Degraded
-	// those that partially fell back to local execution.
-	Jobs     int64 `json:"jobs"`
-	Degraded int64 `json:"degraded"`
 }
 
 // Observability reports the trace sampler's decisions and the OTLP

@@ -21,21 +21,20 @@
 // the guess in as a phase-1 source of width-one entries, and the
 // schedule's phase 2 verifies them left to right, replaying a
 // misspeculated chunk from the corrected state on the spot. Final runs
-// that schedule for fsmbench and perfbench; the engine's speculative
-// lane drives its own multicore runner with Source, updating the guess
-// live from the machine's hot-state profile (SetGuess). Verification
-// is exact either way, so results always match the sequential run.
+// that schedule for fsmbench and perfbench; fsmbench's lane ablation
+// and the conformance suite drive Source on a runner of their own.
+// Verification is exact either way, so results always match the
+// sequential run. No served lane speculates.
 //
 // Guessing policy: New seeds the guess with the most frequently
 // reached state in a short warmup prefix (a common heuristic in the
-// literature); an attached perf profile can override it at any time
-// with the machine's observed dominant final state.
+// literature); NewWithGuess takes the guess from its caller and keeps
+// it for the runner's life.
 package speculative
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
@@ -48,15 +47,15 @@ type Stats struct {
 	ReRunBytes    int // bytes processed a second time
 }
 
-// Runner executes a machine speculatively across chunks. The guess is
-// atomic, so a live profiler may retarget it while jobs are running.
+// Runner executes a machine speculatively across chunks from one fixed
+// guess.
 type Runner struct {
 	d     *fsm.DFA
 	procs int
-	guess atomic.Int64
+	guess fsm.State
 
-	// core drives Final; built on first use, since the engine only
-	// ever asks for Source.
+	// core drives Final; built on first use, since callers that drive
+	// Source on their own runner never need it.
 	once sync.Once
 	core *core.Runner
 }
@@ -65,10 +64,6 @@ type Runner struct {
 // input seed the guess (the state most often occupied); an empty
 // warmup guesses the start state.
 func New(d *fsm.DFA, procs int, warmup []byte) *Runner {
-	if procs < 1 {
-		procs = 1
-	}
-	r := &Runner{d: d, procs: procs}
 	guess := d.Start()
 	if len(warmup) > 0 {
 		counts := make([]int, d.NumStates())
@@ -85,26 +80,26 @@ func New(d *fsm.DFA, procs int, warmup []byte) *Runner {
 		}
 		guess = fsm.State(best)
 	}
-	r.guess.Store(int64(guess))
-	return r
+	return NewWithGuess(d, procs, guess)
 }
 
-// Guess reports the state the runner currently speculates chunks
-// start in.
-func (r *Runner) Guess() fsm.State { return fsm.State(r.guess.Load()) }
+// NewWithGuess builds a speculative runner that guesses every chunk
+// starts in state g.
+func NewWithGuess(d *fsm.DFA, procs int, g fsm.State) *Runner {
+	if procs < 1 {
+		procs = 1
+	}
+	return &Runner{d: d, procs: procs, guess: g}
+}
 
-// SetGuess retargets the speculated start state. Safe to call while
-// runs are in flight: each run snapshots the guess once at entry, so
-// its phase-2 verification always checks the same state phase 1 ran
-// from.
-func (r *Runner) SetGuess(s fsm.State) { r.guess.Store(int64(s)) }
+// Guess reports the state the runner speculates chunks start in.
+func (r *Runner) Guess() fsm.State { return r.guess }
 
-// Source snapshots the current guess as a phase-1 source for core's
-// schedule: every chunk walks sequentially from the guess (chunk 0 from
-// its known start) and answers with a width-one entry, which the
-// schedule verifies in phase 2. Taking the snapshot once per run keeps
-// verification checking the same state the walks started from.
-func (r *Runner) Source() core.Source { return guess{d: r.d, from: r.Guess()} }
+// Source is the guess as a phase-1 source for core's schedule: every
+// chunk walks sequentially from the guess (chunk 0 from its known
+// start) and answers with a width-one entry, which the schedule
+// verifies in phase 2.
+func (r *Runner) Source() core.Source { return guess{d: r.d, from: r.guess} }
 
 type guess struct {
 	d    *fsm.DFA

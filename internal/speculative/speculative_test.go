@@ -90,18 +90,16 @@ func TestEmptyWarmupGuessesStart(t *testing.T) {
 	}
 }
 
-func TestSetGuessRetargetsSpeculation(t *testing.T) {
+func TestNewWithGuessDecidesHitRate(t *testing.T) {
 	// The absorbing machine from the convergence test: guessing the
 	// absorbing state hits, guessing anywhere else misses every chunk.
-	// SetGuess is how the engine flips between those regimes live.
 	d := fsm.MustNew(4, 2)
 	d.SetColumn(0, []fsm.State{1, 2, 3, 3})
 	d.SetColumn(1, []fsm.State{3, 3, 3, 3})
 	rng := rand.New(rand.NewSource(193))
 	in := d.RandomInput(rng, 20000)
 
-	r := New(d, 8, nil)
-	r.SetGuess(0) // state 0 is never revisited → forced mispredicts
+	r := NewWithGuess(d, 8, 0) // state 0 is never revisited → forced mispredicts
 	got, stats := r.Final(in, d.Start())
 	if want := d.Run(in, d.Start()); got != want {
 		t.Fatalf("wrong guess changed the answer: %d want %d", got, want)
@@ -109,18 +107,18 @@ func TestSetGuessRetargetsSpeculation(t *testing.T) {
 	if stats.HitRate() > 0.2 {
 		t.Errorf("hit rate %.2f with a poisoned guess; expected near-total misses", stats.HitRate())
 	}
-	r.SetGuess(3)
+	r = NewWithGuess(d, 8, 3)
 	if r.Guess() != 3 {
-		t.Fatalf("Guess() = %d after SetGuess(3)", r.Guess())
+		t.Fatalf("Guess() = %d, want 3", r.Guess())
 	}
 	if _, stats := r.Final(in, d.Start()); stats.HitRate() < 0.99 {
-		t.Errorf("hit rate %.2f after retargeting to the absorbing state", stats.HitRate())
+		t.Errorf("hit rate %.2f guessing the absorbing state", stats.HitRate())
 	}
 }
 
 // TestFinalCtxMatchesFinalAndCancels drives Source through a
-// multicore core runner under a context, the way the engine's
-// speculative lane does.
+// multicore core runner under a context, the way fsmbench's lane
+// ablation does.
 func TestFinalCtxMatchesFinalAndCancels(t *testing.T) {
 	rng := rand.New(rand.NewSource(195))
 	d := fsm.Random(rng, 12, 3, 0.3)

@@ -105,16 +105,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	pg("engine_queue_high_water", "deepest bounded-queue backlog observed", m.EngineQueueHighWater.Load())
 	pc("engine_queue_rejects_total", "TrySubmit jobs refused because the queue was full", m.EngineQueueRejects.Load())
 
-	pc("engine_cluster_total", "jobs dispatched to the cluster lane", m.EngineCluster.Load())
-	pc("cluster_tasks_total", "chunk tasks answered by remote peers", m.ClusterTasks.Load())
-	pc("cluster_task_errors_total", "failed remote chunk attempts", m.ClusterTaskErrors.Load())
-	pc("cluster_retries_total", "chunk attempts re-sent after backoff", m.ClusterRetries.Load())
-	pc("cluster_plan_ships_total", "plans shipped to peers", m.ClusterPlanShips.Load())
-	pc("cluster_local_fallbacks_total", "chunks degraded to local execution", m.ClusterLocalFallbacks.Load())
-	pc("cluster_breaker_opens_total", "peer circuit-breaker open transitions", m.ClusterBreakerOpens.Load())
-	pc("cluster_breaker_skips_total", "chunks that skipped a peer on an open breaker", m.ClusterBreakerSkips.Load())
-	pc("cluster_degraded_total", "jobs answered with at least one degraded chunk", m.ClusterDegraded.Load())
-
 	writeHistogram(w, "engine_job_bytes", "input sizes of executed engine jobs", &m.EngineJobBytes)
 	writeHistogram(w, "active_final", "active-state width at end of run", &m.ActiveFinal)
 	writeHistogram(w, "chunk_bytes", "multicore chunk sizes", &m.ChunkBytes)

@@ -99,20 +99,6 @@ type Metrics struct {
 	// PlanCompileTime times each plan compile: the compiler step
 	// (§6.1) every registration pays once.
 	PlanCompileTime Timer
-
-	// Cluster counters (cluster.Coordinator): the networked §3.4
-	// decomposition. EngineCluster counts jobs the engine routed
-	// through the cluster lane; the rest account the coordinator's
-	// protocol traffic and its degradation paths.
-	EngineCluster         Counter
-	ClusterTasks          Counter // chunk tasks answered remotely
-	ClusterTaskErrors     Counter // failed remote attempts
-	ClusterRetries        Counter // re-sent attempts (after backoff)
-	ClusterPlanShips      Counter // plans shipped to peers
-	ClusterLocalFallbacks Counter // chunks degraded to local execution
-	ClusterBreakerOpens   Counter // breaker closed→open transitions
-	ClusterBreakerSkips   Counter // chunks that skipped a peer on an open breaker
-	ClusterDegraded       Counter // jobs with at least one degraded chunk
 }
 
 // PhaseSnapshot summarizes one timer.
@@ -190,16 +176,6 @@ type Snapshot struct {
 	EngineJobLatencyP99 int64 `json:"engine_job_latency_p99_ns"`
 
 	PlanCompile PhaseSnapshot `json:"plan_compile"`
-
-	EngineCluster         int64 `json:"engine_cluster"`
-	ClusterTasks          int64 `json:"cluster_tasks"`
-	ClusterTaskErrors     int64 `json:"cluster_task_errors"`
-	ClusterRetries        int64 `json:"cluster_retries"`
-	ClusterPlanShips      int64 `json:"cluster_plan_ships"`
-	ClusterLocalFallbacks int64 `json:"cluster_local_fallbacks"`
-	ClusterBreakerOpens   int64 `json:"cluster_breaker_opens"`
-	ClusterBreakerSkips   int64 `json:"cluster_breaker_skips"`
-	ClusterDegraded       int64 `json:"cluster_degraded"`
 }
 
 // Snapshot captures the current values. Nil-safe: returns the zero
@@ -246,16 +222,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		EngineJobTime:        phaseSnapshot(&m.EngineJobTime),
 
 		PlanCompile: phaseSnapshot(&m.PlanCompileTime),
-
-		EngineCluster:         m.EngineCluster.Load(),
-		ClusterTasks:          m.ClusterTasks.Load(),
-		ClusterTaskErrors:     m.ClusterTaskErrors.Load(),
-		ClusterRetries:        m.ClusterRetries.Load(),
-		ClusterPlanShips:      m.ClusterPlanShips.Load(),
-		ClusterLocalFallbacks: m.ClusterLocalFallbacks.Load(),
-		ClusterBreakerOpens:   m.ClusterBreakerOpens.Load(),
-		ClusterBreakerSkips:   m.ClusterBreakerSkips.Load(),
-		ClusterDegraded:       m.ClusterDegraded.Load(),
 	}
 	lat := m.EngineJobLatency.Quantiles(0.5, 0.9, 0.99)
 	s.EngineJobLatencyP50, s.EngineJobLatencyP90, s.EngineJobLatencyP99 = lat[0], lat[1], lat[2]

@@ -12,8 +12,8 @@ import (
 // Sampler is the retention policy between the two: every request can
 // be traced (the per-request cost is tens of small allocations), but
 // only a bounded-rate head sample plus the traces worth keeping — the
-// slow, the erroring, the shed, the mispredicted — survive to the
-// recorder and the exporter.
+// slow, the erroring, the shed — survive to the recorder and the
+// exporter.
 //
 // The split follows the two classic modes:
 //
@@ -22,7 +22,7 @@ import (
 //     This bounds the steady-state retention cost regardless of
 //     traffic.
 //   - tail keeping: decided at completion, when the interesting facts
-//     (duration, error, HTTP status, span attributes) exist. Tails are
+//     (duration, error, HTTP status) exist. Tails are
 //     never rate-limited — an incident is exactly when the limiter
 //     must not censor the evidence.
 //
@@ -37,8 +37,7 @@ const (
 )
 
 // SamplerConfig configures a Sampler. The zero value gets the
-// defaults above; KeepAttrs is the set of boolean span/trace attribute
-// keys that force retention when true (e.g. the engine's "mispredict").
+// defaults above.
 type SamplerConfig struct {
 	// HeadPerSec is the sustained head-sample admission rate; <= 0
 	// means DefaultHeadPerSec. HeadBurst is the token-bucket burst
@@ -48,9 +47,6 @@ type SamplerConfig struct {
 	// SlowThreshold is the duration at or above which a trace is kept
 	// unconditionally; <= 0 means DefaultSlowThreshold.
 	SlowThreshold time.Duration
-	// KeepAttrs lists attribute keys (trace-level or on any span)
-	// whose true boolean value forces retention.
-	KeepAttrs []string
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -59,8 +55,8 @@ type SamplerConfig struct {
 // Verdict is one retention decision.
 type Verdict struct {
 	Keep bool
-	// Reason is "head", "slow", "error", "shed", a KeepAttrs key, or
-	// "rate" for head-sample drops.
+	// Reason is "head", "slow", "error", "shed", or "rate" for
+	// head-sample drops.
 	Reason string
 }
 
@@ -72,7 +68,6 @@ type SamplerStats struct {
 	TailSlow        int64   `json:"tail_slow"`
 	TailError       int64   `json:"tail_error"`
 	TailShed        int64   `json:"tail_shed"`
-	TailAttr        int64   `json:"tail_attr"`
 	HeadPerSec      float64 `json:"head_per_sec"`
 	SlowThresholdNs int64   `json:"slow_threshold_ns"`
 }
@@ -86,8 +81,8 @@ type Sampler struct {
 	tokens float64
 	last   time.Time
 
-	kept, dropped                               atomic.Int64
-	head, tailSlow, tailErr, tailShed, tailAttr atomic.Int64
+	kept, dropped                     atomic.Int64
+	head, tailSlow, tailErr, tailShed atomic.Int64
 }
 
 // NewSampler builds a Sampler, applying defaults to unset fields.
@@ -145,18 +140,6 @@ func (s *Sampler) tail(t *Trace, status int) (Verdict, bool) {
 		s.tailSlow.Add(1)
 		return Verdict{Keep: true, Reason: "slow"}, true
 	}
-	for _, key := range s.cfg.KeepAttrs {
-		if a, ok := t.Attr(key); ok && a.Value() == true {
-			s.tailAttr.Add(1)
-			return Verdict{Keep: true, Reason: key}, true
-		}
-		for _, sp := range t.Spans() {
-			if a, ok := FindAttr(sp.Attrs, key); ok && a.Value() == true {
-				s.tailAttr.Add(1)
-				return Verdict{Keep: true, Reason: key}, true
-			}
-		}
-	}
 	return Verdict{}, false
 }
 
@@ -189,7 +172,6 @@ func (s *Sampler) Stats() SamplerStats {
 		TailSlow:        s.tailSlow.Load(),
 		TailError:       s.tailErr.Load(),
 		TailShed:        s.tailShed.Load(),
-		TailAttr:        s.tailAttr.Load(),
 		HeadPerSec:      s.cfg.HeadPerSec,
 		SlowThresholdNs: int64(s.cfg.SlowThreshold),
 	}

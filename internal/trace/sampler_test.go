@@ -78,14 +78,12 @@ func TestSamplerHeadTokenBucket(t *testing.T) {
 }
 
 // TestSamplerTailsBypassRateLimit is the acceptance property: with the
-// head budget exhausted, every slow/error/shed/mispredict trace is
-// still kept.
+// head budget exhausted, every slow/error/shed trace is still kept.
 func TestSamplerTailsBypassRateLimit(t *testing.T) {
 	s, _ := newTestSampler(SamplerConfig{
 		HeadPerSec:    1,
 		HeadBurst:     1,
 		SlowThreshold: 50 * time.Millisecond,
-		KeepAttrs:     []string{"mispredict"},
 	})
 	// Exhaust the head budget.
 	s.Sample(finished(), 200)
@@ -108,15 +106,6 @@ func TestSamplerTailsBypassRateLimit(t *testing.T) {
 			tr.Finish()
 			return tr
 		}(), 200, "slow"},
-		{"trace attr", finished(func(tr *Trace) { tr.SetAttrs(Bool("mispredict", true)) }), 200, "mispredict"},
-		{"span attr", func() *Trace {
-			tr := New()
-			sp := tr.StartSpan("exec")
-			sp.SetAttrs(Bool("mispredict", true))
-			sp.End()
-			tr.Finish()
-			return tr
-		}(), 200, "mispredict"},
 	}
 	for _, tc := range cases {
 		v := s.Sample(tc.tr, tc.status)
@@ -128,17 +117,8 @@ func TestSamplerTailsBypassRateLimit(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.TailError != 2 || st.TailShed != 1 || st.TailSlow != 1 || st.TailAttr != 2 {
+	if st.TailError != 2 || st.TailShed != 1 || st.TailSlow != 1 {
 		t.Fatalf("tail stats = %+v", st)
-	}
-}
-
-func TestSamplerFalseAttrDoesNotKeep(t *testing.T) {
-	s, _ := newTestSampler(SamplerConfig{HeadPerSec: 1, HeadBurst: 1, KeepAttrs: []string{"mispredict"}})
-	s.Sample(finished(), 200) // drain head budget
-	tr := finished(func(tr *Trace) { tr.SetAttrs(Bool("mispredict", false)) })
-	if v := s.Sample(tr, 200); v.Keep {
-		t.Fatalf("false keep-attr retained the trace: %+v", v)
 	}
 }
 

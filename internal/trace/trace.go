@@ -349,16 +349,6 @@ func (t *Trace) Attrs() []Attr {
 	return append([]Attr(nil), t.attrs...)
 }
 
-// Attr returns the trace-level attribute with the given key.
-func (t *Trace) Attr(key string) (Attr, bool) {
-	if t == nil {
-		return Attr{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return FindAttr(t.attrs, key)
-}
-
 // SetError records a request-level error string on the trace.
 func (t *Trace) SetError(msg string) {
 	if t == nil {
